@@ -117,6 +117,25 @@ def _parse_x0(raw, model):
         raise ValidationError(f"bad --x0 value {raw!r}: {err}") from err
 
 
+def _run_hash(args, model_payload, x0, i0, t0, horizon, antithetic=False) -> str:
+    """Hash of everything a simulate/estimate output depends on.  The worker
+    count is left out on purpose: outputs do not depend on it."""
+    return cfg.config_hash(
+        {
+            "model": model_payload,
+            "control": cfg.control_provenance(args.control),
+            "x0": [float(v) for v in x0],
+            "i0": int(i0),
+            "t0": float(t0),
+            "horizon": float(horizon),
+            "dt": args.dt,
+            "paths": args.paths,
+            "seed": args.seed,
+            "antithetic": bool(antithetic),
+        }
+    )
+
+
 def _measure_json_cache(pool):
     return [cfg.canonical_json(m.to_dict()) for m in pool]
 
@@ -187,9 +206,7 @@ def cmd_simulate(args) -> int:
     batch = simulate_paths(
         model, control, args.t0, x0, i0, t_end, args.dt, args.seed, args.paths, workers
     )
-    run_hash = cfg.config_hash(
-        {"model": payload, "seed": args.seed, "dt": args.dt, "paths": args.paths}
-    )
+    run_hash = _run_hash(args, payload, x0, i0, args.t0, t_end)
     out = args.out or "paths.csv"
     if str(out).endswith(".json"):
         cfg.atomic_write_json(out, _paths_to_json(batch, run_hash))
@@ -210,7 +227,7 @@ def cmd_estimate(args) -> int:
         workers, args.antithetic,
     )
     doc = est.to_dict()
-    doc["config_hash"] = cfg.config_hash({"model": payload, "seed": args.seed, "dt": args.dt})
+    doc["config_hash"] = _run_hash(args, payload, x0, i0, 0.0, model.horizon, args.antithetic)
     text = json.dumps(doc, sort_keys=True, indent=1)
     if args.out:
         cfg.atomic_write_text(args.out, text + "\n")
@@ -336,9 +353,5 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

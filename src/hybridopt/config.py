@@ -144,9 +144,11 @@ def load_control(source, model: HybridModel) -> FeedbackControl:
     raise ValidationError(f"unknown control kind {kind!r}")
 
 
-def control_to_dict(control: FeedbackControl) -> dict:
-    """Serialize the serializable control kinds (table controls reference
-    their artifact file instead)."""
-    if isinstance(control, ConstantControl):
-        return {"kind": "constant", "mu": control.mu_pool[0].to_dict(), "nu": control.nu_pool[0].to_dict()}
-    raise ValidationError(f"control kind {control.kind!r} has no inline JSON form")
+def control_provenance(source) -> dict:
+    """The control spec as it enters a run hash.  A table control names its
+    artifact by file path, so the path is replaced by the hash of the
+    artifact's contents."""
+    payload = _load_payload(source)
+    if payload.get("kind") == "table":
+        payload = {**payload, "artifact": config_hash(_load_payload(payload["artifact"]))}
+    return payload

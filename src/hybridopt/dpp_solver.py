@@ -8,8 +8,8 @@ The value function is computed by the one-step recursion
 
 with V at the final slice equal to the terminal cost.  The expectation over
 the Brownian increment uses tensorized Gauss-Hermite quadrature (weights
-normalized to unit sum), the regime factor reuses the exact
-frozen-generator exponential of the switching module, and next-slice values
+normalized to unit sum), the regime factor reuses the batched
+frozen-generator transition rows of the switching module, and next-slice values
 are read off by multilinear interpolation with edge clamping, which keeps
 every one-step operator a convex combination and hence preserves lower
 bounds of V.  Ties in the minimization break to the lowest candidate-pair
@@ -36,7 +36,7 @@ from .control import MeasureBatch, TableControl
 from .dynamics import HybridModel
 from .errors import ValidationError
 from .measure_space import DiscreteMeasure
-from .switching import step_transition_probs
+from .switching import transition_rows_batch
 
 SCHEMA_VERSION = 1
 
@@ -158,10 +158,12 @@ class SolverKernels:
     ``move[i-1][mi]`` is the (n_nodes, n_nodes) state-transport kernel for
     drift/diffusion under the mu candidate: Gauss-Hermite weights composed
     with interpolation weights, so rows are convex.  ``regime_rows[i-1][ni]``
-    is the (n_nodes, N) matrix of exact expm transition rows under the nu
-    candidate.  Rates and coefficients are time-independent, so one set of
-    kernels serves every slice; the verification oracles build their exact
-    lattice kernels from this very object.
+    is the (n_nodes, N) matrix of one-step transition rows out of regime i
+    under the nu candidate, built for all nodes by one
+    ``switching.transition_rows_batch`` call.  Rates and coefficients are
+    time-independent, so one set of kernels serves every slice; the
+    verification oracles build their exact lattice kernels from this very
+    object.
     """
 
     def __init__(self, model: HybridModel, grid: GridSpec, mu_candidates, nu_candidates):
@@ -209,21 +211,19 @@ class SolverKernels:
                 row.append((fold @ mat).tocsr())
             self.move.append(row)
 
-        self.regime_rows: list[list[np.ndarray]] = []
-        for i in range(1, n + 1):
-            row = []
-            for nu in self.nu_candidates:
-                if model.rates.depends_on_state:
-                    rows = np.vstack(
-                        [step_transition_probs(model.rates, i, xn, nu, dt) for xn in self.nodes]
-                    )
-                else:
-                    one = step_transition_probs(
-                        model.rates, i, np.zeros(model.state_dim), nu, dt
-                    )
-                    rows = np.tile(one, (self.n_nodes, 1))
-                row.append(rows)
-            self.regime_rows.append(row)
+        self.regime_rows: list[list[np.ndarray]] = [
+            [
+                transition_rows_batch(
+                    model.rates,
+                    np.full(self.n_nodes, i),
+                    self.nodes,
+                    MeasureBatch.constant(nu, self.n_nodes),
+                    dt,
+                )
+                for nu in self.nu_candidates
+            ]
+            for i in range(1, n + 1)
+        ]
 
     def stage_values(self, k: int, i: int, mi: int, ni: int, v_next: np.ndarray) -> np.ndarray:
         """One-step operator for a fixed candidate pair at slice k, regime i.
@@ -392,7 +392,7 @@ def dpp_residual(value_grid: ValueGrid, model: HybridModel, k_from: int, k_to: i
         raise ValidationError("need 0 <= k_from < k_to <= time steps")
     kern = SolverKernels(model, value_grid.grid, value_grid.mu_candidates, value_grid.nu_candidates)
     n_reg = model.regime_count
-    pair_index = {pair: p for p, pair in enumerate(kern.pairs)}
+    n_nu = len(kern.nu_candidates)
 
     # side A: chain the one-step operator with the stored per-step minimizers
     chained = value_grid.values[k_to].copy()
@@ -402,12 +402,8 @@ def dpp_residual(value_grid: ValueGrid, model: HybridModel, k_from: int, k_to: i
             per_pair = np.empty((len(kern.pairs), kern.n_nodes))
             for p, (mi, ni) in enumerate(kern.pairs):
                 per_pair[p] = kern.stage_values(k, i, mi, ni, chained)
-            stored = np.array(
-                [
-                    pair_index[(int(value_grid.policy_mu[k][nd, i - 1]), int(value_grid.policy_nu[k][nd, i - 1]))]
-                    for nd in range(kern.n_nodes)
-                ]
-            )
+            # kern.pairs is mu-major, so pair (mi, ni) sits at mi * n_nu + ni
+            stored = value_grid.policy_mu[k][:, i - 1] * n_nu + value_grid.policy_nu[k][:, i - 1]
             nxt[:, i - 1] = per_pair[stored, np.arange(kern.n_nodes)]
         chained = nxt
 

@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .measure_space import ActionSet, DiscreteMeasure, w1_distance
-from .switching import RateSpec, pick_regime, step_transition_probs, transition_rows_batch
+from .switching import RateSpec, pick_regime, transition_rows_batch
 
 _TIME_TOL = 1e-9
 _GRID_ABS_TOL = 1e-12
@@ -438,8 +438,6 @@ def _simulate_block(
     mu_pool, nu_pool = control.mu_pool, control.nu_pool
     mu_moments: dict = {}
     nu_moments: dict = {}
-    state_free = not model.rates.depends_on_state
-    row_cache: dict[tuple[int, int], np.ndarray] = {}
     clamp_count = 0
 
     for k in range(n_steps):
@@ -469,21 +467,7 @@ def _simulate_block(
         if model.regime_count == 1:
             regimes[:, k + 1] = 1
             continue
-        if state_free:
-            rows = np.empty((n_paths, model.regime_count))
-            for regime in np.unique(lam_k):
-                r_mask = lam_k == regime
-                for cand in np.unique(ni[r_mask]):
-                    key = (int(regime), int(cand))
-                    row = row_cache.get(key)
-                    if row is None:
-                        row = step_transition_probs(
-                            model.rates, int(regime), x0 * 0.0, nu_pool[cand], dt
-                        )
-                        row_cache[key] = row
-                    rows[r_mask & (ni == cand)] = row
-        else:
-            rows = transition_rows_batch(model.rates, lam_k, x_k, nu_b, dt)
+        rows = transition_rows_batch(model.rates, lam_k, x_k, nu_b, dt)
         regimes[:, k + 1] = pick_regime(rows, uniforms[:, k])
 
     return PathBatch(

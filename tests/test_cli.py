@@ -186,6 +186,39 @@ class TestEstimate:
         assert doc["paths"] == 64
 
 
+class TestRunHash:
+    def estimate_hash(self, model, control, tmp_path, *extra):
+        out = tmp_path / "estimate.json"
+        assert cli.main(
+            ["estimate", "--model", str(model), "--control", str(control),
+             "--paths", "16", "--dt", "0.05", "--seed", "3", "--out", str(out), *extra]
+        ) == 0
+        return json.loads(out.read_text())["config_hash"]
+
+    def test_hash_covers_control_and_not_workers(self, demo_files, tmp_path):
+        model, control = demo_files
+        other = write_json(
+            tmp_path / "other.json",
+            {**json.loads(control.read_text()), "nu": {"atoms": [[1.0]], "weights": [1.0]}},
+        )
+        base = self.estimate_hash(model, control, tmp_path, "--workers", "1")
+        assert self.estimate_hash(model, control, tmp_path, "--workers", "2") == base
+        assert self.estimate_hash(model, other, tmp_path, "--workers", "1") != base
+        assert self.estimate_hash(model, control, tmp_path, "--workers", "1", "--antithetic") != base
+
+    def test_simulate_hash_covers_start(self, demo_files, tmp_path):
+        model, control = demo_files
+        headers = []
+        for x0 in ("0.0", "0.5"):
+            out = tmp_path / f"paths_{x0}.csv"
+            assert cli.main(
+                ["simulate", "--model", str(model), "--control", str(control), "--out", str(out),
+                 "--paths", "2", "--dt", "0.25", "--seed", "1", "--x0", x0]
+            ) == 0
+            headers.append(out.read_text().splitlines()[0])
+        assert headers[0] != headers[1]
+
+
 class TestSolve:
     def solve_args(self, model, out):
         return [
@@ -250,6 +283,25 @@ class TestSolve:
         ) == 0
         regimes = [int(r.split(",")[3]) for r in out.read_text().splitlines()[2:]]
         assert set(regimes) == {1}  # optimal policy suppresses switching
+
+    def test_table_control_hash_follows_artifact_contents(self, demo_files, tmp_path):
+        model, _ = demo_files
+        artifact = tmp_path / "vg.json"
+        table_control = write_json(
+            tmp_path / "table.json", {"kind": "table", "artifact": str(artifact)}
+        )
+        hashes = []
+        for nt in ("4", "5"):
+            args = self.solve_args(model, artifact)
+            args[args.index("--grid-nt") + 1] = nt
+            assert cli.main(args) == 0
+            out = tmp_path / "table_paths.csv"
+            assert cli.main(
+                ["simulate", "--model", str(model), "--control", str(table_control),
+                 "--out", str(out), "--paths", "1", "--dt", "0.25", "--seed", "5"]
+            ) == 0
+            hashes.append(out.read_text().splitlines()[0])
+        assert hashes[0] != hashes[1]
 
 
 class TestVerify:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from hybridopt import (
     ActionSet,
@@ -20,6 +21,7 @@ from hybridopt import (
     tol_disc,
 )
 from hybridopt.control import ConstantControl
+from hybridopt.dpp_solver import SolverKernels
 from tests.conftest import make_model
 
 
@@ -134,6 +136,41 @@ class TestRegimeCostInstance:
         )
         assert np.all(vg.policy_mu == 0)
         assert np.all(vg.policy_nu == 0)
+
+
+class TestKernels:
+    def test_regime_rows_match_per_node_expm(self):
+        u = ActionSet([0.0], [1.0])
+        model = HybridModel(
+            state_dim=2,
+            action_set=u,
+            rates=RateSpec(
+                3,
+                [
+                    [None, "0.3*(1 + x1*x2)", "0.1*nu_m(1,0)"],
+                    ["0.2*x1*x1", None, "0.3*abs(x2)"],
+                    ["0.4*nu_m(1,0)", "0.1*(1 - x2)", None],
+                ],
+                1.0,
+            ),
+            drift=[["0", "0"]] * 3,
+            diffusion=[[["0.1", "0"], ["0", "0.1"]]] * 3,
+            running_cost="0",
+            terminal_cost="0",
+            horizon=0.5,
+            truncation_lower=[-1.0, -1.0],
+            truncation_upper=[1.0, 1.0],
+        )
+        nu_c = [dirac(u, [0.0]), dirac(u, [0.7])]
+        # dt = 0.1 puts dt * M on the cap
+        kern = SolverKernels(model, GridSpec(5, [7, 5], 3), [dirac(u, [0.5])], nu_c)
+        assert kern.dt * model.rates.rate_bound == pytest.approx(0.1)
+        for i in (1, 2, 3):
+            for ni, nu in enumerate(nu_c):
+                exact = np.array(
+                    [expm(model.rates.generator(x, nu) * kern.dt)[i - 1] for x in kern.nodes]
+                )
+                assert np.max(np.abs(kern.regime_rows[i - 1][ni] - exact)) <= 1e-12
 
 
 class TestCandidateMonotonicity:
