@@ -35,7 +35,6 @@ from .switching import (
     RateSpec,
     build_intervals,
     jump_displacement,
-    sample_switch,
     step_transition_probs,
     transition_matrix,
 )
@@ -48,18 +47,14 @@ from .control import (
     PathDependentControl,
     TableControl,
     candidate_set,
-    extend_segment,
 )
 from .dynamics import (
     HybridModel,
-    HybridPath,
     PathBatch,
-    em_step,
-    simulate,
     simulate_paths,
     validate_model,
 )
-from .cost import CostEstimate, batch_costs, monte_carlo_cost, pathwise_cost
+from .cost import CostEstimate, batch_costs, monte_carlo_cost
 from .dpp_solver import (
     GridSpec,
     ValueGrid,

@@ -117,13 +117,13 @@ def _parse_x0(raw, model):
         raise ValidationError(f"bad --x0 value {raw!r}: {err}") from err
 
 
-def _run_hash(args, model_payload, x0, i0, t0, horizon, antithetic=False) -> str:
+def _run_hash(args, model_payload, control_payload, x0, i0, t0, horizon, antithetic=False) -> str:
     """Hash of everything a simulate/estimate output depends on.  The worker
     count is left out on purpose: outputs do not depend on it."""
     return cfg.config_hash(
         {
             "model": model_payload,
-            "control": cfg.control_provenance(args.control),
+            "control": control_payload,
             "x0": [float(v) for v in x0],
             "i0": int(i0),
             "t0": float(t0),
@@ -198,7 +198,7 @@ def cmd_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     model, payload = cfg.load_model(args.model)
-    control = cfg.load_control(args.control, model)
+    control, control_payload = cfg.load_control(args.control, model)
     x0 = _parse_x0(args.x0, model)
     i0 = args.i0 if args.i0 is not None else model.default_start()[1]
     t_end = args.horizon if args.horizon is not None else model.horizon
@@ -206,7 +206,7 @@ def cmd_simulate(args) -> int:
     batch = simulate_paths(
         model, control, args.t0, x0, i0, t_end, args.dt, args.seed, args.paths, workers
     )
-    run_hash = _run_hash(args, payload, x0, i0, args.t0, t_end)
+    run_hash = _run_hash(args, payload, control_payload, x0, i0, args.t0, t_end)
     out = args.out or "paths.csv"
     if str(out).endswith(".json"):
         cfg.atomic_write_json(out, _paths_to_json(batch, run_hash))
@@ -218,7 +218,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     model, payload = cfg.load_model(args.model)
-    control = cfg.load_control(args.control, model)
+    control, control_payload = cfg.load_control(args.control, model)
     x0 = _parse_x0(args.x0, model)
     i0 = args.i0 if args.i0 is not None else model.default_start()[1]
     workers = args.workers if args.workers is not None else _default_workers()
@@ -227,7 +227,9 @@ def cmd_estimate(args) -> int:
         workers, args.antithetic,
     )
     doc = est.to_dict()
-    doc["config_hash"] = _run_hash(args, payload, x0, i0, 0.0, model.horizon, args.antithetic)
+    doc["config_hash"] = _run_hash(
+        args, payload, control_payload, x0, i0, 0.0, model.horizon, args.antithetic
+    )
     text = json.dumps(doc, sort_keys=True, indent=1)
     if args.out:
         cfg.atomic_write_text(args.out, text + "\n")

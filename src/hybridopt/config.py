@@ -105,17 +105,22 @@ def _measures(action_set: ActionSet, items) -> list[DiscreteMeasure]:
     return [DiscreteMeasure.from_dict(action_set, m) for m in items]
 
 
-def load_control(source, model: HybridModel) -> FeedbackControl:
-    """Build a FeedbackControl from a spec dict or JSON file path."""
+def load_control(source, model: HybridModel) -> tuple[FeedbackControl, dict]:
+    """Build a FeedbackControl from a spec dict or JSON file path.
+
+    Returns the control together with the spec as it enters a run hash.  A
+    table control names its artifact by file path, so there the path is
+    replaced by the hash of the artifact's contents.
+    """
     payload = _load_payload(source)
     kind = payload.get("kind")
     a = model.action_set
     if kind == "constant":
-        return ConstantControl(
+        control = ConstantControl(
             DiscreteMeasure.from_dict(a, payload["mu"]),
             DiscreteMeasure.from_dict(a, payload["nu"]),
         )
-    if kind == "markov":
+    elif kind == "markov":
         def build(spec):
             return CandidateMap(
                 _measures(a, spec["candidates"]),
@@ -123,15 +128,15 @@ def load_control(source, model: HybridModel) -> FeedbackControl:
                 per_regime=spec.get("per_regime"),
             )
 
-        return MarkovControl(build(payload["mu"]), build(payload["nu"]))
-    if kind == "table":
+        control = MarkovControl(build(payload["mu"]), build(payload["nu"]))
+    elif kind == "table":
         artifact = _load_payload(payload["artifact"])
-        vg = ValueGrid.from_dict(artifact, a)
+        payload = {**payload, "artifact": config_hash(artifact)}
         from .dpp_solver import extract_policy
 
-        return extract_policy(vg)
-    if kind == "path_dependent":
-        return PathDependentControl(
+        control = extract_policy(ValueGrid.from_dict(artifact, a))
+    elif kind == "path_dependent":
+        control = PathDependentControl(
             window=payload["window"],
             statistic=payload["statistic"],
             coordinate=payload.get("coordinate", 0),
@@ -141,14 +146,6 @@ def load_control(source, model: HybridModel) -> FeedbackControl:
             nu_candidates=_measures(a, payload["nu"]["candidates"]),
             nu_map=payload["nu"]["map"],
         )
-    raise ValidationError(f"unknown control kind {kind!r}")
-
-
-def control_provenance(source) -> dict:
-    """The control spec as it enters a run hash.  A table control names its
-    artifact by file path, so the path is replaced by the hash of the
-    artifact's contents."""
-    payload = _load_payload(source)
-    if payload.get("kind") == "table":
-        payload = {**payload, "artifact": config_hash(_load_payload(payload["artifact"]))}
-    return payload
+    else:
+        raise ValidationError(f"unknown control kind {kind!r}")
+    return control, payload

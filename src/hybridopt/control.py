@@ -36,8 +36,6 @@ from . import expr as ex
 from .errors import CapacityError, UsageError, ValidationError
 from .measure_space import ActionSet, DiscreteMeasure
 
-_GRID_SNAP = 1e-9
-
 
 class MeasureBatch:
     """Per-path measures drawn from a shared pool, with cached moments."""
@@ -63,9 +61,6 @@ class MeasureBatch:
 
     def take(self, selector) -> "MeasureBatch":
         return MeasureBatch(self.pool, self.index[selector], self._moments)
-
-    def measure_at(self, j: int) -> DiscreteMeasure:
-        return self.pool[self.index[j]]
 
 
 def _as_pool(measures) -> tuple[DiscreteMeasure, ...]:
@@ -139,16 +134,6 @@ class FeedbackControl:
     def indices(self, t, x, regimes, hist_x=None, hist_regimes=None):
         """(mu indices, nu indices) for a batch of paths at step start t."""
         raise NotImplementedError
-
-    def evaluate(self, t: float, history) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-        """The (mu_t, nu_t) pair for a single path history covering [s, t]."""
-        k = history.step_index(t)
-        x = history.states[k][None, :]
-        lam = np.array([history.regimes[k]])
-        hist_x = history.states[None, : k + 1, :]
-        hist_lam = history.regimes[None, : k + 1]
-        mi, ni = self.indices(t, x, lam, hist_x, hist_lam)
-        return self.mu_pool[int(mi[0])], self.nu_pool[int(ni[0])]
 
 
 class ConstantControl(FeedbackControl):
@@ -329,22 +314,3 @@ def candidate_set(
             seen.add(key)
             out.append(measure)
     return out
-
-
-def extend_segment(times, values, query: float):
-    """Extend a segment given on [s, t] to any query time: the left endpoint
-    value before s, the right endpoint value after t, and the value at the
-    last grid time <= query inside (the stored values are right-continuous
-    step functions between grid nodes)."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0):
-        raise ValidationError("times must be a nondecreasing nonempty vector")
-    values = np.asarray(values)
-    if values.shape[0] != times.shape[0]:
-        raise ValidationError("one value per time required")
-    if query <= times[0]:
-        return values[0]
-    if query >= times[-1]:
-        return values[-1]
-    idx = int(np.searchsorted(times, query + _GRID_SNAP, side="right") - 1)
-    return values[idx]

@@ -1,7 +1,7 @@
-"""Pathwise and Monte Carlo evaluation of the expected finite-horizon cost.
+"""Batched pathwise and Monte Carlo evaluation of the expected finite-horizon cost.
 
-The pathwise cost is the left-point quadrature of the running cost plus the
-terminal cost,
+``batch_costs`` gives every path of a batch its left-point quadrature of the
+running cost plus the terminal cost,
 
     sum_k f(t_k, X_k, Lam_k, mu_k, nu_k) * dt + g(X_n),
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .control import FeedbackControl, MeasureBatch
-from .dynamics import HybridModel, HybridPath, PathBatch, simulate_paths
+from .dynamics import HybridModel, PathBatch, simulate_paths
 from .errors import NumericalError, ValidationError
 
 
@@ -37,24 +37,6 @@ class CostEstimate:
 
     def __repr__(self):
         return f"CostEstimate(mean={self.mean:.6g}, stderr={self.stderr:.3g}, paths={self.path_count})"
-
-
-def pathwise_cost(model: HybridModel, path: HybridPath) -> float:
-    """Left-point quadrature of f along one path plus g at the endpoint."""
-    total = 0.0
-    for k in range(path.n_steps):
-        val = model.running_cost_at(
-            float(path.times[k]),
-            path.states[k][None, :],
-            np.array([path.regimes[k]]),
-            MeasureBatch.constant(path.mu[k], 1),
-            MeasureBatch.constant(path.nu[k], 1),
-        )[0]
-        total += float(val) * path.dt
-    total += float(model.terminal_cost_at(path.states[-1][None, :])[0])
-    if not np.isfinite(total):
-        raise NumericalError("pathwise cost is not finite")
-    return total
 
 
 def batch_costs(model: HybridModel, batch: PathBatch, include_terminal: bool = True) -> np.ndarray:

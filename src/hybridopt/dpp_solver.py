@@ -36,7 +36,7 @@ from .control import MeasureBatch, TableControl
 from .dynamics import HybridModel
 from .errors import ValidationError
 from .measure_space import DiscreteMeasure
-from .switching import transition_rows_batch
+from .switching import check_step, transition_rows_batch
 
 SCHEMA_VERSION = 1
 
@@ -173,8 +173,7 @@ class SolverKernels:
             if m.action_set != model.action_set:
                 raise ValidationError("candidates must live on the model's action set")
         dt = model.horizon / grid.time_steps
-        if dt * model.rates.rate_bound > 0.1 + 1e-12:
-            raise ValidationError("grid too coarse: dt * rate bound exceeds 0.1")
+        check_step(model.rates, dt)
         self.model = model
         self.grid = grid
         self.mu_candidates = tuple(mu_candidates)

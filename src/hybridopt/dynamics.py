@@ -18,6 +18,10 @@ uses the step-start (x, nu).  All randomness comes from counter-based
 streams keyed by (seed, path index, role), so a path's trajectory is
 independent of batch composition and worker scheduling -- batches can be
 partitioned across processes and reassembled bit-identically.
+
+``simulate_paths`` is the only simulation entry point; a single path is a
+batch of one.  A ``PathBatch`` keeps states, regimes and per-step control
+pool indices, not the Brownian increments.
 """
 from __future__ import annotations
 
@@ -28,17 +32,10 @@ import numpy as np
 from . import expr as ex
 from . import rng
 from .control import FeedbackControl, MeasureBatch
-from .errors import (
-    NumericalError,
-    SimulationError,
-    StepSizeError,
-    UsageError,
-    ValidationError,
-)
+from .errors import NumericalError, SimulationError, ValidationError
 from .measure_space import ActionSet, DiscreteMeasure, w1_distance
-from .switching import RateSpec, pick_regime, transition_rows_batch
+from .switching import RateSpec, check_step, pick_regime, transition_rows_batch
 
-_TIME_TOL = 1e-9
 _GRID_ABS_TOL = 1e-12
 
 
@@ -248,54 +245,6 @@ def _finite_or_raise(value, what):
         raise NumericalError(f"{what} evaluated to a non-finite value at the reference point")
 
 
-class HybridPath:
-    """One simulated trajectory on a step grid.
-
-    ``states``/``regimes`` have n+1 entries, the per-step control measures and
-    Brownian increments have n.  The grid length matches the horizon exactly:
-    n * dt == t_end - s within 1e-12.
-    """
-
-    __slots__ = ("start_time", "dt", "times", "states", "regimes", "mu", "nu", "brownian")
-
-    def __init__(self, start_time, dt, times, states, regimes, mu, nu, brownian):
-        n = len(times) - 1
-        if abs(n * dt - (times[-1] - times[0])) > _GRID_ABS_TOL * max(1.0, abs(times[-1])):
-            raise ValidationError("step grid does not tile the horizon")
-        self.start_time = float(start_time)
-        self.dt = float(dt)
-        self.times = times
-        self.states = states
-        self.regimes = regimes
-        self.mu = tuple(mu)
-        self.nu = tuple(nu)
-        self.brownian = brownian
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
-
-    @property
-    def end_time(self) -> float:
-        return float(self.times[-1])
-
-    def step_index(self, t: float) -> int:
-        """Grid index for time t; raises if the path does not cover t."""
-        if t < self.start_time - _TIME_TOL:
-            raise UsageError(f"history starts at {self.start_time}, queried at {t}")
-        k = int(round((t - self.start_time) / self.dt))
-        if abs(self.start_time + k * self.dt - t) > _TIME_TOL:
-            k = int(np.floor((t - self.start_time) / self.dt + _TIME_TOL))
-        if k > self.n_steps:
-            raise UsageError(f"history ends at {self.end_time}, queried at {t}")
-        return max(k, 0)
-
-    def state_at(self, t: float):
-        """Extension-map lookup: clamped to the segment's endpoint values."""
-        k = self.step_index(min(max(t, self.start_time), self.end_time))
-        return self.states[k], int(self.regimes[k])
-
-
 class PathBatch:
     """Vectorized bundle of paths sharing the control's candidate pools."""
 
@@ -309,12 +258,11 @@ class PathBatch:
         "nu_pool",
         "mu_idx",
         "nu_idx",
-        "brownian",
         "path_indices",
         "clamp_count",
     )
 
-    def __init__(self, start_time, dt, times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, brownian, path_indices, clamp_count):
+    def __init__(self, start_time, dt, times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, path_indices, clamp_count):
         self.start_time = start_time
         self.dt = dt
         self.times = times
@@ -324,25 +272,12 @@ class PathBatch:
         self.nu_pool = nu_pool
         self.mu_idx = mu_idx
         self.nu_idx = nu_idx
-        self.brownian = brownian
         self.path_indices = path_indices
         self.clamp_count = clamp_count
 
     @property
     def n_paths(self) -> int:
         return self.states.shape[0]
-
-    def path(self, j: int) -> HybridPath:
-        return HybridPath(
-            self.start_time,
-            self.dt,
-            self.times,
-            self.states[j],
-            self.regimes[j],
-            tuple(self.mu_pool[i] for i in self.mu_idx[j]),
-            tuple(self.nu_pool[i] for i in self.nu_idx[j]),
-            self.brownian[j],
-        )
 
     @staticmethod
     def concatenate(blocks: list["PathBatch"]) -> "PathBatch":
@@ -357,31 +292,9 @@ class PathBatch:
             head.nu_pool,
             np.concatenate([b.mu_idx for b in blocks]),
             np.concatenate([b.nu_idx for b in blocks]),
-            np.concatenate([b.brownian for b in blocks]),
             np.concatenate([b.path_indices for b in blocks]),
             sum(b.clamp_count for b in blocks),
         )
-
-
-def em_step(model: HybridModel, x, regime: int, mu: DiscreteMeasure, dt: float, dw) -> np.ndarray:
-    """One explicit Euler step x + b dt + sigma dW (clamped if the model says so)."""
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    dw = np.atleast_1d(np.asarray(dw, dtype=float))
-    if dw.shape != (model.state_dim,):
-        raise ValidationError(f"dW must have length {model.state_dim}")
-    batch = MeasureBatch.constant(mu, 1)
-    regimes = np.array([regime])
-    b = model.drift_at(x[None, :], regimes, batch)[0]
-    sig = model.diffusion_at(x[None, :], regimes, batch)[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = x + b * dt + sig @ dw
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("Euler step produced a non-finite state")
-    if model.clamp:
-        out = model.clip_state(out)
-    return out
 
 
 def _grid_steps(s: float, t_end: float, dt: float) -> int:
@@ -406,8 +319,7 @@ def _simulate_block(
     flip_brownian: bool = False,
 ) -> PathBatch:
     n_steps = _grid_steps(s, t_end, dt)
-    if dt * model.rates.rate_bound > 0.1 + 1e-12:
-        raise StepSizeError("dt * rate bound exceeds 0.1; shrink dt")
+    check_step(model.rates, dt)
     d = model.state_dim
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (d,):
@@ -416,14 +328,6 @@ def _simulate_block(
         raise ValidationError(f"start regime {i0} out of range")
     n_paths = len(path_indices)
     times = s + dt * np.arange(n_steps + 1)
-
-    brownian = np.empty((n_paths, n_steps, d))
-    uniforms = np.empty((n_paths, n_steps))
-    for row, p in enumerate(path_indices):
-        brownian[row] = rng.brownian_increments(seed, int(p), n_steps, d, dt)
-        uniforms[row] = rng.switch_uniforms(seed, int(p), n_steps)
-    if flip_brownian:
-        brownian = -brownian
 
     states = np.empty((n_paths, n_steps + 1, d))
     regimes = np.empty((n_paths, n_steps + 1), dtype=np.int64)
@@ -434,6 +338,16 @@ def _simulate_block(
     regimes[:, 0] = int(i0)
     mu_idx = np.empty((n_paths, n_steps), dtype=np.intp)
     nu_idx = np.empty((n_paths, n_steps), dtype=np.intp)
+
+    # the draws are allocated after the outputs: they are freed when the block
+    # returns, and freeing the newest allocations leaves no hole in the heap
+    brownian = np.empty((n_paths, n_steps, d))
+    uniforms = np.empty((n_paths, n_steps))
+    for row, p in enumerate(path_indices):
+        brownian[row] = rng.brownian_increments(seed, int(p), n_steps, d, dt)
+        uniforms[row] = rng.switch_uniforms(seed, int(p), n_steps)
+    if flip_brownian:
+        brownian = -brownian
 
     mu_pool, nu_pool = control.mu_pool, control.nu_pool
     mu_moments: dict = {}
@@ -471,23 +385,8 @@ def _simulate_block(
         regimes[:, k + 1] = pick_regime(rows, uniforms[:, k])
 
     return PathBatch(
-        s, dt, times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, brownian,
-        np.asarray(path_indices), clamp_count,
+        s, dt, times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, np.asarray(path_indices), clamp_count
     )
-
-
-def simulate(
-    model: HybridModel,
-    control: FeedbackControl,
-    s: float,
-    x0,
-    i0: int,
-    t_end: float,
-    dt: float,
-    seed: int,
-) -> HybridPath:
-    """Simulate a single path; bit-identical for identical (model, control, seed)."""
-    return _simulate_block(model, control, s, x0, i0, t_end, dt, seed, np.array([0])).path(0)
 
 
 def _block_args(args):
@@ -585,8 +484,9 @@ def validate_model(model: HybridModel, sample_count: int = 1000) -> ModelValidat
     Draws sample pairs in the truncation box x measure family (independent
     pairs plus small-perturbation pairs, so local slopes are probed too) and
     reports the worst observed ratio against each declared constant:
-    the joint drift/diffusion squared-Lipschitz bound, rate nonnegativity,
-    the exit-rate bound, the rate Lipschitz bound, and the cost floors.
+    the joint drift/diffusion squared-Lipschitz bound, the linear growth
+    bound, rate nonnegativity, the exit-rate bound, the rate Lipschitz
+    bound, and the cost floors.
     """
     if sample_count < 100:
         raise ValidationError("sample_count must be >= 100")
@@ -600,6 +500,7 @@ def validate_model(model: HybridModel, sample_count: int = 1000) -> ModelValidat
         return lo + gen.random(d) * span
 
     worst_c1 = 0.0
+    worst_growth = 0.0
     worst_c2 = 0.0
     worst_rate_min = np.inf
     worst_exit = 0.0
@@ -631,10 +532,13 @@ def validate_model(model: HybridModel, sample_count: int = 1000) -> ModelValidat
         for regime in range(1, model.regime_count + 1):
             reg = np.array([regime])
             if dist2 > 1e-14:
-                db = model.drift_at(x[None, :], reg, ba)[0] - model.drift_at(y[None, :], reg, bb)[0]
-                ds = model.diffusion_at(x[None, :], reg, ba)[0] - model.diffusion_at(y[None, :], reg, bb)[0]
-                num = float(np.sum(db**2) + np.sum(ds**2))
+                bx, by = model.drift_at(x[None, :], reg, ba)[0], model.drift_at(y[None, :], reg, bb)[0]
+                sx, sy = model.diffusion_at(x[None, :], reg, ba)[0], model.diffusion_at(y[None, :], reg, bb)[0]
+                num = float(np.sum((bx - by) ** 2) + np.sum((sx - sy) ** 2))
                 worst_c1 = max(worst_c1, num / dist2)
+                for z, bz, sz in ((x, bx, sx), (y, by, sy)):
+                    growth = (np.linalg.norm(bz) + np.linalg.norm(sz)) / (1.0 + np.linalg.norm(z))
+                    worst_growth = max(worst_growth, float(growth))
 
         qx = model.rates.off_diagonal(x, mu_a)
         qy = model.rates.off_diagonal(y, mu_b)
@@ -655,6 +559,13 @@ def validate_model(model: HybridModel, sample_count: int = 1000) -> ModelValidat
             worst_c1,
             model.lipschitz_drift_diffusion,
             "max (|db|^2 + |dsigma|^2) / (|dx|^2 + W1^2) over sampled pairs",
+        ),
+        HypothesisCheck(
+            "growth_bound",
+            worst_growth <= model.growth_bound + 1e-9,
+            worst_growth,
+            model.growth_bound,
+            "max (|b| + |sigma|_F) / (1 + |x|) over sampled points",
         ),
         HypothesisCheck(
             "rate_nonnegative",

@@ -14,14 +14,15 @@ A uniform draw on that range triggers the jump whose interval it hits;
 Per-step transitions over dt freeze the generator at the step-start (x, nu)
 and use its matrix exponential, which matches the infinitesimal law
 q_ij * dt + o(dt) to first order without the negativity artifacts of naive
-Bernoulli thinning.  dt * M <= 0.1 is enforced so the o(dt) terms stay
-controlled and multi-jump probability per step is second order.
+Bernoulli thinning.  ``check_step`` enforces dt * M <= 0.1 so the o(dt)
+terms stay controlled and multi-jump probability per step is second order.
 
 The solver and the simulator take their rows from ``transition_rows_batch``,
 a truncated Taylor series evaluated for a whole batch of (regime, x, nu) at
 once; its degree follows from the enforced bound ||Q dt|| <= 2 * dt * M <= 0.2.
-``transition_matrix``, ``step_transition_probs`` and ``sample_switch`` use
-scipy's ``expm`` at one point and serve as the reference for the batch rows.
+``pick_regime`` turns rows and uniform draws into the next regimes.
+``transition_matrix`` and ``step_transition_probs`` use scipy's ``expm`` at
+one point and serve as the reference for the batch rows.
 """
 from __future__ import annotations
 
@@ -207,7 +208,9 @@ def jump_displacement(layout: IntervalLayout, i: int, z: float) -> int:
     return 0
 
 
-def _check_step(rates: RateSpec, dt: float) -> None:
+def check_step(rates: RateSpec, dt: float) -> None:
+    """Reject dt <= 0 and dt * M above ``DT_RATE_CAP``; the simulator, the
+    solver kernels and every transition-row call go through this check."""
     if dt <= 0:
         raise ValidationError("dt must be positive")
     if dt * rates.rate_bound > DT_RATE_CAP + _RATE_TOL:
@@ -218,7 +221,7 @@ def _check_step(rates: RateSpec, dt: float) -> None:
 
 def transition_matrix(rates: RateSpec, x, nu, dt: float) -> np.ndarray:
     """Exact expm(Q(x, nu) * dt) for one (x, nu)."""
-    _check_step(rates, dt)
+    check_step(rates, dt)
     q = rates.generator(x, nu)
     if q.ndim != 2:
         raise ValidationError("transition_matrix takes a single state, not a batch")
@@ -238,13 +241,13 @@ def transition_rows_batch(rates: RateSpec, regimes: np.ndarray, x: np.ndarray, n
     """Row ``regimes[n]`` of exp(Q(x[n], nu[n]) dt) for every n in the batch.
 
     The exponential is a Taylor series of degree K, the smallest with
-    (2 * DT_RATE_CAP)**(K+1) / (K+1)! <= 1e-18 (K = 12).  ``_check_step``
+    (2 * DT_RATE_CAP)**(K+1) / (K+1)! <= 1e-18 (K = 12).  ``check_step``
     enforces dt * M <= DT_RATE_CAP, so ||Q dt||_inf <= 0.2 and the truncation
     error is far below double precision (Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33(2), 2011).  Agreement with ``step_transition_probs`` is tested
     at 1e-12, also at dt * M = DT_RATE_CAP.
     """
-    _check_step(rates, dt)
+    check_step(rates, dt)
     q = rates.generator(np.atleast_2d(x), nu)
     a = q * dt
     n_paths = a.shape[0]
@@ -260,16 +263,7 @@ def transition_rows_batch(rates: RateSpec, regimes: np.ndarray, x: np.ndarray, n
 
 
 def pick_regime(probs: np.ndarray, u) -> np.ndarray:
-    """Inverse-CDF draw over regimes in index order (shared by both samplers)."""
+    """Inverse-CDF draw over regimes in index order, one draw per row."""
     cdf = np.cumsum(probs, axis=-1)
     idx = np.sum(np.asarray(u)[..., None] >= cdf, axis=-1)
     return np.minimum(idx, probs.shape[-1] - 1) + 1
-
-
-def sample_switch(rates: RateSpec, i: int, x, nu, dt: float, uniform_draw: float) -> int:
-    """Deterministic regime draw: inverse CDF of step_transition_probs at the
-    caller-supplied uniform.  At most one regime change per step."""
-    if not 0.0 <= uniform_draw < 1.0:
-        raise ValidationError("uniform_draw must lie in [0, 1)")
-    probs = step_transition_probs(rates, i, x, nu, dt)
-    return int(pick_regime(probs, uniform_draw))

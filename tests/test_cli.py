@@ -96,6 +96,17 @@ class TestValidate:
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["validate", "--model", str(tmp_path / "nope.json")]) == 2
 
+    def test_understated_growth_exits_3(self, mean_reverting_model, tmp_path, capsys):
+        # |b| + |sigma| = |x| + 1 on the OU model: growth 1 holds, 0.9 does not
+        payload = json.loads(mean_reverting_model.read_text())
+        payload["constants"]["growth"] = 0.9
+        model = write_json(tmp_path / "ou_growth.json", payload)
+        assert cli.main(["validate", "--model", str(model), "--samples", "300"]) == 3
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert not checks["growth_bound"]["pass"]
+        assert checks["growth_bound"]["observed"] == pytest.approx(1.0, abs=1e-9)
+        assert all(c["pass"] for name, c in checks.items() if name != "growth_bound")
+
 
 class TestSimulate:
     def test_constant_model_constant_columns(self, demo_files, tmp_path):
@@ -206,6 +217,21 @@ class TestRunHash:
         assert self.estimate_hash(model, other, tmp_path, "--workers", "1") != base
         assert self.estimate_hash(model, control, tmp_path, "--workers", "1", "--antithetic") != base
 
+    def test_demo_hashes_pinned(self, demo_files, tmp_path):
+        # values of the run-spec hash when it was introduced; reading the
+        # control spec once must not move them
+        model, control = demo_files
+        out = tmp_path / "paths.csv"
+        assert cli.main(
+            ["simulate", "--model", str(model), "--control", str(control), "--out", str(out),
+             "--paths", "4", "--dt", "0.05", "--seed", "9", "--workers", "1"]
+        ) == 0
+        assert out.read_text().splitlines()[0] == (
+            "# config_hash=9bbfafddd67b89f0c06948647ee8f05d5075ac05dba7cf82de9263758fb4b5df"
+        )
+        estimate = self.estimate_hash(model, control, tmp_path, "--paths", "100", "--seed", "9", "--workers", "1")
+        assert estimate == "20b0bf39537acaba2bb35f6f790477ad14d196878021f26c23871187de42ddc0"
+
     def test_simulate_hash_covers_start(self, demo_files, tmp_path):
         model, control = demo_files
         headers = []
@@ -268,6 +294,14 @@ class TestSolve:
              "--mu-atoms", "100", "--mu-levels", "100"]
         )
         assert code == 5
+
+    def test_step_above_rate_cap_exits_2(self, demo_files, tmp_path, capsys):
+        # rate bound 0.4 over 3 slices of the unit horizon: dt * M = 0.133 > 0.1
+        model, _ = demo_files
+        args = self.solve_args(model, tmp_path / "vg.json")
+        args[args.index("--grid-nt") + 1] = "3"
+        assert cli.main(args) == 2
+        assert "exceeds the cap" in capsys.readouterr().err
 
     def test_table_control_usable_for_simulation(self, demo_files, tmp_path):
         model, _ = demo_files

@@ -10,20 +10,30 @@ from hybridopt import (
     ConstantControl,
     MarkovControl,
     PathDependentControl,
-    UsageError,
     ValidationError,
     candidate_set,
     dirac,
-    extend_segment,
     mixture,
-    simulate,
+    simulate_paths,
     w1_distance,
 )
 from tests.conftest import const_control, make_model
 
 
 def short_history(model, control, t_end=1.0, dt=0.25):
-    return simulate(model, control, 0.0, [0.0], 1, t_end, dt, seed=1)
+    return simulate_paths(model, control, 0.0, [0.0], 1, t_end, dt, 1, 1)
+
+
+def measures_at(control, batch, k, states=None):
+    """The (mu, nu) pair the control picks for path 0 at step k from its
+    recorded history; where the engine stored indices, they must agree."""
+    states = batch.states if states is None else states
+    mi, ni = control.indices(
+        float(batch.times[k]), states[:1, k], batch.regimes[:1, k], states[:1, : k + 1], batch.regimes[:1, : k + 1]
+    )
+    if k < batch.mu_idx.shape[1] and states is batch.states:
+        assert (int(mi[0]), int(ni[0])) == (batch.mu_idx[0, k], batch.nu_idx[0, k])
+    return control.mu_pool[int(mi[0])], control.nu_pool[int(ni[0])]
 
 
 class TestEvaluate:
@@ -31,8 +41,8 @@ class TestEvaluate:
         model = make_model(rate12="0.4", rate_bound=0.4, drift="0", diffusion="0")
         control = const_control(model, 0.3, 0.7)
         path = short_history(model, control)
-        for t in (0.0, 0.5, 1.0):
-            mu, nu = control.evaluate(t, path)
+        for k in (0, 2, 4):  # t = 0, 0.5, 1
+            mu, nu = measures_at(control, path, k)
             assert mu == dirac(unit_interval, [0.3])
             assert nu == dirac(unit_interval, [0.7])
 
@@ -43,18 +53,10 @@ class TestEvaluate:
             CandidateMap([d0, d1], index_expr="i - 1"),
             CandidateMap([d0], per_regime=[0, 0]),
         )
-        path = simulate(model, control, 0.0, [0.0], 1, 2.0, 0.025, seed=3)
-        assert path.regimes[-1] == 2  # rate 4 over two units of time: switched almost surely
-        t_last = float(path.times[-1])
-        mu, _ = control.evaluate(t_last, path)
+        path = simulate_paths(model, control, 0.0, [0.0], 1, 2.0, 0.025, 3, 1)
+        assert path.regimes[0, -1] == 2  # rate 4 over two units of time: switched almost surely
+        mu, _ = measures_at(control, path, len(path.times) - 1)
         assert mu == d1
-
-    def test_history_too_short(self, unit_interval):
-        model = make_model(rate12="0.4", rate_bound=0.4, drift="0", diffusion="0")
-        control = const_control(model)
-        path = short_history(model, control)
-        with pytest.raises(UsageError):
-            control.evaluate(1.5, path)
 
     def test_markov_invariant_to_earlier_history(self, unit_interval):
         model = make_model(regimes=1, drift="0", diffusion="1", box=8.0)
@@ -64,14 +66,11 @@ class TestEvaluate:
             CandidateMap([d0], per_regime=[0]),
         )
         path = short_history(model, control, dt=0.25)
-        t = 0.75
-        mu_ref, _ = control.evaluate(t, path)
+        k = 3  # t = 0.75
+        mu_ref, _ = measures_at(control, path, k)
         mutated = path.states.copy()
-        mutated[0] += 5.0  # only history strictly before t changes
-        clone = type(path)(
-            path.start_time, path.dt, path.times, mutated, path.regimes, path.mu, path.nu, path.brownian
-        )
-        mu_mut, _ = control.evaluate(t, clone)
+        mutated[:, 0] += 5.0  # only history strictly before t changes
+        mu_mut, _ = measures_at(control, path, k, mutated)
         assert mu_mut == mu_ref
 
     def test_path_dependent_window_statistic(self, unit_interval):
@@ -87,10 +86,10 @@ class TestEvaluate:
             nu_candidates=[d0],
             nu_map=[0, 0],
         )
-        path = simulate(model, control, 0.0, [0.0], 1, 1.0, 0.25, seed=2)
+        path = simulate_paths(model, control, 0.0, [0.0], 1, 1.0, 0.25, 2, 1)
         # running max crosses 0.5 at t = 0.75 (x = 0.75)
-        assert control.evaluate(0.25, path)[0] == d0
-        assert control.evaluate(0.75, path)[0] == d1
+        assert measures_at(control, path, 1)[0] == d0
+        assert measures_at(control, path, 3)[0] == d1
 
 
 class TestTableLookup:
@@ -109,28 +108,6 @@ class TestTableLookup:
         assert int(mi[0]) == 0  # nearest node is x = 0
         mi, _ = control.indices(0.6, np.array([[0.9]]), np.array([1]))
         assert int(mi[0]) == 0  # slice 1
-
-
-class TestExtendSegment:
-    def test_spec_cases(self):
-        times = np.arange(0.2, 0.8001, 0.1)
-        values = times * 10
-        assert extend_segment(times, values, 0.1) == pytest.approx(2.0)
-        assert extend_segment(times, values, 0.5) == pytest.approx(5.0)
-        assert extend_segment(times, values, 0.9) == pytest.approx(8.0)
-
-    def test_right_continuous_between_nodes(self):
-        times = np.array([0.0, 1.0, 2.0])
-        values = np.array([10.0, 20.0, 30.0])
-        assert extend_segment(times, values, 1.5) == 20.0
-
-    def test_path_state_extension(self, unit_interval):
-        model = make_model(regimes=1, drift="1", diffusion="0", box=8.0)
-        path = simulate(model, const_control(model), 0.0, [0.0], 1, 1.0, 0.25, seed=0)
-        x_before, _ = path.state_at(-5.0)
-        x_after, _ = path.state_at(7.0)
-        assert x_before[0] == path.states[0][0]
-        assert x_after[0] == path.states[-1][0]
 
 
 class TestCandidateSet:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hybridopt import (
@@ -8,35 +9,43 @@ from hybridopt import (
     batch_costs,
     dirac,
     monte_carlo_cost,
-    pathwise_cost,
-    simulate,
     simulate_paths,
 )
 from tests.conftest import const_control, make_model
 
 
+def single_cost(model, x0):
+    """batch_costs of a batch of one path on the 0.25 grid over [0, 1]."""
+    batch = simulate_paths(model, const_control(model), 0.0, x0, 1, 1.0, 0.25, 0, 1)
+    costs = batch_costs(model, batch)
+    assert costs.shape == (1,)
+    return costs[0]
+
+
 class TestPathwiseCost:
     def test_constant_running(self):
         model = make_model(regimes=1, drift="0", diffusion="0", running="1", terminal="0")
-        path = simulate(model, const_control(model), 0.0, [0.0], 1, 1.0, 0.25, 0)
-        assert pathwise_cost(model, path) == pytest.approx(1.0, abs=1e-12)
+        assert single_cost(model, [0.0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_terminal_square(self):
         model = make_model(regimes=1, drift="0", diffusion="0", running="0", terminal="x1*x1")
-        path = simulate(model, const_control(model), 0.0, [2.0], 1, 1.0, 0.25, 0, )
-        assert pathwise_cost(model, path) == 4.0
+        assert single_cost(model, [2.0]) == 4.0
 
     def test_left_point_quadrature_of_t(self):
         # frozen hand quadrature: 0.25 * (0 + 0.25 + 0.5 + 0.75) = 0.375
         model = make_model(regimes=1, drift="0", diffusion="0", running="t", terminal="0")
-        path = simulate(model, const_control(model), 0.0, [0.0], 1, 1.0, 0.25, 0)
-        assert pathwise_cost(model, path) == pytest.approx(0.375, abs=1e-15)
+        assert single_cost(model, [0.0]) == pytest.approx(0.375, abs=1e-15)
 
     def test_batch_matches_single(self, chain_model):
-        batch = simulate_paths(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.01, 3, 16)
+        control = const_control(chain_model)
+        batch = simulate_paths(chain_model, control, 0.0, [0.0], 1, 1.0, 0.01, 3, 16)
         vec = batch_costs(chain_model, batch)
+        # running cost i, terminal 0: the left-point sum of the regime path
+        closed = 0.01 * batch.regimes[:, :-1].sum(axis=1)
+        np.testing.assert_allclose(vec, closed, rtol=0, atol=1e-12)
         for j in (0, 7, 15):
-            assert vec[j] == pytest.approx(pathwise_cost(chain_model, batch.path(j)), abs=1e-12)
+            single = simulate_paths(chain_model, control, 0.0, [0.0], 1, 1.0, 0.01, 3, 1, first_path_index=j)
+            assert batch_costs(chain_model, single)[0] == vec[j]
 
 
 class TestMonteCarloCost:

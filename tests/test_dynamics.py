@@ -7,16 +7,13 @@ from hybridopt import (
     CandidateMap,
     ConstantControl,
     MarkovControl,
-    MeasureBatch,
-    NumericalError,
     PathDependentControl,
     SimulationError,
+    StepSizeError,
     ValidationError,
     dirac,
-    em_step,
     gronwall_sup_moment_bound,
-    mixture,
-    simulate,
+    rng,
     simulate_paths,
     step_transition_probs,
     validate_model,
@@ -24,22 +21,29 @@ from hybridopt import (
 from tests.conftest import const_control, make_model
 
 
+def one_step(model, x0, dt, point=0.5):
+    """One Euler step of a batch of one path (seed 4) under Dirac controls."""
+    control = ConstantControl(dirac(model.action_set, [point]), dirac(model.action_set, [point]))
+    return simulate_paths(model, control, 0.0, x0, 1, dt, dt, 4, 1)
+
+
 class TestEmStep:
+    # one engine step is x0 + b dt + sigma dW with dW from the path's own stream
     def test_pure_noise(self):
         model = make_model(regimes=1, drift="0", diffusion="1", box=8.0)
-        mu = dirac(model.action_set, [0.5])
-        out = em_step(model, [0.0], 1, mu, 0.1, [0.3])
-        assert out[0] == 0.3
+        batch = one_step(model, [0.0], 0.1)
+        dw = rng.brownian_increments(4, 0, 1, 1, 0.1)[0]
+        assert batch.states[0, 1, 0] == 0.0 + 0.0 * 0.1 + 1.0 * dw[0]
 
     def test_mean_reversion(self):
         model = make_model(regimes=1, drift="-x1", diffusion="0", box=8.0)
-        mu = dirac(model.action_set, [0.5])
-        out = em_step(model, [1.0], 1, mu, 0.1, [0.0])
-        assert out[0] == pytest.approx(0.9, abs=1e-15)
+        batch = one_step(model, [1.0], 0.1)
+        dw = rng.brownian_increments(4, 0, 1, 1, 0.1)[0]
+        assert batch.states[0, 1, 0] == 1.0 + (-1.0) * 0.1 + 0.0 * dw[0]
+        assert batch.states[0, 1, 0] == pytest.approx(0.9, abs=1e-15)
 
     def test_drift_reads_control_moment(self):
-        u5 = make_model(regimes=1, drift="mu_m(1,0)", diffusion="0", box=8.0)
-        # action set is [0,1]; rebuild with a wider one so the atom 2 fits
+        # action set is [0,5] so the atom 2 fits
         from hybridopt import ActionSet, HybridModel, RateSpec
 
         model = HybridModel(
@@ -54,19 +58,24 @@ class TestEmStep:
             truncation_lower=[-8.0],
             truncation_upper=[8.0],
         )
-        out = em_step(model, [0.0], 1, dirac(model.action_set, [2.0]), 0.1, [0.0])
-        assert out[0] == pytest.approx(0.2, abs=1e-15)
+        batch = one_step(model, [0.0], 0.1, point=2.0)
+        assert batch.states[0, 1, 0] == pytest.approx(0.2, abs=1e-15)
 
     def test_clamping(self):
-        model = make_model(regimes=1, drift="0", diffusion="1", box=1.0)
-        out = em_step(model, [0.9], 1, dirac(model.action_set, [0.5]), 0.1, [5.0])
-        assert out[0] == 1.0
+        # the drift pushes every path 2 units per step past the upper face
+        model = make_model(regimes=1, drift="20", diffusion="0", box=1.0)
+        control = const_control(model)
+        batch = simulate_paths(model, control, 0.0, [0.9], 1, 0.2, 0.1, 4, 3)
+        assert np.all(batch.states[:, 1:, 0] == 1.0)
+        assert batch.clamp_count == 3 * 2
+        inside = make_model(regimes=1, drift="1", diffusion="0", box=1.0)
+        assert simulate_paths(inside, control, 0.0, [0.0], 1, 0.2, 0.1, 4, 3).clamp_count == 0
 
 
 class TestSimulate:
     def test_frozen_path(self):
         model = make_model(regimes=1, drift="0", diffusion="0", box=2.0)
-        path = simulate(model, const_control(model), 0.0, [0.7], 1, 1.0, 0.1, seed=5)
+        path = simulate_paths(model, const_control(model), 0.0, [0.7], 1, 1.0, 0.1, 5, 1)
         assert np.all(path.states == 0.7)
         assert np.all(path.regimes == 1)
 
@@ -89,12 +98,18 @@ class TestSimulate:
         assert abs(frac - p) <= 3 * se
 
     def test_bit_reproducibility(self, chain_model):
-        a = simulate(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.01, seed=9)
-        b = simulate(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.01, seed=9)
+        a = simulate_paths(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.01, 9, 1)
+        b = simulate_paths(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.01, 9, 1)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.regimes, b.regimes)
-        assert np.array_equal(a.brownian, b.brownian)
-        assert a.mu == b.mu and a.nu == b.nu
+        assert np.array_equal(a.mu_idx, b.mu_idx) and np.array_equal(a.nu_idx, b.nu_idx)
+        assert a.mu_pool == b.mu_pool and a.nu_pool == b.nu_pool
+
+    def test_increments_come_from_the_path_stream(self, brownian_model):
+        c = const_control(brownian_model)
+        batch = simulate_paths(brownian_model, c, 0.0, [0.0], 1, 0.5, 0.05, 3, 1, first_path_index=5)
+        dw = rng.brownian_increments(3, 5, 10, 1, 0.05)
+        np.testing.assert_allclose(batch.states[0, 1:, 0], np.cumsum(dw[:, 0]), rtol=0, atol=1e-12)
 
     def test_path_independent_of_batch(self, brownian_model):
         c = const_control(brownian_model)
@@ -112,12 +127,12 @@ class TestSimulate:
 
     def test_non_integral_grid_rejected(self, brownian_model):
         with pytest.raises(ValidationError):
-            simulate(brownian_model, const_control(brownian_model), 0.0, [0.0], 1, 1.0, 0.3, 0)
+            simulate_paths(brownian_model, const_control(brownian_model), 0.0, [0.0], 1, 1.0, 0.3, 0, 1)
 
     def test_blowup_without_clamping(self):
         model = make_model(regimes=1, drift="10*x1", diffusion="0", box=2.0, clamp=False)
         with pytest.raises(SimulationError):
-            simulate(model, const_control(model), 0.0, [1.0], 1, 1.0, 0.1, seed=0)
+            simulate_paths(model, const_control(model), 0.0, [1.0], 1, 1.0, 0.1, 0, 1)
 
     def test_regime_marginals_match_chained_products(self, unit_interval):
         model = make_model(
@@ -154,9 +169,9 @@ class TestSimulate:
             window=3, statistic="max", coordinate=0, bucket_edges=[0.0],
             mu_candidates=[d3], mu_map=[0, 0], nu_candidates=[d7], nu_map=[0, 0],
         )
-        ref = simulate(model, constant, 0.0, [0.0], 1, 1.0, 0.25, seed=21)
+        ref = simulate_paths(model, constant, 0.0, [0.0], 1, 1.0, 0.25, 21, 1)
         for other in (markov, pathdep):
-            path = simulate(model, other, 0.0, [0.0], 1, 1.0, 0.25, seed=21)
+            path = simulate_paths(model, other, 0.0, [0.0], 1, 1.0, 0.25, 21, 1)
             assert np.array_equal(path.states, ref.states)
             assert np.array_equal(path.regimes, ref.regimes)
 
@@ -235,9 +250,11 @@ class TestValidateModel:
 
 class TestGridInvariants:
     def test_path_grid_tiles_horizon(self, brownian_model):
-        path = simulate(brownian_model, const_control(brownian_model), 0.0, [0.0], 1, 1.0, 0.01, 2)
-        assert path.n_steps == 100
-        assert abs(path.n_steps * path.dt - 1.0) <= 1e-12
+        path = simulate_paths(brownian_model, const_control(brownian_model), 0.0, [0.0], 1, 1.0, 0.01, 2, 1)
+        n_steps = path.states.shape[1] - 1
+        assert n_steps == 100 and len(path.times) == 101
+        assert abs(n_steps * path.dt - 1.0) <= 1e-12
+        assert abs(path.times[-1] - 1.0) <= 1e-12
 
     def test_single_switch_per_step(self, chain_model):
         batch = simulate_paths(
@@ -289,8 +306,8 @@ class TestTwoDimensionalSimulation:
             truncation_upper=[8.0, 8.0],
         )
         control = ConstantControl(dirac(u, [0.5]), dirac(u, [0.5]))
-        path = simulate(model, control, 0.0, [0.0, 0.0], 1, 0.5, 0.05, 4)
-        assert np.array_equal(path.states[:, 0], path.states[:, 1])
+        path = simulate_paths(model, control, 0.0, [0.0, 0.0], 1, 0.5, 0.05, 4, 1)
+        assert np.array_equal(path.states[0, :, 0], path.states[0, :, 1])
 
 
 class TestWorkerPickling:
@@ -331,20 +348,20 @@ class TestWorkerPickling:
 class TestPartialHorizonAndOffGrid:
     def test_simulate_from_interior_start_time(self):
         model = make_model(regimes=1, drift="1", diffusion="0", box=8.0)
-        path = simulate(model, const_control(model), 0.25, [0.0], 1, 0.75, 0.25, 2)
+        path = simulate_paths(model, const_control(model), 0.25, [0.0], 1, 0.75, 0.25, 2, 1)
         assert path.times.tolist() == [0.25, 0.5, 0.75]
-        assert path.states[-1, 0] == pytest.approx(0.5, abs=1e-15)
-
-    def test_control_evaluation_at_off_grid_time(self, unit_interval):
-        model = make_model(regimes=1, drift="1", diffusion="0", box=8.0)
-        control = const_control(model)
-        path = simulate(model, control, 0.0, [0.0], 1, 1.0, 0.25, 2)
-        # an off-grid query resolves to the step in force (floor)
-        assert path.step_index(0.3) == 1
-        mu, _ = control.evaluate(0.3, path)
-        assert mu == dirac(unit_interval, [0.5])
+        assert path.states[0, -1, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_em_step_non_finite_detected(self):
+        # b dt = exp(700) * 1e300 overflows on the first engine step
         model = make_model(regimes=1, drift="exp(x1)", diffusion="0", box=800.0, clamp=False)
-        with pytest.raises(NumericalError):
-            em_step(model, [700.0], 1, dirac(model.action_set, [0.5]), 1e300, [0.0])
+        with pytest.raises(SimulationError):
+            simulate_paths(model, const_control(model), 0.0, [700.0], 1, 1e300, 1e300, 0, 1)
+
+
+class TestStepSizeCap:
+    def test_engine_rejects_dt_rate_above_cap(self, chain_model):
+        # rate bound 1: dt = 0.1 sits at the cap, dt = 0.125 is above it
+        simulate_paths(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.1, 0, 1)
+        with pytest.raises(StepSizeError):
+            simulate_paths(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.125, 0, 1)

@@ -236,3 +236,17 @@ class TestGrowthViolationDetection:
         rep = check_moment_bound(model, const_control(model), 2, 300, 9, [1.0], 1, 0.5, 0.01)
         assert not rep.passed
         assert "declared_growth_holds" in rep.details.get("failed", [])
+
+
+class TestContinuityGate:
+    def test_upward_subcheck_can_fail(self, monkeypatch):
+        from hybridopt import oracle_verify
+
+        rep = oracle_verify.check_continuity()
+        assert rep.passed
+        assert "upward_within_tol" in [s["label"] for s in rep.details["subchecks"]]
+        # refinement lowers V at the probe, so only a negative tolerance trips it
+        monkeypatch.setattr(oracle_verify, "tol_disc", lambda model, vg: -1.0)
+        rep = oracle_verify.check_continuity()
+        assert not rep.passed
+        assert rep.details["failed"] == ["upward_within_tol"]

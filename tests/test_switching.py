@@ -16,7 +16,6 @@ from hybridopt import (
     dirac,
     jump_displacement,
     mixture,
-    sample_switch,
     step_transition_probs,
     transition_matrix,
     w1_distance,
@@ -180,16 +179,20 @@ class TestStepTransitionProbs:
 
 
 class TestSampleSwitch:
+    # the regime draw is pick_regime over the step's transition row
     def test_stay_mass_returns_same_regime(self, nu):
         rates = RateSpec(2, [[None, "1"], ["0", None]], 1.0)
+        probs = step_transition_probs(rates, 1, X0, nu, 0.01)
         # stay probability ~ 0.99; a draw inside it stays
-        assert sample_switch(rates, 1, X0, nu, 0.01, 0.5) == 1
-        assert sample_switch(rates, 1, X0, nu, 0.01, 0.9999) == 2
+        assert pick_regime(probs, 0.5) == 1
+        assert pick_regime(probs, 0.9999) == 2
 
     def test_bound_violation_propagates(self, nu):
         rates = RateSpec(2, [[None, "50"], ["0", None]], 50.0)
         with pytest.raises(StepSizeError):
-            sample_switch(rates, 1, X0, nu, 0.01, 0.5)
+            step_transition_probs(rates, 1, X0, nu, 0.01)
+        with pytest.raises(StepSizeError):
+            transition_rows_batch(rates, np.array([1]), X0[None, :], MeasureBatch.constant(nu, 1), 0.01)
 
     def test_empirical_switch_fraction(self, nu):
         rates = RateSpec(2, [[None, "1"], ["0", None]], 1.0)
@@ -200,12 +203,6 @@ class TestSampleSwitch:
         p = 1.0 - math.exp(-0.01)
         se = math.sqrt(p * (1 - p) / len(draws))
         assert abs(float(np.mean(picked == 2)) - p) <= 3 * se
-
-    def test_matches_pick_regime(self, nu):
-        rates = RateSpec(3, [[None, "0.4", "0.1"], ["0.2", None, "0.3"], ["0", "0.5", None]], 1.0)
-        probs = step_transition_probs(rates, 2, X0, nu, 0.05)
-        for u in (0.0, 0.1, 0.5, 0.95, 0.99999):
-            assert sample_switch(rates, 2, X0, nu, 0.05, u) == int(pick_regime(probs, u))
 
 
 class TestRateSpecValidation:
