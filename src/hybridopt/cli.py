@@ -26,17 +26,7 @@ from .control import candidate_set
 from .cost import monte_carlo_cost
 from .dpp_solver import GridSpec, solve
 from .dynamics import simulate_paths, validate_model
-from .errors import (
-    CapacityError,
-    ExprError,
-    HybridOptError,
-    ModelError,
-    NumericalError,
-    SimulationError,
-    StepSizeError,
-    UsageError,
-    ValidationError,
-)
+from .errors import CapacityError, HybridOptError, ModelError, NumericalError, SimulationError, ValidationError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -44,6 +34,12 @@ EXIT_HYPOTHESIS = 3
 EXIT_SIMULATION = 4
 EXIT_CAPACITY = 5
 EXIT_VERIFY = 6
+# exit codes of the error kinds that are not config/parse errors
+_EXIT_CODES = (
+    (CapacityError, EXIT_CAPACITY),
+    (ModelError, EXIT_HYPOTHESIS),
+    ((SimulationError, NumericalError), EXIT_SIMULATION),
+)
 
 
 def _default_workers() -> int:
@@ -136,31 +132,37 @@ def _run_hash(args, model_payload, control_payload, x0, i0, t0, horizon, antithe
     )
 
 
-def _measure_json_cache(pool):
-    return [cfg.canonical_json(m.to_dict()) for m in pool]
+# paths per block of rows handed to the file by the CSV writer
+CSV_BLOCK_PATHS = 64
 
 
-def _paths_to_csv(batch, hash_line: str) -> str:
-    out = io.StringIO()
-    out.write(f"# config_hash={hash_line}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    d = batch.states.shape[2]
-    writer.writerow(["path", "t"] + [f"x{c + 1}" for c in range(d)] + ["regime", "mu", "nu"])
-    mu_json = _measure_json_cache(batch.mu_pool)
-    nu_json = _measure_json_cache(batch.nu_pool)
-    n_steps = batch.states.shape[1] - 1
-    for row, p in enumerate(batch.path_indices):
-        for k in range(n_steps + 1):
-            rec = [int(p), repr(float(batch.times[k]))]
-            rec += [repr(float(v)) for v in batch.states[row, k]]
-            rec.append(int(batch.regimes[row, k]))
-            if k < n_steps:
-                rec.append(mu_json[batch.mu_idx[row, k]])
-                rec.append(nu_json[batch.nu_idx[row, k]])
-            else:
-                rec += ["", ""]
-            writer.writerow(rec)
-    return out.getvalue()
+def _csv_cells(pool, end: str = "") -> np.ndarray:
+    """Each measure's canonical JSON as a cell quoted by the csv module, then the
+    empty cell of a path's terminal row; ``end`` is appended to every cell."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([cfg.canonical_json(m.to_dict())] for m in pool)
+    return np.array([c + end for c in buf.getvalue().split("\n")[:-1] + [""]], dtype=object)
+
+
+def _paths_to_csv(batch, hash_line: str, fh) -> None:
+    """Write one CSV row per path and grid time to ``fh``, CSV_BLOCK_PATHS paths
+    at a time; the byte contract is in the README ("Path CSV")."""
+    n_paths, n_rows, d = batch.states.shape
+    fh.write(f"# config_hash={hash_line}\n")
+    fh.write(",".join(["path", "t"] + [f"x{c + 1}" for c in range(d)] + ["regime", "mu", "nu"]) + "\n")
+    measures = ((_csv_cells(batch.mu_pool), batch.mu_idx), (_csv_cells(batch.nu_pool, end="\n"), batch.nu_idx))
+    times = [repr(t) for t in batch.times.tolist()]
+    for lo in range(0, n_paths, CSV_BLOCK_PATHS):
+        block = slice(lo, lo + CSV_BLOCK_PATHS)
+        n = len(batch.path_indices[block])
+        cols = [map(str, np.repeat(batch.path_indices[block], n_rows).tolist()), times * n]
+        cols += [map(repr, batch.states[block, :, c].ravel().tolist()) for c in range(d)]
+        cols.append(map(str, batch.regimes[block].ravel().tolist()))
+        for cells, idx in measures:
+            # index len(pool) is a terminal row's empty cell; the nu cells end in "\n"
+            full = np.pad(idx[block], ((0, 0), (0, 1)), constant_values=len(cells) - 1)
+            cols.append(cells[full.ravel()].tolist())
+        fh.writelines(map(",".join, zip(*cols)))
 
 
 def _paths_to_json(batch, hash_line: str) -> dict:
@@ -211,7 +213,8 @@ def cmd_simulate(args) -> int:
     if str(out).endswith(".json"):
         cfg.atomic_write_json(out, _paths_to_json(batch, run_hash))
     else:
-        cfg.atomic_write_text(out, _paths_to_csv(batch, run_hash))
+        with cfg.atomic_open(out) as fh:
+            _paths_to_csv(batch, run_hash, fh)
     print(f"wrote {args.paths} paths to {out}")
     return EXIT_OK
 
@@ -335,25 +338,9 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (json.JSONDecodeError, ExprError, ValidationError, UsageError, StepSizeError) as err:
+    except (json.JSONDecodeError, FileNotFoundError, HybridOptError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except CapacityError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (ModelError,) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except (SimulationError, NumericalError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SIMULATION
-    except HybridOptError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-
+        return next((code for kinds, code in _EXIT_CODES if isinstance(err, kinds)), EXIT_PARSE)
 
 if __name__ == "__main__":
     sys.exit(main())

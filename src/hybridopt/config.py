@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 from .control import (
@@ -36,18 +37,26 @@ def config_hash(payload) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partial files."""
+@contextmanager
+def atomic_open(path):
+    """Text file handle on a sibling temp file that is renamed onto ``path``
+    on a clean exit, so readers never see partial files.  On an error the
+    temp file is removed and an earlier file at ``path`` keeps its bytes."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def atomic_write_json(path, payload) -> None:

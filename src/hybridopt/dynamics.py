@@ -249,7 +249,6 @@ class PathBatch:
     """Vectorized bundle of paths sharing the control's candidate pools."""
 
     __slots__ = (
-        "start_time",
         "dt",
         "times",
         "states",
@@ -262,8 +261,7 @@ class PathBatch:
         "clamp_count",
     )
 
-    def __init__(self, start_time, dt, times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, path_indices, clamp_count):
-        self.start_time = start_time
+    def __init__(self, dt, times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, path_indices, clamp_count):
         self.dt = dt
         self.times = times
         self.states = states
@@ -283,7 +281,6 @@ class PathBatch:
     def concatenate(blocks: list["PathBatch"]) -> "PathBatch":
         head = blocks[0]
         return PathBatch(
-            head.start_time,
             head.dt,
             head.times,
             np.concatenate([b.states for b in blocks]),
@@ -384,9 +381,7 @@ def _simulate_block(
         rows = transition_rows_batch(model.rates, lam_k, x_k, nu_b, dt)
         regimes[:, k + 1] = pick_regime(rows, uniforms[:, k])
 
-    return PathBatch(
-        s, dt, times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, np.asarray(path_indices), clamp_count
-    )
+    return PathBatch(dt, times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, np.asarray(path_indices), clamp_count)
 
 
 def _block_args(args):
@@ -478,6 +473,16 @@ def _random_measure(gen: np.random.Generator, action_set: ActionSet) -> Discrete
     return DiscreteMeasure(action_set, atoms, raw / raw.sum())
 
 
+def growth_ratio(x, b, sig) -> np.ndarray:
+    """(|b| + |sigma|_F) / (1 + |x|) per row of evaluated coefficients: x and b of
+    shape (n, d), sig of shape (n, d, m).  Each norm takes one dot product per
+    row, the same sum as np.linalg.norm of that row."""
+    nx, nb, ns = (
+        np.sqrt(np.matmul(a.reshape(len(a), 1, -1), a.reshape(len(a), -1, 1))[:, 0, 0]) for a in (x, b, sig)
+    )
+    return (nb + ns) / (1.0 + nx)
+
+
 def validate_model(model: HybridModel, sample_count: int = 1000) -> ModelValidationReport:
     """Empirical check of the declared coefficient hypotheses.
 
@@ -529,16 +534,16 @@ def validate_model(model: HybridModel, sample_count: int = 1000) -> ModelValidat
 
         ba = MeasureBatch.constant(mu_a, 1)
         bb = MeasureBatch.constant(mu_b, 1)
-        for regime in range(1, model.regime_count + 1):
-            reg = np.array([regime])
-            if dist2 > 1e-14:
+        if dist2 > 1e-14:
+            growth_points = []
+            for regime in range(1, model.regime_count + 1):
+                reg = np.array([regime])
                 bx, by = model.drift_at(x[None, :], reg, ba)[0], model.drift_at(y[None, :], reg, bb)[0]
                 sx, sy = model.diffusion_at(x[None, :], reg, ba)[0], model.diffusion_at(y[None, :], reg, bb)[0]
                 num = float(np.sum((bx - by) ** 2) + np.sum((sx - sy) ** 2))
                 worst_c1 = max(worst_c1, num / dist2)
-                for z, bz, sz in ((x, bx, sx), (y, by, sy)):
-                    growth = (np.linalg.norm(bz) + np.linalg.norm(sz)) / (1.0 + np.linalg.norm(z))
-                    worst_growth = max(worst_growth, float(growth))
+                growth_points += [(x, bx, sx), (y, by, sy)]
+            worst_growth = max(worst_growth, float(np.max(growth_ratio(*map(np.array, zip(*growth_points))))))
 
         qx = model.rates.off_diagonal(x, mu_a)
         qy = model.rates.off_diagonal(y, mu_b)

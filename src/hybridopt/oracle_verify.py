@@ -32,7 +32,7 @@ from . import rng
 from .control import ConstantControl, FeedbackControl, MeasureBatch
 from .cost import batch_costs, monte_carlo_cost
 from .dpp_solver import GridSpec, SolverKernels, ValueGrid, dpp_residual, extract_policy, solve
-from .dynamics import HybridModel, simulate_paths
+from .dynamics import HybridModel, growth_ratio, simulate_paths
 from .errors import CapacityError, NumericalError, ValidationError
 from .measure_space import (
     ActionSet,
@@ -399,8 +399,7 @@ def check_moment_bound(
             regs = np.full(probe.shape[0], regime)
             b = model.drift_at(probe, regs, mb)
             sig = model.diffusion_at(probe, regs, mb)
-            mag = np.linalg.norm(b, axis=1) + np.sqrt(np.einsum("nrc,nrc->n", sig, sig))
-            ratio = max(ratio, float(np.max(mag / (1.0 + np.linalg.norm(probe, axis=1)))))
+            ratio = max(ratio, float(np.max(growth_ratio(probe, b, sig))))
     details = {
         "estimate": estimate,
         "stderr": stderr,

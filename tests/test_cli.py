@@ -1,10 +1,14 @@
+import csv
+import hashlib
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from hybridopt import cli
+from hybridopt import cli, config, errors
+from hybridopt.dynamics import simulate_paths
 
 
 @pytest.fixture
@@ -181,6 +185,155 @@ class TestSimulate:
         doc = json.loads(out.read_text())
         assert len(doc["paths"]) == 2
         assert "config_hash" in doc
+
+
+def reference_csv(batch, hash_line: str) -> str:
+    """The per-row csv.writer loop the block writer replaced, kept as its byte reference."""
+    out = io.StringIO()
+    out.write(f"# config_hash={hash_line}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    d = batch.states.shape[2]
+    writer.writerow(["path", "t"] + [f"x{c + 1}" for c in range(d)] + ["regime", "mu", "nu"])
+    mu_json = [config.canonical_json(m.to_dict()) for m in batch.mu_pool]
+    nu_json = [config.canonical_json(m.to_dict()) for m in batch.nu_pool]
+    n_steps = batch.states.shape[1] - 1
+    for row, p in enumerate(batch.path_indices):
+        for k in range(n_steps + 1):
+            rec = [int(p), repr(float(batch.times[k]))]
+            rec += [repr(float(v)) for v in batch.states[row, k]]
+            rec.append(int(batch.regimes[row, k]))
+            if k < n_steps:
+                rec.append(mu_json[batch.mu_idx[row, k]])
+                rec.append(nu_json[batch.nu_idx[row, k]])
+            else:
+                rec += ["", ""]
+            writer.writerow(rec)
+    return out.getvalue()
+
+
+def block_csv(batch, hash_line: str) -> str:
+    out = io.StringIO()
+    cli._paths_to_csv(batch, hash_line, out)
+    return out.getvalue()
+
+
+MULTI_ATOM_MODEL = {
+    "state_dim": 2,
+    "regime_count": 2,
+    "horizon": 1.0,
+    "action_set": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    "truncation": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+    "drift": [["-x1 + mu_m(1,0)", "-x2 + mu_m(1,1)"], ["-x1", "0.5 - x2"]],
+    "diffusion": [[["0.3", "0"], ["0", "0.2 + 0.1*mu_m(1,1)"]], [["0.4", "0"], ["0.1", "0.3"]]],
+    "rates": [[None, "0.5*(1 + nu_m(1,0))"], ["0.8", None]],
+    "rate_bound": 1.0,
+    "running_cost": "0",
+    "terminal_cost": "0",
+    "starts": [{"x": [0.0, 0.0], "i": 1}],
+}
+MULTI_ATOM_CONTROL = {
+    "kind": "markov",
+    "mu": {
+        "candidates": [
+            {"atoms": [[0.0, 1.0], [0.5, 0.25]], "weights": [0.25, 0.75]},
+            {"atoms": [[1.0, 0.0]], "weights": [1.0]},
+            {"atoms": [[0.2, 0.3], [0.4, 0.5], [0.9, 0.1]], "weights": [0.2, 0.3, 0.5]},
+        ],
+        "index_expr": "min(max(4*x2, 0), 1) + i - 1",
+    },
+    "nu": {
+        "candidates": [
+            {"atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.5]},
+            {"atoms": [[0.3, 0.7]], "weights": [1.0]},
+        ],
+        "per_regime": [0, 1],
+    },
+}
+
+
+class TestCsvWriter:
+    """The block writer against the per-row reference, byte for byte."""
+
+    def batch(self, paths, first_path_index=0):
+        model, _ = config.load_model(MULTI_ATOM_MODEL)
+        control, _ = config.load_control(MULTI_ATOM_CONTROL, model)
+        return simulate_paths(
+            model, control, 0.0, [0.0, 0.0], 1, 1.0, 0.05, 11, paths, first_path_index=first_path_index
+        )
+
+    def test_multi_atom_cells_need_quoting(self):
+        batch = self.batch(6)
+        text = block_csv(batch, "abc")
+        assert text == reference_csv(batch, "abc")
+        # every candidate shows up, and the JSON cells hold both , and "
+        assert set(batch.mu_idx.ravel().tolist()) == {0, 1, 2}
+        assert set(batch.regimes.ravel().tolist()) == {1, 2}
+        assert '"{""atoms"":[[0.0,1.0],[0.5,0.25]],""weights"":[0.25,0.75]}"' in text
+        rows = list(csv.reader(io.StringIO(text.split("\n", 1)[1])))
+        assert json.loads(rows[1][5]) == batch.mu_pool[batch.mu_idx[0, 0]].to_dict()
+        assert rows[21][5:] == ["", ""]
+
+    def test_first_path_index_offset(self):
+        batch = self.batch(3, first_path_index=1000)
+        text = block_csv(batch, "h")
+        assert text == reference_csv(batch, "h")
+        assert text.splitlines()[2].startswith("1000,0.0,")
+
+    def test_partial_last_block(self):
+        batch = self.batch(cli.CSV_BLOCK_PATHS + 3)
+        assert block_csv(batch, "h") == reference_csv(batch, "h")
+
+    def test_single_path(self):
+        batch = self.batch(1)
+        text = block_csv(batch, "h")
+        assert text == reference_csv(batch, "h")
+        assert len(text.splitlines()) == 2 + 21
+
+    def test_demo_csv_bytes_pinned(self, demo_files, tmp_path):
+        # SHA-256 of the demo CSV as the per-row writer produced it
+        model, control = demo_files
+        out = tmp_path / "paths.csv"
+        assert cli.main(
+            ["simulate", "--model", str(model), "--control", str(control),
+             "--out", str(out), "--paths", "8", "--dt", "0.05", "--seed", "7"]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a60d4a27a5af6cb5b0d973f238748e7dc8be864aa1b2dd8fa755d0c0776a7876"
+        )
+
+    def test_error_mid_stream_leaves_no_partial_file(self, demo_files, tmp_path, monkeypatch):
+        model, control = demo_files
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "paths.csv"
+        out.write_text("earlier run\n")
+        written = []
+
+        class FailingSecondBlock:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text)
+
+            def writelines(self, lines):
+                if written:
+                    raise RuntimeError("formatting failed")
+                self.fh.writelines(lines)
+                self.fh.flush()
+                written.extend(p.stat().st_size for p in out_dir.iterdir() if p != out)
+
+        real = cli._paths_to_csv
+        monkeypatch.setattr(cli, "_paths_to_csv", lambda batch, h, fh: real(batch, h, FailingSecondBlock(fh)))
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            cli.main(
+                ["simulate", "--model", str(model), "--control", str(control), "--out", str(out),
+                 "--paths", str(cli.CSV_BLOCK_PATHS + 3), "--dt", "0.25", "--seed", "1", "--workers", "1"]
+            )
+        # the first block reached a temp file, which the failure removed
+        assert len(written) == 1 and written[0] > 0
+        assert list(out_dir.iterdir()) == [out]
+        assert out.read_text() == "earlier run\n"
 
 
 class TestEstimate:
@@ -443,3 +596,30 @@ class TestSimulateHorizonFlag:
         ) == 0
         rows = out.read_text().splitlines()
         assert len(rows) == 2 + 6  # comment + header + six grid times
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (json.JSONDecodeError("bad", "{", 0), 2),
+            (FileNotFoundError("model.json"), 2),
+            (errors.ExprError("bad"), 2),
+            (errors.ValidationError("bad"), 2),
+            (errors.UsageError("bad"), 2),
+            (errors.StepSizeError("bad"), 2),
+            (errors.DomainError("bad"), 2),
+            (errors.CapacityError("bad"), 5),
+            (errors.ModelError("bad"), 3),
+            (errors.BoundViolationError("bad"), 3),
+            (errors.SimulationError("bad"), 4),
+            (errors.NumericalError("bad"), 4),
+        ],
+    )
+    def test_error_kind_sets_exit_code(self, error, code, monkeypatch, capsys):
+        def fail(args):
+            raise error
+
+        monkeypatch.setitem(cli._COMMANDS, "verify", fail)
+        assert cli.main(["verify"]) == code
+        assert capsys.readouterr().err.startswith("error: ")

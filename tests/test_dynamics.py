@@ -18,6 +18,7 @@ from hybridopt import (
     step_transition_probs,
     validate_model,
 )
+from hybridopt.dynamics import growth_ratio
 from tests.conftest import const_control, make_model
 
 
@@ -237,6 +238,16 @@ class TestValidateModel:
     def test_sample_count_minimum(self, chain_model):
         with pytest.raises(ValidationError):
             validate_model(chain_model, 50)
+
+    @pytest.mark.parametrize("d, m", [(1, 1), (2, 2), (3, 2)])
+    def test_growth_ratio_matches_the_per_point_norms(self, d, m):
+        gen = np.random.default_rng(5)
+        x, b, sig = gen.standard_normal((500, d)), gen.standard_normal((500, d)), gen.standard_normal((500, d, m))
+        per_point = [
+            (np.linalg.norm(b[k]) + np.linalg.norm(sig[k])) / (1.0 + np.linalg.norm(x[k])) for k in range(500)
+        ]
+        # bit for bit: validate's growth_bound reports the largest of these
+        assert growth_ratio(x, b, sig).tolist() == per_point
 
     def test_cost_floor_detection(self):
         model = make_model(
