@@ -186,15 +186,20 @@ def _paths_to_json(batch, hash_line: str) -> dict:
     }
 
 
+def _print_artifact(out, doc) -> None:
+    """Print the artifact text of ``doc`` and, with ``--out``, write it there too."""
+    text = cfg.artifact_json(doc)
+    if out:
+        cfg.atomic_write_text(out, text + "\n")
+    print(text)
+
+
 def cmd_validate(args) -> int:
     model, payload = cfg.load_model(args.model)
     report = validate_model(model, args.samples)
     doc = report.to_dict()
     doc["config_hash"] = cfg.config_hash(payload)
-    text = json.dumps(doc, sort_keys=True, indent=1)
-    if args.out:
-        cfg.atomic_write_text(args.out, text + "\n")
-    print(text)
+    _print_artifact(args.out, doc)
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
 
 
@@ -233,10 +238,7 @@ def cmd_estimate(args) -> int:
     doc["config_hash"] = _run_hash(
         args, payload, control_payload, x0, i0, 0.0, model.horizon, args.antithetic
     )
-    text = json.dumps(doc, sort_keys=True, indent=1)
-    if args.out:
-        cfg.atomic_write_text(args.out, text + "\n")
-    print(text)
+    _print_artifact(args.out, doc)
     return EXIT_OK
 
 

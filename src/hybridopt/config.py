@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+import numpy as np
 
 from .control import (
     CandidateMap,
@@ -41,10 +45,14 @@ def config_hash(payload) -> str:
 def atomic_open(path):
     """Text file handle on a sibling temp file that is renamed onto ``path``
     on a clean exit, so readers never see partial files.  On an error the
-    temp file is removed and an earlier file at ``path`` keeps its bytes."""
+    temp file is removed and an earlier file at ``path`` keeps its bytes.
+    The file gets the mode ``open`` would give it, 0o666 less the umask."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             yield fh
         os.replace(tmp, path)
@@ -59,8 +67,70 @@ def atomic_write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def _float_str(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _array_json(arr: np.ndarray, level: int) -> str:
+    """A numeric array as ``json.dumps(arr.tolist(), indent=1)`` writes it
+    ``level`` deep: one repr map over the flat values, interleaved with the
+    separator each gap between neighbouring values needs."""
+    if arr.ndim == 0 or arr.size == 0 or arr.dtype.kind not in "biuf":
+        return artifact_json(arr.tolist(), level)
+    if arr.dtype.kind == "b":
+        fmt = {True: "true", False: "false"}.__getitem__
+    elif arr.dtype.kind == "f":
+        fmt = float.__repr__ if np.isfinite(arr).all() else _float_str
+    else:
+        fmt = int.__repr__
+    d = arr.ndim
+    pad = ["\n" + " " * (level + a) for a in range(d + 1)]
+    opens, closes = ["[" + p for p in pad[1:]], [p + "]" for p in pad[:-1]]
+    # after a value whose last r indices are at their ends, r lists close and r open
+    seps = np.array([
+        "".join(closes[d - r:][::-1]) + "," + pad[d - r] + "".join(opens[d - r:]) for r in range(d)
+    ], dtype=object)
+    ends = np.arange(1, arr.size)
+    wraps = np.zeros(arr.size - 1, dtype=np.intp)
+    for a in range(1, d):
+        wraps += ends % math.prod(arr.shape[a:]) == 0
+    parts = [""] * (2 * arr.size - 1)
+    parts[0::2], parts[1::2] = map(fmt, arr.ravel().tolist()), seps[wraps].tolist()
+    return "".join(opens) + "".join(parts) + "".join(closes[::-1])
+
+
+def artifact_json(o, level: int = 0) -> str:
+    """Exactly ``json.dumps(o, sort_keys=True, indent=1)``, nested ``level``
+    deep, with NumPy arrays written as their ``tolist()`` but from one flat
+    pass over the values (byte contract in the README, "Value-grid artifact").
+    Object keys must be strings; anything JSON cannot hold raises TypeError."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or isinstance(o, bool):
+        return {None: "null", True: "true", False: "false"}[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_str(o)
+    if isinstance(o, np.ndarray):
+        return _array_json(o, level)
+    if isinstance(o, (list, tuple)):
+        items, brackets = [artifact_json(v, level + 1) for v in o], "[]"
+    elif isinstance(o, dict):
+        items = [f"{encode_basestring_ascii(k)}: {artifact_json(v, level + 1)}" for k, v in sorted(o.items())]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    inner = "\n" + " " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * level + brackets[1]
+
+
 def atomic_write_json(path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    atomic_write_text(path, artifact_json(payload) + "\n")
 
 
 def _load_payload(source) -> dict:

@@ -153,17 +153,18 @@ def interpolate_values(axes: list[np.ndarray], values: np.ndarray, points: np.nd
 
 
 class SolverKernels:
-    """Precomputed per-(regime, candidate) one-step operators for one grid.
+    """Precomputed per-regime one-step operators for one grid.
 
-    ``move[i-1][mi]`` is the (n_nodes, n_nodes) state-transport kernel for
-    drift/diffusion under the mu candidate: Gauss-Hermite weights composed
+    ``move[i-1]`` is one CSR matrix of shape (n_mu * n_nodes, n_nodes): rows
+    ``mi * n_nodes`` to ``(mi + 1) * n_nodes`` are the state-transport kernel
+    for drift/diffusion under mu candidate mi, Gauss-Hermite weights composed
     with interpolation weights, so rows are convex.  ``regime_rows[i-1][ni]``
     is the (n_nodes, N) matrix of one-step transition rows out of regime i
     under the nu candidate, built for all nodes by one
     ``switching.transition_rows_batch`` call.  Rates and coefficients are
-    time-independent, so one set of kernels serves every slice; the
-    verification oracles build their exact lattice kernels from this very
-    object.
+    time-independent, so one set of kernels serves every slice, and so do the
+    stage costs unless f reads t.  The solver, the residual check and the
+    verification oracles share this object.
     """
 
     def __init__(self, model: HybridModel, grid: GridSpec, mu_candidates, nu_candidates):
@@ -184,6 +185,11 @@ class SolverKernels:
         self.nodes = nodes_mesh(self.axes)
         self.n_nodes = self.nodes.shape[0]
         self.clamp_count = 0
+        # candidate pairs, mu-major: pair p is (pair_mu[p], pair_nu[p]) = pairs[p]
+        self.pair_mu, self.pair_nu = (
+            g.ravel() for g in np.indices((len(self.mu_candidates), len(self.nu_candidates)))
+        )
+        self.pairs = list(zip(self.pair_mu.tolist(), self.pair_nu.tolist()))
 
         gh_pts, gh_wts = gauss_hermite(grid.quad_order, model.state_dim)
         sqrt_dt = np.sqrt(dt)
@@ -194,9 +200,9 @@ class SolverKernels:
         )
 
         n = model.regime_count
-        self.move: list[list[sparse.csr_matrix]] = []
+        self.move: list[sparse.csr_matrix] = []
         for i in range(1, n + 1):
-            row = []
+            blocks = []
             regs = np.full(self.n_nodes, i)
             for mu in self.mu_candidates:
                 mb = MeasureBatch.constant(mu, self.n_nodes)
@@ -207,11 +213,11 @@ class SolverKernels:
                 moved = drifted[:, None, :] + np.einsum("nrc,qc->nqr", sig, gh_pts) * sqrt_dt
                 mat, clamped = interpolation_matrix(self.axes, moved.reshape(-1, model.state_dim))
                 self.clamp_count += clamped
-                row.append((fold @ mat).tocsr())
-            self.move.append(row)
+                blocks.append((fold @ mat).tocsr())
+            self.move.append(sparse.vstack(blocks, format="csr"))
 
-        self.regime_rows: list[list[np.ndarray]] = [
-            [
+        self.regime_rows: list[np.ndarray] = [
+            np.stack([
                 transition_rows_batch(
                     model.rates,
                     np.full(self.n_nodes, i),
@@ -220,36 +226,45 @@ class SolverKernels:
                     dt,
                 )
                 for nu in self.nu_candidates
-            ]
+            ])
             for i in range(1, n + 1)
         ]
-
-    def stage_values(self, k: int, i: int, mi: int, ni: int, v_next: np.ndarray) -> np.ndarray:
-        """One-step operator for a fixed candidate pair at slice k, regime i.
-
-        Shared verbatim by the solver, the residual check, and the lattice
-        oracle so their values agree bit-for-bit where they must.
-        """
-        mu = self.mu_candidates[mi]
-        nu = self.nu_candidates[ni]
-        run = self.model.running_cost_at(
-            float(self.times[k]),
-            self.nodes,
-            np.full(self.n_nodes, i),
-            MeasureBatch.constant(mu, self.n_nodes),
-            MeasureBatch.constant(nu, self.n_nodes),
+        # f dt per regime and pair, when it is the same on every slice
+        self.cached_costs = (
+            None if "t" in ex.variables(model.running_cost)
+            else [self.stage_costs(0.0, i) for i in range(1, n + 1)]
         )
-        ev = self.move[i - 1][mi] @ v_next  # (n_nodes, N)
-        cont = np.einsum("nj,nj->n", self.regime_rows[i - 1][ni], ev)
-        return run * self.dt + cont
 
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return [
-            (mi, ni)
-            for mi in range(len(self.mu_candidates))
-            for ni in range(len(self.nu_candidates))
-        ]
+    def stage_costs(self, t: float, i: int) -> np.ndarray:
+        """f(t, node, i, mu, nu) dt for every candidate pair, (n_pairs, n_nodes)."""
+        mus = [MeasureBatch.constant(m, self.n_nodes) for m in self.mu_candidates]
+        nus = [MeasureBatch.constant(m, self.n_nodes) for m in self.nu_candidates]
+        regs = np.full(self.n_nodes, i)
+        return np.stack([
+            self.model.running_cost_at(t, self.nodes, regs, mus[mi], nus[ni]) for mi, ni in self.pairs
+        ]) * self.dt
+
+    def stage_values(self, k: int, i: int, v_next: np.ndarray) -> np.ndarray:
+        """One-step operator at slice k, regime i, for every candidate pair.
+
+        ``v_next`` is the (n_nodes, N) next-slice table shared by all pairs,
+        or an (n_pairs, n_nodes, N) stack with one table per pair.  Returns
+        the (n_pairs, n_nodes) stage values: one sparse product per call, and
+        per element the same operations as a per-pair evaluation, so the
+        solver, the residual check and per-pair references agree bit for bit.
+        """
+        n, n_mu = self.n_nodes, len(self.mu_candidates)
+        if v_next.ndim == 2:
+            ev = (self.move[i - 1] @ v_next).reshape(n_mu, n, -1)[self.pair_mu]
+        else:
+            n_pairs = v_next.shape[0]
+            cols = v_next.transpose(1, 0, 2).reshape(n, -1)
+            ev = (self.move[i - 1] @ cols).reshape(n_mu, n, n_pairs, -1)
+            ev = ev[self.pair_mu, :, np.arange(n_pairs)]
+        cont = np.einsum("pnj,pnj->pn", self.regime_rows[i - 1][self.pair_nu], ev)
+        if self.cached_costs is not None:
+            return self.cached_costs[i - 1] + cont
+        return self.stage_costs(float(self.times[k]), i) + cont
 
 
 class ValueGrid:
@@ -306,15 +321,16 @@ class ValueGrid:
         return per_regime[np.arange(pts.shape[0]), np.asarray(regimes, dtype=int) - 1]
 
     def to_dict(self) -> dict:
+        """The artifact payload; arrays stay NumPy arrays for ``config.artifact_json``."""
         return {
             "schema_version": SCHEMA_VERSION,
             "grid": self.grid.to_dict(),
-            "axes": [a.tolist() for a in self.axes],
-            "times": self.times.tolist(),
+            "axes": list(self.axes),
+            "times": self.times,
             "index_order": "values[k][node][regime], nodes row-major over the axes",
-            "values": self.values.tolist(),
-            "policy_mu": self.policy_mu.tolist(),
-            "policy_nu": self.policy_nu.tolist(),
+            "values": self.values,
+            "policy_mu": self.policy_mu,
+            "policy_nu": self.policy_nu,
             "mu_candidates": [m.to_dict() for m in self.mu_candidates],
             "nu_candidates": [m.to_dict() for m in self.nu_candidates],
             "clamp_count": self.clamp_count,
@@ -337,12 +353,15 @@ class ValueGrid:
         )
 
 
-def solve(model: HybridModel, grid: GridSpec, mu_candidates, nu_candidates) -> ValueGrid:
-    """Backward induction over the lattice; returns values and argmin policy."""
-    kern = SolverKernels(model, grid, mu_candidates, nu_candidates)
+def solve(model: HybridModel, grid: GridSpec, mu_candidates, nu_candidates, kernels=None) -> ValueGrid:
+    """Backward induction over the lattice; returns values and argmin policy.
+
+    ``kernels`` is a prebuilt ``SolverKernels`` of the same model, grid and
+    candidates, to share with ``dpp_residual``; it is built when omitted.
+    """
+    kern = kernels or SolverKernels(model, grid, mu_candidates, nu_candidates)
     n_t = grid.time_steps
     n_reg = model.regime_count
-    n_pairs = len(kern.pairs)
 
     values = np.empty((n_t + 1, kern.n_nodes, n_reg))
     terminal = model.terminal_cost_at(kern.nodes)
@@ -351,18 +370,13 @@ def solve(model: HybridModel, grid: GridSpec, mu_candidates, nu_candidates) -> V
     policy_mu = np.zeros((n_t, kern.n_nodes, n_reg), dtype=np.intp)
     policy_nu = np.zeros((n_t, kern.n_nodes, n_reg), dtype=np.intp)
 
-    pair_mu = np.array([mi for mi, _ in kern.pairs], dtype=np.intp)
-    pair_nu = np.array([ni for _, ni in kern.pairs], dtype=np.intp)
     for k in range(n_t - 1, -1, -1):
-        v_next = values[k + 1]
         for i in range(1, n_reg + 1):
-            stacked = np.empty((n_pairs, kern.n_nodes))
-            for p, (mi, ni) in enumerate(kern.pairs):
-                stacked[p] = kern.stage_values(k, i, mi, ni, v_next)
+            stacked = kern.stage_values(k, i, values[k + 1])
             best = np.argmin(stacked, axis=0)  # first occurrence = lowest pair index
             values[k][:, i - 1] = stacked[best, np.arange(kern.n_nodes)]
-            policy_mu[k][:, i - 1] = pair_mu[best]
-            policy_nu[k][:, i - 1] = pair_nu[best]
+            policy_mu[k][:, i - 1] = kern.pair_mu[best]
+            policy_nu[k][:, i - 1] = kern.pair_nu[best]
 
     return ValueGrid(
         grid,
@@ -377,7 +391,7 @@ def solve(model: HybridModel, grid: GridSpec, mu_candidates, nu_candidates) -> V
     )
 
 
-def dpp_residual(value_grid: ValueGrid, model: HybridModel, k_from: int, k_to: int) -> float:
+def dpp_residual(value_grid: ValueGrid, model: HybridModel, k_from: int, k_to: int, kernels=None) -> float:
     """Gap between the stored-policy chaining of the one-step operator over
     [k_from, k_to] and a re-minimization over window-constant candidate
     controls.
@@ -385,39 +399,30 @@ def dpp_residual(value_grid: ValueGrid, model: HybridModel, k_from: int, k_to: i
     For k_to == k_from + 1 the two sides coincide with the recursion itself
     and the residual is exactly zero; over longer windows the window-constant
     class is coarser than per-step policies and the gap is O(dt) in general.
+    ``kernels`` is the grid's prebuilt ``SolverKernels``, built when omitted.
     """
     n_t = value_grid.grid.time_steps
     if not 0 <= k_from < k_to <= n_t:
         raise ValidationError("need 0 <= k_from < k_to <= time steps")
-    kern = SolverKernels(model, value_grid.grid, value_grid.mu_candidates, value_grid.nu_candidates)
+    kern = kernels or SolverKernels(model, value_grid.grid, value_grid.mu_candidates, value_grid.nu_candidates)
     n_reg = model.regime_count
     n_nu = len(kern.nu_candidates)
+    nodes = np.arange(kern.n_nodes)
 
-    # side A: chain the one-step operator with the stored per-step minimizers
+    # side A chains the one-step operator with the stored per-step minimizers;
+    # side B holds each candidate pair fixed on the whole window, one table per pair
     chained = value_grid.values[k_to].copy()
+    held = np.repeat(chained[None], len(kern.pair_mu), axis=0)
     for k in range(k_to - 1, k_from - 1, -1):
-        nxt = np.empty_like(chained)
+        nxt, held_nxt = np.empty_like(chained), np.empty_like(held)
         for i in range(1, n_reg + 1):
-            per_pair = np.empty((len(kern.pairs), kern.n_nodes))
-            for p, (mi, ni) in enumerate(kern.pairs):
-                per_pair[p] = kern.stage_values(k, i, mi, ni, chained)
-            # kern.pairs is mu-major, so pair (mi, ni) sits at mi * n_nu + ni
+            # pair (mi, ni) sits at mi * n_nu + ni
             stored = value_grid.policy_mu[k][:, i - 1] * n_nu + value_grid.policy_nu[k][:, i - 1]
-            nxt[:, i - 1] = per_pair[stored, np.arange(kern.n_nodes)]
-        chained = nxt
+            nxt[:, i - 1] = kern.stage_values(k, i, chained)[stored, nodes]
+            held_nxt[:, :, i - 1] = kern.stage_values(k, i, held)
+        chained, held = nxt, held_nxt
 
-    # side B: hold one candidate pair fixed on the whole window, minimize
-    best = None
-    for mi, ni in kern.pairs:
-        w = value_grid.values[k_to].copy()
-        for k in range(k_to - 1, k_from - 1, -1):
-            nxt = np.empty_like(w)
-            for i in range(1, n_reg + 1):
-                nxt[:, i - 1] = kern.stage_values(k, i, mi, ni, w)
-            w = nxt
-        best = w if best is None else np.minimum(best, w)
-
-    return float(np.max(np.abs(chained - best)))
+    return float(np.max(np.abs(chained - np.min(held, axis=0))))
 
 
 def extract_policy(value_grid: ValueGrid) -> TableControl:

@@ -188,12 +188,11 @@ class LatticeProblem:
         self.n_steps = grid.time_steps
 
         self.kernels = []
-        self.running = []
         for mi, ni in kern.pairs:
             k_pair = np.zeros((self.n_cells, self.n_cells))
             # cell (node, i) -> cell (node', j): regime factor times state transport
             for i in range(1, n_reg + 1):
-                move_i = kern.move[i - 1][mi].toarray()
+                move_i = kern.move[i - 1][mi * n_nodes:(mi + 1) * n_nodes].toarray()
                 rows_i = kern.regime_rows[i - 1][ni]
                 src = np.arange(n_nodes) * n_reg + (i - 1)
                 for j in range(1, n_reg + 1):
@@ -201,20 +200,11 @@ class LatticeProblem:
                     k_pair[np.ix_(src, dst)] = move_i * rows_i[:, j - 1][:, None]
             self.kernels.append(k_pair)
 
-            per_slice = np.zeros((self.n_steps, self.n_cells))
-            for k in range(self.n_steps):
-                for i in range(1, n_reg + 1):
-                    mu = kern.mu_candidates[mi]
-                    nu = kern.nu_candidates[ni]
-                    f_vals = model.running_cost_at(
-                        float(kern.times[k]),
-                        kern.nodes,
-                        np.full(n_nodes, i),
-                        MeasureBatch.constant(mu, n_nodes),
-                        MeasureBatch.constant(nu, n_nodes),
-                    )
-                    per_slice[k, np.arange(n_nodes) * n_reg + (i - 1)] = f_vals * kern.dt
-            self.running.append(per_slice)
+        running = np.zeros((len(kern.pairs), self.n_steps, self.n_cells))
+        for k in range(self.n_steps):
+            for i in range(1, n_reg + 1):
+                running[:, k, np.arange(n_nodes) * n_reg + (i - 1)] = kern.stage_costs(float(kern.times[k]), i)
+        self.running = list(running)
 
         g_vals = model.terminal_cost_at(kern.nodes)
         self.terminal = np.repeat(g_vals, n_reg)
@@ -286,13 +276,14 @@ def check_dpp(
     V(0, x0, i0) against E[int_0^{t_k} f dt + V(t_k, X, Lam)] under the
     extracted policy."""
     t0 = time.perf_counter()
-    vg = solve(model, grid, mu_candidates, nu_candidates)
+    kern = SolverKernels(model, grid, mu_candidates, nu_candidates)
+    vg = solve(model, grid, mu_candidates, nu_candidates, kern)
     if not 1 <= intermediate_k <= grid.time_steps:
         raise ValidationError("intermediate_k must be a positive slice index")
     one_step = max(
-        dpp_residual(vg, model, k, k + 1) for k in range(grid.time_steps)
+        dpp_residual(vg, model, k, k + 1, kern) for k in range(grid.time_steps)
     )
-    multi = dpp_residual(vg, model, 0, intermediate_k)
+    multi = dpp_residual(vg, model, 0, intermediate_k, kern)
 
     policy = extract_policy(vg)
     t_mid = float(vg.times[intermediate_k])

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -130,6 +132,20 @@ class TestSimulate:
             cells = row.split(",")
             assert cells[2] == "0.0"
             assert cells[3] == "1"
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+    def test_output_mode_follows_umask(self, demo_files, tmp_path, umask, mode):
+        model, control = demo_files
+        out = tmp_path / "paths.csv"
+        old = os.umask(umask)
+        try:
+            assert cli.main(
+                ["simulate", "--model", str(model), "--control", str(control),
+                 "--out", str(out), "--paths", "2", "--dt", "0.25", "--seed", "1"]
+            ) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
 
     def test_seed_repeat_byte_identical(self, demo_files, tmp_path):
         model, control = demo_files
@@ -438,6 +454,15 @@ class TestSolve:
         doc = json.loads(a.read_text())
         assert doc["start_values"][0]["value"] == pytest.approx(1.0, abs=1e-9)
         assert doc["schema_version"] == 1
+
+    def test_demo_artifact_bytes_pinned(self, demo_files, tmp_path):
+        # SHA-256 of the demo value grid as json.dumps(indent=1) wrote it
+        model, _ = demo_files
+        out = tmp_path / "vg.json"
+        assert cli.main(self.solve_args(model, out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "8428424b6d4c57f7b3ef8b2563e99cd63ac69ca87eed6a78d89f2ed2679cc8df"
+        )
 
     def test_capacity_exit(self, demo_files, tmp_path):
         model, _ = demo_files

@@ -20,7 +20,7 @@ from hybridopt import (
     solve,
     tol_disc,
 )
-from hybridopt.control import ConstantControl
+from hybridopt.control import ConstantControl, MeasureBatch
 from hybridopt.dpp_solver import SolverKernels
 from tests.conftest import make_model
 
@@ -173,6 +173,52 @@ class TestKernels:
                 assert np.max(np.abs(kern.regime_rows[i - 1][ni] - exact)) <= 1e-12
 
 
+    @pytest.mark.parametrize("running", ["t*x1*x1 + i", "x1*x1 + i*nu_m(1,0) + mu_m(1,0)"])
+    def test_stage_values_match_per_pair_reference(self, running):
+        u = ActionSet([0.0], [1.0])
+        model = HybridModel(
+            state_dim=1,
+            action_set=u,
+            rates=RateSpec(
+                3,
+                [[None, "0.3*(1 + x1)", "0.2*nu_m(1,0)"], ["0.2*x1*x1", None, "0.3"], ["0.4*nu_m(1,0)", "0.1", None]],
+                1.0,
+            ),
+            drift=[["mu_m(1,0) - x1"], ["-x1"], ["0.5 - mu_m(1,0)"]],
+            diffusion=[[["0.2"]], [["0.1 + 0.3*mu_m(1,0)"]], [["0.4"]]],
+            running_cost=running,
+            terminal_cost="0",
+            horizon=0.4,
+            truncation_lower=[-1.0],
+            truncation_upper=[1.0],
+        )
+        mu_c = [dirac(u, [0.0]), dirac(u, [0.6]), mixture([dirac(u, [0.0]), dirac(u, [1.0])], [0.3, 0.7])]
+        nu_c = [dirac(u, [0.0]), dirac(u, [1.0])]
+        kern = SolverKernels(model, GridSpec(4, [9], 3), mu_c, nu_c)
+        # the time-free stage cost is computed once; one that reads t is not cached
+        assert (kern.cached_costs is None) == running.startswith("t*")
+        n = kern.n_nodes
+        rng = np.random.default_rng(5)
+        shared = rng.normal(size=(n, 3))
+        held = rng.normal(size=(len(kern.pairs), n, 3))
+
+        def reference(k, i, mi, ni, w):
+            run = model.running_cost_at(
+                float(kern.times[k]), kern.nodes, np.full(n, i),
+                MeasureBatch.constant(mu_c[mi], n), MeasureBatch.constant(nu_c[ni], n),
+            )
+            move = kern.move[i - 1][mi * n:(mi + 1) * n]
+            return run * kern.dt + np.einsum("nj,nj->n", kern.regime_rows[i - 1][ni], move @ w)
+
+        for k in range(4):
+            for i in (1, 2, 3):
+                batched = kern.stage_values(k, i, shared)
+                per_pair = kern.stage_values(k, i, held)
+                for p, (mi, ni) in enumerate(kern.pairs):
+                    assert np.array_equal(batched[p], reference(k, i, mi, ni, shared))
+                    assert np.array_equal(per_pair[p], reference(k, i, mi, ni, held[p]))
+
+
 class TestCandidateMonotonicity:
     def test_enlarging_never_increases(self):
         model, grid, mu_c, nu_c = regime_cost_setup()
@@ -219,6 +265,14 @@ class TestResidual:
         residual = dpp_residual(vg, model, 0, grid.time_steps)
         # window-constant controls differ from per-step ones at O(dt)
         assert 0.0 <= residual <= 10 * vg.dt
+
+    def test_prebuilt_kernels_give_the_same_residual(self):
+        model, grid, mu_c, nu_c = regime_cost_setup()
+        kern = SolverKernels(model, grid, mu_c, nu_c)
+        vg = solve(model, grid, mu_c, nu_c, kern)
+        assert np.array_equal(vg.values, solve(model, grid, mu_c, nu_c).values)
+        for window in ((0, 2), (1, 4)):
+            assert dpp_residual(vg, model, *window, kern) == dpp_residual(vg, model, *window)
 
     def test_bad_window(self):
         model, grid, mu_c, nu_c = regime_cost_setup()

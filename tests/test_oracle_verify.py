@@ -21,6 +21,7 @@ from hybridopt import (
     mixture,
     solve,
 )
+from hybridopt.dpp_solver import SolverKernels
 from hybridopt.oracle_verify import (
     _coupled_instance,
     _drift_steering_instance,
@@ -136,6 +137,21 @@ class TestCheckDpp:
         rep = check_dpp(model, grid, mu_c, nu_c, grid.time_steps // 2, [0.0], 1, path_count=500, seed=42)
         assert rep.passed
         assert rep.details["one_step_residual"] == 0.0
+
+    def test_kernels_built_once(self, monkeypatch):
+        # the solve and every residual window share one SolverKernels
+        built = []
+        init = SolverKernels.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(SolverKernels, "__init__", counting_init)
+        model, grid, mu_c, nu_c = _coupled_instance()
+        rep = check_dpp(model, grid, mu_c, nu_c, 2, [0.0], 1, path_count=200, seed=42)
+        assert rep.details["one_step_residual"] == 0.0
+        assert len(built) == 1
 
     def test_random_small_instance_logged(self):
         model, grid, mu_c, nu_c = _coupled_instance()
