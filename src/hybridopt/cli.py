@@ -294,32 +294,37 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
+#: The bundled demo model config: two regimes, frozen state, controllable
+#: switch rate 0.4 * m1(nu).  ``write_demo_config`` writes it and the
+#: battery's regime-cost instance loads it.
+DEMO_MODEL = {
+    "state_dim": 1,
+    "regime_count": 2,
+    "horizon": 1.0,
+    "action_set": {"lower": [0.0], "upper": [1.0]},
+    "truncation": {"lower": [-1.0], "upper": [1.0]},
+    "clamp": True,
+    "drift": [["0"], ["0"]],
+    "diffusion": [[["0"]], [["0"]]],
+    "rates": [[None, "0.4*nu_m(1,0)"], ["0", None]],
+    "rate_bound": 0.4,
+    "running_cost": "i",
+    "terminal_cost": "0",
+    "constants": {"lipschitz_drift_diffusion": 1.0, "lipschitz_rates": 1.0, "growth": 1.0},
+    "cost_lower_bounds": {"f": 0.0, "g": 0.0},
+    "starts": [{"x": [0.0], "i": 1}],
+}
+
+
 def write_demo_config(model_path, control_path) -> None:
-    """Bundled demo instance: the controllable-switch-rate model and a
-    constant control, used by the determinism check and the README example."""
-    model = {
-        "state_dim": 1,
-        "regime_count": 2,
-        "horizon": 1.0,
-        "action_set": {"lower": [0.0], "upper": [1.0]},
-        "truncation": {"lower": [-1.0], "upper": [1.0]},
-        "clamp": True,
-        "drift": [["0"], ["0"]],
-        "diffusion": [[["0"]], [["0"]]],
-        "rates": [[None, "0.4*nu_m(1,0)"], ["0", None]],
-        "rate_bound": 0.4,
-        "running_cost": "i",
-        "terminal_cost": "0",
-        "constants": {"lipschitz_drift_diffusion": 1.0, "lipschitz_rates": 1.0, "growth": 1.0},
-        "cost_lower_bounds": {"f": 0.0, "g": 0.0},
-        "starts": [{"x": [0.0], "i": 1}],
-    }
+    """Bundled demo instance: ``DEMO_MODEL`` and a constant control, used by
+    the determinism check and the README example."""
     control = {
         "kind": "constant",
         "mu": {"atoms": [[0.5]], "weights": [1.0]},
         "nu": {"atoms": [[0.0]], "weights": [1.0]},
     }
-    cfg.atomic_write_json(model_path, model)
+    cfg.atomic_write_json(model_path, DEMO_MODEL)
     cfg.atomic_write_json(control_path, control)
 
 

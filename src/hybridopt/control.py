@@ -121,8 +121,6 @@ class CandidateMap:
 class FeedbackControl:
     """Base class; subclasses implement the pool index maps."""
 
-    kind = "abstract"
-
     @property
     def mu_pool(self) -> tuple[DiscreteMeasure, ...]:
         raise NotImplementedError
@@ -137,8 +135,6 @@ class FeedbackControl:
 
 
 class ConstantControl(FeedbackControl):
-    kind = "constant"
-
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
         self._mu = mu
         self._nu = nu
@@ -159,8 +155,6 @@ class ConstantControl(FeedbackControl):
 class MarkovControl(FeedbackControl):
     """Reads only (t, X_t, Lambda_t); invariant to the earlier history."""
 
-    kind = "markov"
-
     def __init__(self, mu_map: CandidateMap, nu_map: CandidateMap):
         self._mu_map = mu_map
         self._nu_map = nu_map
@@ -179,8 +173,6 @@ class MarkovControl(FeedbackControl):
 
 class TableControl(FeedbackControl):
     """Argmin policy of a solved value grid, looked up at the enclosing cell."""
-
-    kind = "table"
 
     def __init__(self, origin, dt, axes, policy_mu, policy_nu, mu_candidates, nu_candidates):
         self.origin = float(origin)
@@ -231,8 +223,6 @@ class PathDependentControl(FeedbackControl):
     current one; bucket edges are strictly increasing and map to candidate
     indices via searchsorted, so len(index map) == len(edges) + 1.
     """
-
-    kind = "path_dependent"
 
     def __init__(self, window, statistic, coordinate, bucket_edges, mu_candidates, mu_map, nu_candidates, nu_map):
         if int(window) < 1:

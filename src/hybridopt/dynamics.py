@@ -33,7 +33,7 @@ from . import expr as ex
 from . import rng
 from .control import FeedbackControl, MeasureBatch
 from .errors import NumericalError, SimulationError, ValidationError
-from .measure_space import ActionSet, DiscreteMeasure, w1_distance
+from .measure_space import ActionSet, DiscreteMeasure, random_measure, w1_distance
 from .switching import RateSpec, check_step, pick_regime, transition_rows_batch
 
 _GRID_ABS_TOL = 1e-12
@@ -465,14 +465,6 @@ class ModelValidationReport:
         }
 
 
-def _random_measure(gen: np.random.Generator, action_set: ActionSet) -> DiscreteMeasure:
-    m = int(gen.integers(1, 4))
-    span = action_set.upper - action_set.lower
-    atoms = action_set.lower + gen.random((m, action_set.dim)) * span
-    raw = gen.random(m) + 1e-3
-    return DiscreteMeasure(action_set, atoms, raw / raw.sum())
-
-
 def growth_ratio(x, b, sig) -> np.ndarray:
     """(|b| + |sigma|_F) / (1 + |x|) per row of evaluated coefficients: x and b of
     shape (n, d), sig of shape (n, d, m).  Each norm takes one dot product per
@@ -518,16 +510,16 @@ def validate_model(model: HybridModel, sample_count: int = 1000) -> ModelValidat
         # state-only pairs alternate far and near ones to probe local slopes
         variant = trial % 3
         x = draw_x()
-        mu_a = _random_measure(gen, model.action_set)
+        mu_a = random_measure(gen, model.action_set)
         if variant == 0:
             y = draw_x() if trial % 6 == 0 else model.clip_state(x + gen.standard_normal(d) * 1e-3 * scale)
             mu_b = mu_a
         elif variant == 1:
             y = x
-            mu_b = _random_measure(gen, model.action_set)
+            mu_b = random_measure(gen, model.action_set)
         else:
             y = draw_x()
-            mu_b = _random_measure(gen, model.action_set)
+            mu_b = random_measure(gen, model.action_set)
         w1 = w1_distance(mu_a, mu_b)
         dist2 = float(np.sum((x - y) ** 2)) + w1**2
         dist1 = float(np.linalg.norm(x - y)) + w1

@@ -200,6 +200,16 @@ def mixture(measures, coefficients) -> DiscreteMeasure:
     return DiscreteMeasure(base, atoms, weights)
 
 
+def random_measure(gen: np.random.Generator, action_set: ActionSet, max_atoms: int = 3) -> DiscreteMeasure:
+    """Uniform atoms in the box with random positive weights: one draw for the
+    atom count in 1..max_atoms, then the atoms, then the weights."""
+    m = int(gen.integers(1, max_atoms + 1))
+    span = action_set.upper - action_set.lower
+    atoms = action_set.lower + gen.random((m, action_set.dim)) * span
+    raw = gen.random(m) + 1e-3
+    return DiscreteMeasure(action_set, atoms, raw / raw.sum())
+
+
 def moment(measure: DiscreteMeasure, exponent: int, coordinate: int = 0) -> float:
     """Raw moment of one coordinate: sum_j w_j * atom_j[coordinate] ** exponent."""
     if exponent < 0 or int(exponent) != exponent:

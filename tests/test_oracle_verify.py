@@ -153,6 +153,19 @@ class TestCheckDpp:
         assert rep.details["one_step_residual"] == 0.0
         assert len(built) == 1
 
+    def test_multi_step_residual_is_gated(self, monkeypatch):
+        from hybridopt import oracle_verify
+
+        model, grid, mu_c, nu_c = _drift_steering_instance()
+        rep = check_dpp(model, grid, mu_c, nu_c, 2, [1.0], 1, path_count=200, seed=3)
+        assert rep.passed
+        assert rep.details["multi_step_residual"] > 0.0
+        # below the observed residual (0.005) the multi-step gate trips
+        monkeypatch.setattr(oracle_verify, "tol_disc", lambda model, vg: 1e-3)
+        rep = check_dpp(model, grid, mu_c, nu_c, 2, [1.0], 1, path_count=200, seed=3)
+        assert not rep.passed
+        assert "multi_step_within_tol" in rep.details["failed"]
+
     def test_random_small_instance_logged(self):
         model, grid, mu_c, nu_c = _coupled_instance()
         rep = check_dpp(model, grid, mu_c, nu_c, 2, [0.0], 1, path_count=2000, seed=42)
@@ -192,14 +205,30 @@ class TestMinimizingSequence:
         model, grid, mu_c, nu_c = _regime_cost_instance()
         u = model.action_set
         gen = np.random.default_rng(0)
-        controls = [
-            ConstantControl(dirac(u, [0.5]), dirac(u, [float(gen.random())])) for _ in range(10)
-        ]
+        # declared with the switch rate 0.4 * point falling, so costs fall too
+        points = sorted(gen.random(10).tolist(), reverse=True)
+        controls = [ConstantControl(dirac(u, [0.5]), dirac(u, [p])) for p in points]
         rep = check_minimizing_sequence(
             model, grid, mu_c, nu_c, controls, [0.0], 1, path_count=1000, seed=7
         )
         assert rep.passed
         assert rep.details["policy_cost"] <= min(rep.details["costs"]) + 1e-9
+
+    def test_sequence_in_rising_cost_order_fails(self):
+        # the battery's w = 0.1 and w = 1.0 mixtures, cheapest first: the
+        # second costs about 0.13 more, far beyond the 3 se allowance
+        model, grid, mu_c, nu_c = _regime_cost_instance()
+        u = model.action_set
+        d0, d1 = dirac(u, [0.0]), dirac(u, [1.0])
+        controls = [ConstantControl(dirac(u, [0.5]), mixture([d0, d1], [1 - w, w])) for w in (0.1, 1.0)]
+        rep = check_minimizing_sequence(
+            model, grid, mu_c, nu_c, controls, [0.0], 1, path_count=2000, seed=707
+        )
+        assert rep.details["costs"][1] - rep.details["costs"][0] > 0.1
+        assert rep.details["failed"] == ["costs_nonincreasing_in_declared_order"]
+        assert check_minimizing_sequence(
+            model, grid, mu_c, nu_c, controls[::-1], [0.0], 1, path_count=2000, seed=707
+        ).passed
 
 
 class TestMomentBound:
