@@ -196,7 +196,7 @@ def _print_artifact(out, doc) -> None:
 
 def cmd_validate(args) -> int:
     model, payload = cfg.load_model(args.model)
-    report = validate_model(model, args.samples)
+    report = validate_model(model, args.samples, args.seed)
     doc = report.to_dict()
     doc["config_hash"] = cfg.config_hash(payload)
     _print_artifact(args.out, doc)

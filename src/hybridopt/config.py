@@ -172,6 +172,7 @@ def load_model(source) -> tuple[HybridModel, dict]:
             running_cost_floor=float(floors.get("f", 0.0)),
             terminal_cost_floor=float(floors.get("g", 0.0)),
             starts=[(s["x"], s["i"]) for s in payload.get("starts", [])],
+            undeclared=[k for k in ("lipschitz_drift_diffusion", "lipschitz_rates", "growth") if k not in constants],
         )
     except KeyError as err:
         raise ValidationError(f"model config missing field {err}") from err

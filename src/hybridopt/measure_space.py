@@ -6,7 +6,8 @@ which makes equality, deduplication, and the exact symmetry of the metric
 cheap to guarantee.
 
 Distances are exact optimal transport values: for k = 1 the sorted-CDF
-formula, for k > 1 the transport linear program solved with HiGHS.  No
+formula, for k > 1 the transport linear program solved with HiGHS, all
+pairs of one call in one block-diagonal program.  No
 entropic regularization is used anywhere, so the metric axioms hold to
 solver precision and are asserted as such in the test suite.
 
@@ -228,18 +229,13 @@ def euclidean(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
-def _check_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+def _ordered(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """The pair, checked, in a deterministic argument order: both call orders
+    run the identical computation, making the metric exactly symmetric."""
     if mu.action_set != nu.action_set:
         raise ValidationError("W1 requires measures on the same action set")
     if mu.size + nu.size > W1_SUPPORT_CAP:
-        raise CapacityError(
-            f"combined support {mu.size + nu.size} exceeds the cap of {W1_SUPPORT_CAP}"
-        )
-
-
-def _ordered(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    # Deterministic argument order: both call orders run the identical
-    # computation, making the metric exactly symmetric.
+        raise CapacityError(f"combined support {mu.size + nu.size} exceeds the cap of {W1_SUPPORT_CAP}")
     if nu.canonical_key() < mu.canonical_key():
         return nu, mu
     return mu, nu
@@ -247,7 +243,6 @@ def _ordered(mu: DiscreteMeasure, nu: DiscreteMeasure):
 
 def w1_sorted_cdf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Exact W1 on the line: integral of |F_mu - F_nu| over the merged support grid."""
-    _check_pair(mu, nu)
     if mu.action_set.dim != 1:
         raise ValidationError("the sorted-CDF formula applies to 1-D action sets only")
     mu, nu = _ordered(mu, nu)
@@ -263,37 +258,70 @@ def w1_sorted_cdf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return float(np.sum(np.abs(fmu - fnu)[:-1] * np.diff(grid)))
 
 
-def w1_transport_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Exact W1 via the transport linear program over all couplings (HiGHS)."""
-    _check_pair(mu, nu)
-    mu, nu = _ordered(mu, nu)
-    m, n = mu.size, nu.size
-    cost = euclidean(mu.atoms[:, None, :] - nu.atoms[None, :, :]).ravel()
-    # row-sum constraints (mass leaving each mu atom), then column sums
-    rows = np.repeat(np.arange(m), n)
-    cols = np.arange(m * n)
-    a_rows = sparse.csr_matrix((np.ones(m * n), (rows, cols)), shape=(m, m * n))
-    rows2 = np.tile(np.arange(n), m)
-    a_cols = sparse.csr_matrix((np.ones(m * n), (rows2, cols)), shape=(n, m * n))
-    a_eq = sparse.vstack([a_rows, a_cols], format="csr")
-    b_eq = np.concatenate([mu.weights, nu.weights])
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+def _pairs(mu, nu):
+    """Two measures, or two equal-length sequences of them, as a list of pairs
+    plus whether a single pair was given."""
+    if isinstance(mu, DiscreteMeasure):
+        return [(mu, nu)], True
+    if len(mu) != len(nu):
+        raise ValidationError("W1 of two sequences needs them of equal length")
+    return list(zip(mu, nu)), False
+
+
+def w1_transport_lp(mu, nu):
+    """Exact W1 via the transport linear program over all couplings (HiGHS).
+
+    Takes two measures (returns a float) or two equal-length sequences
+    (returns an ndarray).  All pairs of one call are one block-diagonal LP:
+    the objective is separable, so each block's optimum is that pair's own,
+    and its value is c_b . x_b clamped at 0.  Pairs with the same ordered
+    canonical keys share one block, so w1(a, b) == w1(b, a) exactly."""
+    pairs, single = _pairs(mu, nu)
+    blocks: dict = {}
+    block_of = []
+    for p in pairs:
+        a, b = _ordered(*p)
+        block_of.append(blocks.setdefault((a.canonical_key(), b.canonical_key()), (len(blocks), a, b))[0])
+    if not blocks:
+        return np.zeros(0)
+    cost, rows, rhs, starts, n_rows = [], [], [], [0], 0
+    for _, a, b in blocks.values():
+        # variable (i, j) moves mass from atom i of a to atom j of b: it enters
+        # the balance row of a's atom i and the one of b's atom j
+        i, j = np.divmod(np.arange(a.size * b.size), b.size)
+        cost.append(euclidean(a.atoms[i] - b.atoms[j]))
+        rows.append(np.stack([i, a.size + j]) + n_rows)
+        rhs += [a.weights, b.weights]
+        n_rows += a.size + b.size
+        starts.append(starts[-1] + i.size)
+    rows, cost = np.concatenate(rows, axis=1), np.concatenate(cost)
+    a_eq = sparse.csr_matrix((np.ones(rows.size), (rows.ravel(), np.tile(np.arange(cost.size), 2))))
+    res = linprog(cost, A_eq=a_eq, b_eq=np.concatenate(rhs), bounds=(0, None), method="highs")
     if not res.success:
         raise NumericalError(f"transport LP failed: {res.message}")
-    return max(float(res.fun), 0.0)
+    values = np.maximum(np.add.reduceat(cost * res.x, starts[:-1]), 0.0)[block_of]
+    return float(values[0]) if single else values
 
 
-def w1_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Exact 1-Wasserstein distance between two discrete measures on the same box."""
-    _check_pair(mu, nu)
-    a, b = _ordered(mu, nu)
-    if a.canonical_key() == b.canonical_key():
-        return 0.0
-    if a.size == 1 or b.size == 1:
-        # one-sided transport has the closed form sum_j w_j |x_j - y|
-        point, spread = (a, b) if a.size == 1 else (b, a)
-        d = euclidean(spread.atoms - point.atoms[0])
-        return float(np.sum(spread.weights * d))
-    if a.action_set.dim == 1:
-        return w1_sorted_cdf(a, b)
-    return w1_transport_lp(a, b)
+def w1_distance(mu, nu):
+    """Exact 1-Wasserstein distance between two discrete measures on the same
+    box (a float), or between the pairs of two equal-length sequences (an
+    ndarray).  Equal pairs and pairs with a one-atom side have closed forms,
+    1-D pairs the sorted-CDF formula; the rest share one transport LP."""
+    pairs, single = _pairs(mu, nu)
+    out, lp = np.zeros(len(pairs)), []
+    for k, p in enumerate(pairs):
+        a, b = _ordered(*p)
+        if a.canonical_key() == b.canonical_key():
+            continue
+        if a.size == 1 or b.size == 1:
+            # one-sided transport has the closed form sum_j w_j |x_j - y|
+            point, spread = (a, b) if a.size == 1 else (b, a)
+            out[k] = np.sum(spread.weights * euclidean(spread.atoms - point.atoms[0]))
+        elif a.action_set.dim == 1:
+            out[k] = w1_sorted_cdf(a, b)
+        else:
+            lp.append(k)
+    if lp:
+        out[lp] = w1_transport_lp([pairs[k][0] for k in lp], [pairs[k][1] for k in lp])
+    return float(out[0]) if single else out

@@ -182,6 +182,52 @@ class TestW1:
             assert w1_distance(a, b) == pytest.approx(w1_distance(a2, b2), abs=1e-12)
 
 
+class TestBatchedW1:
+    def test_batch_matches_vertex_oracle_and_is_symmetric(self, unit_square):
+        # 3-atom pairs (LP blocks), each also reversed and repeated, plus a
+        # Dirac pair and an equal pair, all in one call
+        gen = np.random.default_rng(11)
+        pairs = []
+        for _ in range(6):
+            a, b = (
+                DiscreteMeasure(unit_square, gen.random((3, 2)), w / w.sum())
+                for w in (gen.random(3) + 1e-3, gen.random(3) + 1e-3)
+            )
+            pairs += [(a, b), (b, a), (a, b)]
+        point = dirac(unit_square, [0.2, 0.9])
+        pairs += [(point, pairs[0][0]), (pairs[0][1], pairs[0][1])]
+        values = w1_distance([p for p, _ in pairs], [q for _, q in pairs])
+        assert isinstance(values, np.ndarray) and values.shape == (len(pairs),)
+        for (a, b), v in zip(pairs, values):
+            assert v == pytest.approx(transport_vertex_oracle(a, b), abs=1e-9)
+        for k in range(0, 18, 3):
+            assert values[k] == values[k + 1] == values[k + 2]
+        assert values[-1] == 0.0
+        # a single pair is a batch of one and returns a float
+        single = w1_transport_lp(*pairs[0])
+        assert isinstance(single, float)
+        assert single == pytest.approx(values[0], abs=1e-12)
+
+    def test_lp_batch_of_one_dimensional_pairs_matches_cdf(self, unit_interval):
+        gen = np.random.default_rng(8)
+        a = [random_measure(gen, unit_interval) for _ in range(20)]
+        b = [random_measure(gen, unit_interval) for _ in range(20)]
+        lp = w1_transport_lp(a, b)
+        assert np.allclose(lp, [w1_sorted_cdf(p, q) for p, q in zip(a, b)], rtol=0.0, atol=1e-9)
+        assert w1_transport_lp([], []).shape == (0,)
+
+    def test_sequences_checked_per_pair(self, unit_interval, unit_square):
+        gen = np.random.default_rng(2)
+        a, b = random_measure(gen, unit_square), random_measure(gen, unit_square)
+        with pytest.raises(ValidationError):
+            w1_distance([a, b], [b])
+        with pytest.raises(ValidationError):
+            w1_distance([a, b], [b, random_measure(gen, unit_interval)])
+        big = DiscreteMeasure(unit_interval, np.linspace(0, 1, 4096).reshape(-1, 1), np.full(4096, 1 / 4096))
+        with pytest.raises(CapacityError):
+            w1_transport_lp([dirac(unit_interval, [0.5]), big], [dirac(unit_interval, [0.1]), big])
+
+
 class TestMetricAxioms:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 2]))

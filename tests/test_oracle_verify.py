@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from hybridopt.dpp_solver import SolverKernels
 from hybridopt.oracle_verify import (
     _coupled_instance,
     _drift_steering_instance,
+    _finish,
     _regime_cost_instance,
 )
 from tests.conftest import const_control, make_model
@@ -295,3 +297,18 @@ class TestContinuityGate:
         rep = oracle_verify.check_continuity()
         assert not rep.passed
         assert rep.details["failed"] == ["upward_within_tol"]
+
+
+class TestFinish:
+    @pytest.mark.parametrize("observed", [math.nan, math.inf, -math.inf])
+    def test_non_finite_observed_value_fails(self, observed):
+        rep = _finish("x", time.perf_counter(), 1.0, [("a", observed, 0.0), ("b", 0.0, 1.0)])
+        assert not rep.passed
+        assert rep.details["failed"] == ["a"]
+        assert rep.margin == -math.inf
+
+    def test_finite_values_fold_as_before(self):
+        rep = _finish("x", time.perf_counter(), 2.0, [("a", 0.5, 1.0), ("b", 0.0, 0.0)])
+        assert rep.passed and rep.margin == 0.0 and rep.tolerance == 0.0
+        rep = _finish("x", time.perf_counter(), 1.0, [("a", 1.5, 1.0)])
+        assert not rep.passed and rep.margin == -0.5 and rep.details["failed"] == ["a"]
