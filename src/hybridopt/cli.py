@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import config as cfg
-from . import oracle_verify
+from . import oracle_verify, rng
 from .control import candidate_set
 from .cost import monte_carlo_cost
 from .dpp_solver import GridSpec, solve
@@ -114,8 +114,9 @@ def _parse_x0(raw, model):
 
 
 def _run_hash(args, model_payload, control_payload, x0, i0, t0, horizon, antithetic=False) -> str:
-    """Hash of everything a simulate/estimate output depends on.  The worker
-    count is left out on purpose: outputs do not depend on it."""
+    """Hash of everything a simulate/estimate output depends on, the layout of
+    the random streams included.  The worker count is left out on purpose:
+    outputs do not depend on it."""
     return cfg.config_hash(
         {
             "model": model_payload,
@@ -128,6 +129,7 @@ def _run_hash(args, model_payload, control_payload, x0, i0, t0, horizon, antithe
             "paths": args.paths,
             "seed": args.seed,
             "antithetic": bool(antithetic),
+            "streams": rng.STREAM_LAYOUT,
         }
     )
 

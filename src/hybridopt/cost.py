@@ -6,16 +6,19 @@ running cost plus the terminal cost,
     sum_k f(t_k, X_k, Lam_k, mu_k, nu_k) * dt + g(X_n),
 
 evaluated at step-start values so the integrand is adapted, matching the
-Euler scheme's filtration.  The Monte Carlo estimator averages pathwise
-costs over independent per-path counter streams; with a fixed seed the
-estimate is deterministic and independent of the worker count.
+Euler scheme's filtration.  The Monte Carlo estimator simulates and costs one
+stream block of paths at a time (``dynamics.path_chunks``), keeps only the
+(paths,) cost vector, and averages it; the paths read block-keyed counter
+streams, so with a fixed seed the estimate is deterministic and independent
+of the worker count.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from . import dynamics
 from .control import FeedbackControl, MeasureBatch
-from .dynamics import HybridModel, PathBatch, simulate_paths
+from .dynamics import HybridModel, PathBatch, fan_out, path_chunks
 from .errors import NumericalError, ValidationError
 
 
@@ -63,6 +66,19 @@ def batch_costs(model: HybridModel, batch: PathBatch, include_terminal: bool = T
     return totals
 
 
+def _chunk_costs(args) -> np.ndarray:
+    """Pathwise costs of one chunk; an antithetic chunk averages a plain and a
+    Brownian-mirrored pass over the same paths.  Each pass's ``PathBatch`` is
+    dropped once it is costed."""
+    *sim, antithetic = args
+    model = sim[0]
+    # looked up on the module, where the benchmark tracer wraps the engine
+    costs = batch_costs(model, dynamics._simulate_block(*sim))
+    if antithetic:
+        costs = 0.5 * (costs + batch_costs(model, dynamics._simulate_block(*sim, flip_brownian=True)))
+    return costs
+
+
 def monte_carlo_cost(
     model: HybridModel,
     control: FeedbackControl,
@@ -81,21 +97,19 @@ def monte_carlo_cost(
     With ``antithetic=True`` (off by default) each even path is paired with a
     Brownian-mirrored partner sharing its stream, and the stderr is computed
     over the pair averages; the baseline estimator stays plain and unbiased.
+    Paths are simulated and costed one chunk at a time, so memory holds one
+    chunk's states plus the cost vector.
     """
     if path_count < 2:
         raise ValidationError("path_count must be >= 2")
-    if antithetic:
-        if path_count % 2:
-            raise ValidationError("antithetic estimation needs an even path_count")
-        half = path_count // 2
-        plain = simulate_paths(model, control, s, x0, i0, t_end, dt, seed, half, workers)
-        mirrored = simulate_paths(
-            model, control, s, x0, i0, t_end, dt, seed, half, workers, flip_brownian=True
-        )
-        samples = 0.5 * (batch_costs(model, plain) + batch_costs(model, mirrored))
-    else:
-        batch = simulate_paths(model, control, s, x0, i0, t_end, dt, seed, path_count, workers)
-        samples = batch_costs(model, batch)
+    if antithetic and path_count % 2:
+        raise ValidationError("antithetic estimation needs an even path_count")
+    n = path_count // 2 if antithetic else path_count
+    args = [
+        (model, control, s, x0, i0, t_end, dt, seed, first, count, antithetic)
+        for first, count in path_chunks(0, n)
+    ]
+    samples = np.concatenate(list(fan_out(_chunk_costs, args, workers)))
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / np.sqrt(len(samples))) if len(samples) > 1 else 0.0
     return CostEstimate(mean, stderr, path_count, seed)

@@ -15,9 +15,11 @@ Simulation interleaves an explicit Euler step of
 with the frozen-generator regime draw of the switching module.  Brownian
 increments are drawn before the switch sample within a step; the switch
 uses the step-start (x, nu).  All randomness comes from counter-based
-streams keyed by (seed, path index, role), so a path's trajectory is
-independent of batch composition and worker scheduling -- batches can be
-partitioned across processes and reassembled bit-identically.
+streams keyed by (seed, block, role): path p reads row p % BLOCK_PATHS of
+block p // BLOCK_PATHS (see ``rng``), so a path's trajectory is independent
+of batch composition and worker scheduling.  Batches are simulated in chunks
+that stay inside one block (``path_chunks``), fanned out over one process
+pool per call (``fan_out``) and reassembled bit-identically.
 
 ``simulate_paths`` is the only simulation entry point; a single path is a
 batch of one.  A ``PathBatch`` keeps states, regimes and per-step control
@@ -284,6 +286,8 @@ class PathBatch:
     @staticmethod
     def concatenate(blocks: list["PathBatch"]) -> "PathBatch":
         head = blocks[0]
+        if len(blocks) == 1:
+            return head
         return PathBatch(
             head.dt,
             head.times,
@@ -316,9 +320,12 @@ def _simulate_block(
     t_end: float,
     dt: float,
     seed: int,
-    path_indices: np.ndarray,
+    first_path: int,
+    n_paths: int,
     flip_brownian: bool = False,
 ) -> PathBatch:
+    """Paths first_path..first_path+n_paths-1, all inside one stream block
+    (one chunk of ``path_chunks``)."""
     n_steps = _grid_steps(s, t_end, dt)
     check_step(model.rates, dt)
     d = model.state_dim
@@ -327,7 +334,6 @@ def _simulate_block(
         raise ValidationError(f"x0 must have dimension {d}")
     if not 1 <= int(i0) <= model.regime_count:
         raise ValidationError(f"start regime {i0} out of range")
-    n_paths = len(path_indices)
     times = s + dt * np.arange(n_steps + 1)
 
     states = np.empty((n_paths, n_steps + 1, d))
@@ -344,11 +350,13 @@ def _simulate_block(
     # returns, and freeing the newest allocations leaves no hole in the heap
     brownian = np.empty((n_paths, n_steps, d))
     uniforms = np.empty((n_paths, n_steps))
-    for row, p in enumerate(path_indices):
-        brownian[row] = rng.brownian_increments(seed, int(p), n_steps, d, dt)
-        uniforms[row] = rng.switch_uniforms(seed, int(p), n_steps)
+    block, row = divmod(first_path, rng.BLOCK_PATHS)
+    rows = range(row, row + n_paths)
+    rng.brownian_increments(seed, block, rows, n_steps, d, dt, out=brownian)
+    if model.regime_count > 1:
+        rng.switch_uniforms(seed, block, rows, n_steps, out=uniforms)
     if flip_brownian:
-        brownian = -brownian
+        np.negative(brownian, out=brownian)
 
     mu_pool, nu_pool = control.mu_pool, control.nu_pool
     mu_moments: dict = {}
@@ -385,11 +393,32 @@ def _simulate_block(
         rows = transition_rows_batch(model.rates, lam_k, x_k, nu_b, dt)
         regimes[:, k + 1] = pick_regime(rows, uniforms[:, k])
 
-    return PathBatch(dt, times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, np.asarray(path_indices), clamp_count)
+    paths = np.arange(first_path, first_path + n_paths)
+    return PathBatch(dt, times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, paths, clamp_count)
 
 
 def _block_args(args):
     return _simulate_block(*args)
+
+
+def path_chunks(first: int, count: int):
+    """(first path, path count) of each run of the paths first..first+count-1
+    that stays inside one stream block: the unit of work of the fan-out."""
+    stop = first + count
+    while first < stop:
+        end = min(stop, (first // rng.BLOCK_PATHS + 1) * rng.BLOCK_PATHS)
+        yield first, end - first
+        first = end
+
+
+def fan_out(job, args: list, workers: int):
+    """``job(a)`` for each ``a`` of ``args``, in order.  With ``workers > 1`` and
+    more than one job, one process pool serves them all; otherwise they run
+    here one at a time, each result made before the next job starts."""
+    if int(workers) <= 1 or len(args) < 2:
+        return map(job, args)
+    with ProcessPoolExecutor(max_workers=min(int(workers), len(args))) as pool:
+        return list(pool.map(job, args))
 
 
 def simulate_paths(
@@ -408,24 +437,17 @@ def simulate_paths(
 ) -> PathBatch:
     """Simulate a batch, optionally fanned out over worker processes.
 
-    Paths are split into contiguous index blocks; per-path counter streams
-    make the assembled result independent of the worker count.
+    Paths are simulated in chunks that stay inside one stream block; the
+    block-keyed streams make the assembled result independent of the worker
+    count and of ``first_path_index``.
     """
     if path_count < 1:
         raise ValidationError("path_count must be >= 1")
-    indices = np.arange(first_path_index, first_path_index + path_count)
-    workers = max(1, int(workers))
-    if workers == 1 or path_count < 2 * workers:
-        return _simulate_block(model, control, s, x0, i0, t_end, dt, seed, indices, flip_brownian)
-    blocks = np.array_split(indices, workers)
     args = [
-        (model, control, s, x0, i0, t_end, dt, seed, blk, flip_brownian)
-        for blk in blocks
-        if len(blk)
+        (model, control, s, x0, i0, t_end, dt, seed, first, count, flip_brownian)
+        for first, count in path_chunks(first_path_index, path_count)
     ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_block_args, args))
-    return PathBatch.concatenate(results)
+    return PathBatch.concatenate(list(fan_out(_block_args, args, workers)))
 
 
 class HypothesisCheck:
@@ -529,7 +551,10 @@ def validate_model(model: HybridModel, sample_count: int = 1000, seed: int = 0) 
         raise ValidationError("sample_count must be >= 100")
     gen = rng.stream(seed, 0, rng.ROLE_VALIDATE)
     worst_c1 = worst_growth = worst_c2 = worst_exit = 0.0
-    worst_rate_min = f_min = g_min = np.inf
+    f_min = g_min = np.inf
+    # a one-regime model has no off-diagonal rate; it reports 0.0
+    off = ~np.eye(model.regime_count, dtype=bool)
+    worst_rate_min = np.inf if model.regime_count > 1 else 0.0
 
     for first in range(0, sample_count, VALIDATE_CHUNK):
         x, y, mu_a, mu_b, t, lam = _validation_samples(model, gen, first, min(first + VALIDATE_CHUNK, sample_count))
@@ -551,7 +576,7 @@ def validate_model(model: HybridModel, sample_count: int = 1000, seed: int = 0) 
         worst_growth = _fold(np.fmax, worst_growth, np.max(growth, axis=0), dist2 > 1e-14)
 
         qx, qy = model.rates.off_diagonal(x, ba), model.rates.off_diagonal(y, bb)
-        worst_rate_min = _fold(np.fmin, worst_rate_min, [np.min(qx, axis=(1, 2)), np.min(qy, axis=(1, 2))])
+        worst_rate_min = _fold(np.fmin, worst_rate_min, [qx[:, off], qy[:, off]])
         worst_exit = _fold(np.fmax, worst_exit, [np.max(qx.sum(axis=-1), axis=1), np.max(qy.sum(axis=-1), axis=1)])
         with np.errstate(divide="ignore", invalid="ignore"):
             worst_c2 = _fold(np.fmax, worst_c2, np.max(np.abs(qx - qy), axis=(1, 2)) / dist1, dist1 > 1e-14)

@@ -665,8 +665,9 @@ def check_solver_oracle(scale: float = 1.0) -> CheckReport:
     the code-path-independent two-state scalar-exponential spot check."""
     t0 = time.perf_counter()
     triples = []
+    instances = {}
     for label, builder in _LATTICE_INSTANCES:
-        model, grid, mu_c, nu_c = builder()
+        model, grid, mu_c, nu_c = instances[label] = builder()
         vg = solve(model, grid, mu_c, nu_c)
         oracle = enumerate_value(LatticeProblem(model, grid, mu_c, nu_c))
         gap = float(np.max(np.abs(vg.values - oracle)))
@@ -677,7 +678,7 @@ def check_solver_oracle(scale: float = 1.0) -> CheckReport:
             )
 
     # independent spot check: 2-state transition row from the scalar formula
-    model, _, _, nu_c = _regime_cost_instance()
+    model, _, _, nu_c = instances["regime_cost"]
     dt = 0.25
     for nu, label in ((nu_c[0], "rate_zero"), (nu_c[1], "rate_active")):
         row = step_transition_probs(model.rates, 1, np.zeros(1), nu, dt)

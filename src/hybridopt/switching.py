@@ -125,17 +125,16 @@ class RateSpec:
     def generator(self, x, nu, check: bool = True) -> np.ndarray:
         """Conservative generator Q(x, nu): off-diagonal rates, diagonal -q_i."""
         q = self.off_diagonal(x, nu)
+        exit_rates = q.sum(axis=-1)  # the diagonal of q is still zero here
         if check:
             if np.any(q < 0):
                 raise ModelError("negative transition rate encountered")
-            exit_rates = q.sum(axis=-1)
             if np.any(exit_rates > self.rate_bound + _RATE_TOL):
                 raise BoundViolationError(
                     f"exit rate {float(np.max(exit_rates))!r} exceeds declared bound {self.rate_bound}"
                 )
-        n = self.regime_count
-        idx = np.arange(n)
-        q[..., idx, idx] = -q.sum(axis=-1)
+        idx = np.arange(self.regime_count)
+        q[..., idx, idx] = -exit_rates
         return q
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hybridopt import cli, config, errors
+from hybridopt import cli, config, errors, rng
 from hybridopt.dynamics import simulate_paths
 
 
@@ -306,7 +306,8 @@ class TestCsvWriter:
         assert len(text.splitlines()) == 2 + 21
 
     def test_demo_csv_bytes_pinned(self, demo_files, tmp_path):
-        # SHA-256 of the demo CSV as the per-row writer produced it
+        # SHA-256 of the demo CSV on the block-keyed streams, whose layout the
+        # config_hash line covers; the per-row writer gives the same bytes
         model, control = demo_files
         out = tmp_path / "paths.csv"
         assert cli.main(
@@ -314,7 +315,7 @@ class TestCsvWriter:
              "--out", str(out), "--paths", "8", "--dt", "0.05", "--seed", "7"]
         ) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "a60d4a27a5af6cb5b0d973f238748e7dc8be864aa1b2dd8fa755d0c0776a7876"
+            "f34cfb08e7c79b0f588f55460e191b28b8097087fac51dc85e64e5795aef8031"
         )
 
     def test_error_mid_stream_leaves_no_partial_file(self, demo_files, tmp_path, monkeypatch):
@@ -387,8 +388,8 @@ class TestRunHash:
         assert self.estimate_hash(model, control, tmp_path, "--workers", "1", "--antithetic") != base
 
     def test_demo_hashes_pinned(self, demo_files, tmp_path):
-        # values of the run-spec hash when it was introduced; reading the
-        # control spec once must not move them
+        # values of the run-spec hash since it names the stream layout
+        # (rng.STREAM_LAYOUT); reading the control spec once must not move them
         model, control = demo_files
         out = tmp_path / "paths.csv"
         assert cli.main(
@@ -396,10 +397,18 @@ class TestRunHash:
              "--paths", "4", "--dt", "0.05", "--seed", "9", "--workers", "1"]
         ) == 0
         assert out.read_text().splitlines()[0] == (
-            "# config_hash=9bbfafddd67b89f0c06948647ee8f05d5075ac05dba7cf82de9263758fb4b5df"
+            "# config_hash=1269eb76b4b433bb4a08e6acf899d45ec598a1c255694e096a8f98570fede691"
         )
         estimate = self.estimate_hash(model, control, tmp_path, "--paths", "100", "--seed", "9", "--workers", "1")
-        assert estimate == "20b0bf39537acaba2bb35f6f790477ad14d196878021f26c23871187de42ddc0"
+        assert estimate == "d525d37e6cb3ffd06489f44b27598b5309fd3e58d453fa6ef50b338ba990d168"
+
+    def test_hash_covers_stream_layout(self, demo_files, tmp_path, monkeypatch):
+        # the same argv on another stream layout draws other numbers, so it
+        # must not carry the same hash
+        model, control = demo_files
+        base = self.estimate_hash(model, control, tmp_path, "--workers", "1")
+        monkeypatch.setattr(rng, "STREAM_LAYOUT", "philox-path")
+        assert self.estimate_hash(model, control, tmp_path, "--workers", "1") != base
 
     def test_simulate_hash_covers_start(self, demo_files, tmp_path):
         model, control = demo_files

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hybridopt import (
     batch_costs,
     dirac,
     monte_carlo_cost,
+    rng,
     simulate_paths,
 )
 from tests.conftest import const_control, make_model
@@ -98,6 +101,28 @@ class TestMonteCarloCost:
         a = monte_carlo_cost(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.01, 64, 2, workers=1)
         b = monte_carlo_cost(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.01, 64, 2, workers=8)
         assert a.mean == b.mean and a.stderr == b.stderr
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_workers_identical_across_chunks(self, antithetic):
+        # BLOCK_PATHS + 8 simulated paths (plain or mirrored pairs) are two
+        # chunks, so the second worker gets one
+        model = make_model(rate12="1", rate21="0.5", drift="-x1", diffusion="1", running="x1*x1 + i", box=8.0)
+        n = 2 * (rng.BLOCK_PATHS + 8) if antithetic else rng.BLOCK_PATHS + 8
+        a = monte_carlo_cost(model, const_control(model), 0.0, [0.0], 1, 0.25, 0.05, n, 2, 1, antithetic)
+        b = monte_carlo_cost(model, const_control(model), 0.0, [0.0], 1, 0.25, 0.05, n, 2, 2, antithetic)
+        assert a.mean == b.mean and a.stderr == b.stderr
+
+    def test_memory_does_not_grow_with_paths(self, chain_model):
+        # chunked estimation keeps one chunk's states plus the cost vector
+        def peak(paths):
+            tracemalloc.start()
+            try:
+                monte_carlo_cost(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.1, paths, 4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8 * rng.BLOCK_PATHS) < 2 * peak(2 * rng.BLOCK_PATHS)
 
     def test_antithetic_option(self, brownian_model):
         model = make_model(regimes=1, drift="0", diffusion="1", running="0", terminal="x1*x1", box=8.0)

@@ -28,18 +28,40 @@ def one_step(model, x0, dt, point=0.5):
     return simulate_paths(model, control, 0.0, x0, 1, dt, dt, 4, 1)
 
 
+class TestBlockStreams:
+    def test_rows_are_a_prefix_of_the_block(self):
+        dt, steps = 0.04, 6
+        whole = rng.stream(11, 2, rng.ROLE_BROWNIAN).standard_normal((9, steps, 2)) * np.sqrt(dt)
+        uniforms = rng.stream(11, 2, rng.ROLE_SWITCH).random((9, steps))
+        for rows in (range(9), range(3), range(4, 9), range(8, 9)):
+            assert np.array_equal(rng.brownian_increments(11, 2, rows, steps, 2, dt), whole[rows.start : rows.stop])
+            assert np.array_equal(rng.switch_uniforms(11, 2, rows, steps), uniforms[rows.start : rows.stop])
+            out = np.empty((len(rows), steps))
+            assert rng.switch_uniforms(11, 2, rows, steps, out=out) is out
+            assert np.array_equal(out, uniforms[rows.start : rows.stop])
+
+    def test_rows_stay_inside_the_block(self):
+        with pytest.raises(ValueError):
+            rng.switch_uniforms(1, 0, range(rng.BLOCK_PATHS - 1, rng.BLOCK_PATHS + 1), 2)
+
+    def test_blocks_and_roles_are_distinct_streams(self):
+        draws = [rng.switch_uniforms(1, block, range(2), 4) for block in (0, 1)]
+        assert not np.array_equal(draws[0], draws[1])
+        assert not np.array_equal(rng.stream(1, 0, rng.ROLE_BROWNIAN).random(8), draws[0].ravel())
+
+
 class TestEmStep:
     # one engine step is x0 + b dt + sigma dW with dW from the path's own stream
     def test_pure_noise(self):
         model = make_model(regimes=1, drift="0", diffusion="1", box=8.0)
         batch = one_step(model, [0.0], 0.1)
-        dw = rng.brownian_increments(4, 0, 1, 1, 0.1)[0]
+        dw = rng.brownian_increments(4, 0, range(1), 1, 1, 0.1)[0, 0]
         assert batch.states[0, 1, 0] == 0.0 + 0.0 * 0.1 + 1.0 * dw[0]
 
     def test_mean_reversion(self):
         model = make_model(regimes=1, drift="-x1", diffusion="0", box=8.0)
         batch = one_step(model, [1.0], 0.1)
-        dw = rng.brownian_increments(4, 0, 1, 1, 0.1)[0]
+        dw = rng.brownian_increments(4, 0, range(1), 1, 1, 0.1)[0, 0]
         assert batch.states[0, 1, 0] == 1.0 + (-1.0) * 0.1 + 0.0 * dw[0]
         assert batch.states[0, 1, 0] == pytest.approx(0.9, abs=1e-15)
 
@@ -107,10 +129,28 @@ class TestSimulate:
         assert a.mu_pool == b.mu_pool and a.nu_pool == b.nu_pool
 
     def test_increments_come_from_the_path_stream(self, brownian_model):
+        # path p reads row p % BLOCK_PATHS of the stream of block p // BLOCK_PATHS
         c = const_control(brownian_model)
-        batch = simulate_paths(brownian_model, c, 0.0, [0.0], 1, 0.5, 0.05, 3, 1, first_path_index=5)
-        dw = rng.brownian_increments(3, 5, 10, 1, 0.05)
-        np.testing.assert_allclose(batch.states[0, 1:, 0], np.cumsum(dw[:, 0]), rtol=0, atol=1e-12)
+        for p in (5, rng.BLOCK_PATHS + 5):
+            batch = simulate_paths(brownian_model, c, 0.0, [0.0], 1, 0.5, 0.05, 3, 1, first_path_index=p)
+            block, row = divmod(p, rng.BLOCK_PATHS)
+            dw = rng.stream(3, block, rng.ROLE_BROWNIAN).standard_normal((row + 1, 10, 1))[row] * np.sqrt(0.05)
+            np.testing.assert_allclose(batch.states[0, 1:, 0], np.cumsum(dw[:, 0]), rtol=0, atol=1e-12)
+
+    def test_batch_across_a_block_boundary(self):
+        # paths BLOCK_PATHS-2 .. BLOCK_PATHS+1 span two blocks; each path must
+        # equal its row in larger batches that start elsewhere
+        model = make_model(rate12="1", rate21="0.5", drift="0", diffusion="1", box=8.0)
+        c = const_control(model)
+        b = rng.BLOCK_PATHS
+        small = simulate_paths(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, 4, first_path_index=b - 2)
+        for first, count in ((0, b + 8), (b - 8, 16)):
+            large = simulate_paths(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, count, first_path_index=first)
+            rows = slice(b - 2 - first, b + 2 - first)
+            assert np.array_equal(small.path_indices, large.path_indices[rows])
+            assert np.array_equal(small.states, large.states[rows])
+            assert np.array_equal(small.regimes, large.regimes[rows])
+        assert len(np.unique(small.states[:, -1, 0])) == 4
 
     def test_path_independent_of_batch(self, brownian_model):
         c = const_control(brownian_model)
@@ -125,6 +165,17 @@ class TestSimulate:
         fanned = simulate_paths(brownian_model, c, 0.0, [0.0], 1, 0.5, 0.05, 3, 64, workers=8)
         assert np.array_equal(serial.states, fanned.states)
         assert np.array_equal(serial.regimes, fanned.regimes)
+
+    def test_workers_split_on_blocks(self):
+        # BLOCK_PATHS + 8 paths are two chunks, so two workers share them
+        model = make_model(rate12="1", rate21="0.5", drift="-x1", diffusion="1", box=8.0)
+        c = const_control(model)
+        n = rng.BLOCK_PATHS + 8
+        serial = simulate_paths(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, n, workers=1)
+        fanned = simulate_paths(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, n, workers=2)
+        for field in ("states", "regimes", "mu_idx", "nu_idx", "path_indices"):
+            assert np.array_equal(getattr(serial, field), getattr(fanned, field))
+        assert serial.clamp_count == fanned.clamp_count
 
     def test_non_integral_grid_rejected(self, brownian_model):
         with pytest.raises(ValidationError):

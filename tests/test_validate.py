@@ -18,6 +18,7 @@ from hybridopt.config import load_model
 from hybridopt.control import MeasureBatch
 from hybridopt.dynamics import VALIDATE_CHUNK, growth_ratio
 from hybridopt.measure_space import random_measure, w1_distance
+from tests.conftest import make_model
 
 
 def reference_validate(model, sample_count, seed=0):
@@ -33,6 +34,7 @@ def reference_validate(model, sample_count, seed=0):
 
     worst_c1 = worst_growth = worst_c2 = worst_exit = 0.0
     worst_rate_min = f_min = g_min = np.inf
+    off = ~np.eye(model.regime_count, dtype=bool)
     for trial in range(sample_count):
         variant = trial % 3
         x = draw_x()
@@ -65,7 +67,7 @@ def reference_validate(model, sample_count, seed=0):
 
         qx = model.rates.off_diagonal(x, mu_a)
         qy = model.rates.off_diagonal(y, mu_b)
-        worst_rate_min = min(worst_rate_min, float(np.min(qx)), float(np.min(qy)))
+        worst_rate_min = min(worst_rate_min, float(np.min(qx[off])), float(np.min(qy[off])))
         worst_exit = max(worst_exit, float(np.max(qx.sum(axis=-1))), float(np.max(qy.sum(axis=-1))))
         if dist1 > 1e-14:
             worst_c2 = max(worst_c2, float(np.max(np.abs(qx - qy))) / dist1)
@@ -158,6 +160,18 @@ def test_batched_pass_matches_the_per_sample_loop(payload, samples):
     report = validate_model(model, samples)
     observed = [c.observed for c in report.checks[:7]]
     assert observed == reference_validate(model, samples)
+
+
+def test_rate_nonnegative_reads_off_diagonal_rates_only():
+    # every rate is at least 0.1, so the smallest observed rate is too; the
+    # zero diagonal of the rate matrix is not a rate
+    payload = dict(ONE_D_ACTIONS, rates=[[None, "0.1 + 0.2*nu_m(1,0)"], ["0.1*(1 + x1*x1)", None]])
+    model, _ = load_model(payload)
+    check = {c.name: c for c in validate_model(model, 300).checks}["rate_nonnegative"]
+    assert check.passed and check.observed >= 0.1
+    assert check.observed == reference_validate(model, 300)[2]
+    one_regime = make_model(regimes=1)
+    assert {c.name: c for c in validate_model(one_regime, 100).checks}["rate_nonnegative"].observed == 0.0
 
 
 def _run_validate(argv):
