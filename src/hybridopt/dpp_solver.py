@@ -128,28 +128,22 @@ def interpolation_matrix(axes: list[np.ndarray], points: np.ndarray) -> tuple[sp
         frac.append(np.clip(f, 0.0, 1.0))
 
     shape = tuple(len(a) for a in axes)
-    n_nodes = int(np.prod(shape))
-    rows, cols, vals = [], [], []
-    for corner in itertools.product((0, 1), repeat=d):
+    corners = list(itertools.product((0, 1), repeat=d))
+    cols = np.empty((m, len(corners)), dtype=np.intp)
+    vals = np.empty((m, len(corners)))
+    for c, corner in enumerate(corners):
         w = np.ones(m)
         multi = []
         for dd, hi_bit in enumerate(corner):
             w = w * (frac[dd] if hi_bit else 1.0 - frac[dd])
             multi.append(idx_lo[dd] + hi_bit)
-        flat = np.ravel_multi_index(tuple(multi), shape)
-        rows.append(np.arange(m))
-        cols.append(flat)
-        vals.append(w)
-    mat = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, n_nodes)
-    )
+        cols[:, c] = np.ravel_multi_index(tuple(multi), shape)
+        vals[:, c] = w
+    # corners in lexicographic order have increasing row-major indices, so
+    # every row of 2**d entries is already sorted and free of duplicates
+    indptr = np.arange(0, cols.size + 1, len(corners))
+    mat = sparse.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(m, int(np.prod(shape))))
     return mat, clamped
-
-
-def interpolate_values(axes: list[np.ndarray], values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Clamped multilinear interpolation of node values at arbitrary points."""
-    mat, _ = interpolation_matrix(axes, points)
-    return mat @ values
 
 
 class SolverKernels:
@@ -157,14 +151,16 @@ class SolverKernels:
 
     ``move[i-1]`` is one CSR matrix of shape (n_mu * n_nodes, n_nodes): rows
     ``mi * n_nodes`` to ``(mi + 1) * n_nodes`` are the state-transport kernel
-    for drift/diffusion under mu candidate mi, Gauss-Hermite weights composed
-    with interpolation weights, so rows are convex.  ``regime_rows[i-1][ni]``
-    is the (n_nodes, N) matrix of one-step transition rows out of regime i
-    under the nu candidate, built for all nodes by one
-    ``switching.transition_rows_batch`` call.  Rates and coefficients are
-    time-independent, so one set of kernels serves every slice, and so do the
-    stage costs unless f reads t.  The solver, the residual check and the
-    verification oracles share this object.
+    for drift/diffusion under mu candidate mi: the Gauss-Hermite sum
+    sum_q w_q * I(x + b dt + sigma sqrt(dt) W_q) of the interpolation
+    matrices of the moved points, added in quadrature-index order, so rows
+    are convex and sorted; ``clamp_count`` counts the clamped moved points.
+    ``regime_rows[i-1][ni]`` is the (n_nodes, N) matrix of one-step
+    transition rows out of regime i under the nu candidate, built for all
+    nodes by one ``switching.transition_rows_batch`` call.  Rates and
+    coefficients are time-independent, so one set of kernels serves every
+    slice, and so do the stage costs unless f reads t.  The solver, the
+    residual check and the verification oracles share this object.
     """
 
     def __init__(self, model: HybridModel, grid: GridSpec, mu_candidates, nu_candidates):
@@ -193,11 +189,6 @@ class SolverKernels:
 
         gh_pts, gh_wts = gauss_hermite(grid.quad_order, model.state_dim)
         sqrt_dt = np.sqrt(dt)
-        # folds the per-(node, quadrature) interpolation rows into one
-        # quadrature-weighted row per node
-        fold = sparse.kron(
-            sparse.eye(self.n_nodes, format="csr"), sparse.csr_matrix(gh_wts[None, :])
-        )
 
         n = model.regime_count
         self.move: list[sparse.csr_matrix] = []
@@ -211,9 +202,12 @@ class SolverKernels:
                 drifted = self.nodes + b * dt
                 # moved points for every (node, quadrature) pair
                 moved = drifted[:, None, :] + np.einsum("nrc,qc->nqr", sig, gh_pts) * sqrt_dt
-                mat, clamped = interpolation_matrix(self.axes, moved.reshape(-1, model.state_dim))
-                self.clamp_count += clamped
-                blocks.append((fold @ mat).tocsr())
+                acc = sparse.csr_matrix((self.n_nodes, self.n_nodes))
+                for q, w in enumerate(gh_wts):
+                    mat, clamped = interpolation_matrix(self.axes, moved[:, q])
+                    self.clamp_count += clamped
+                    acc = acc + w * mat
+                blocks.append(acc)
             self.move.append(sparse.vstack(blocks, format="csr"))
 
         self.regime_rows: list[np.ndarray] = [
@@ -306,18 +300,16 @@ class ValueGrid:
 
     def value_at(self, t: float, x, regime: int) -> float:
         """V at grid time nearest t, multilinear in x, exact in the regime."""
-        k = self.time_index(t)
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        out = interpolate_values(self.axes, self.values[k][:, regime - 1], pts)
+        out = self.values_at(t, pts, np.full(pts.shape[0], regime))
         return float(out[0]) if pts.shape[0] == 1 else out
 
     def values_at(self, t: float, x: np.ndarray, regimes: np.ndarray) -> np.ndarray:
-        k = self.time_index(t)
+        """V at grid time nearest t for each point and its regime: one
+        clamped interpolation matrix applied to the slice's (n_nodes, N) table."""
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        per_regime = np.stack(
-            [interpolate_values(self.axes, self.values[k][:, j], pts) for j in range(self.values.shape[2])],
-            axis=-1,
-        )
+        mat, _ = interpolation_matrix(self.axes, pts)
+        per_regime = mat @ self.values[self.time_index(t)]
         return per_regime[np.arange(pts.shape[0]), np.asarray(regimes, dtype=int) - 1]
 
     def to_dict(self) -> dict:

@@ -8,8 +8,8 @@ Markov policies is small enough, by brute-force policy enumeration, whose
 agreement with the backward pass is the finite-problem dynamic programming
 identity itself.  The kernels are deliberately built from the solver's own
 kernel objects so the solver-vs-oracle comparison isolates wiring; the math
-is covered separately by re-deriving two-state transition probabilities from
-the scalar exponential formula inside the battery.
+is covered separately by checking the batched two-state transition rows the
+solver and simulator use against the scalar exponential formula.
 
 The remaining checks tie the solver to the simulator: the dynamic
 programming residual and its Monte Carlo counterpart, minimizing-sequence
@@ -49,7 +49,7 @@ from .switching import (
     RateSpec,
     build_intervals,
     jump_displacement,
-    step_transition_probs,
+    transition_rows_batch,
 )
 
 _ENUMERATION_LIMIT = 10**5
@@ -662,7 +662,8 @@ _LATTICE_INSTANCES = (
 def check_solver_oracle(scale: float = 1.0) -> CheckReport:
     """Backward solver against the exhaustive lattice oracle on three
     instances, including the regime-cost instance with V(0, ., 1) = 1; plus
-    the code-path-independent two-state scalar-exponential spot check."""
+    a spot check of the solver's batched two-state transition rows against
+    the scalar exponential."""
     t0 = time.perf_counter()
     triples = []
     instances = {}
@@ -677,11 +678,11 @@ def check_solver_oracle(scale: float = 1.0) -> CheckReport:
                 ("regime_cost_value_is_one", float(np.max(np.abs(vg.values[0][:, 0] - 1.0))), 1e-9)
             )
 
-    # independent spot check: 2-state transition row from the scalar formula
+    # the rows the solver and simulator use, against the two-state scalar formula
     model, _, _, nu_c = instances["regime_cost"]
     dt = 0.25
     for nu, label in ((nu_c[0], "rate_zero"), (nu_c[1], "rate_active")):
-        row = step_transition_probs(model.rates, 1, np.zeros(1), nu, dt)
+        row = transition_rows_batch(model.rates, np.array([1]), np.zeros((1, 1)), MeasureBatch.constant(nu, 1), dt)[0]
         q12 = 0.4 * nu.moment(1, 0)
         scalar = np.array([math.exp(-q12 * dt), 1.0 - math.exp(-q12 * dt)])
         triples.append((f"two_state_scalar_{label}", float(np.max(np.abs(row - scalar))), 1e-12))
@@ -775,7 +776,7 @@ def check_moment_bound_battery(scale: float = 1.0, workers: int = 1) -> CheckRep
 
 def check_determinism(scale: float = 1.0) -> CheckReport:
     """CLI-level byte determinism: solve twice, simulate twice at workers 1
-    and once at workers 8."""
+    and once at workers 8 over two path chunks."""
     import contextlib
     import io
     import tempfile
@@ -802,8 +803,9 @@ def check_determinism(scale: float = 1.0) -> CheckReport:
         solves = [run(solve_argv, root / f"{tag}.json") for tag in ("a", "b")]
         solve_match = solves[0] == solves[1]
 
+        # one block and 64 paths: two chunks, so --workers 8 runs a process pool
         simulate_argv = ["simulate", "--model", str(model_path), "--control", str(control_path),
-                         "--paths", "64", "--dt", "0.05", "--seed", "9", "--workers"]
+                         "--paths", str(rng.BLOCK_PATHS + 64), "--dt", "0.05", "--seed", "9", "--workers"]
         sims = [
             run(simulate_argv + [str(workers)], root / f"paths_{tag}.csv")
             for tag, workers in (("w1", 1), ("w1b", 1), ("w8", 8))

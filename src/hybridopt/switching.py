@@ -122,17 +122,17 @@ class RateSpec:
                 q[..., i, j] = val
         return q
 
-    def generator(self, x, nu, check: bool = True) -> np.ndarray:
-        """Conservative generator Q(x, nu): off-diagonal rates, diagonal -q_i."""
+    def generator(self, x, nu) -> np.ndarray:
+        """Conservative generator Q(x, nu): off-diagonal rates, diagonal -q_i.
+        Negative rates and exit rates above the declared bound are rejected."""
         q = self.off_diagonal(x, nu)
         exit_rates = q.sum(axis=-1)  # the diagonal of q is still zero here
-        if check:
-            if np.any(q < 0):
-                raise ModelError("negative transition rate encountered")
-            if np.any(exit_rates > self.rate_bound + _RATE_TOL):
-                raise BoundViolationError(
-                    f"exit rate {float(np.max(exit_rates))!r} exceeds declared bound {self.rate_bound}"
-                )
+        if np.any(q < 0):
+            raise ModelError("negative transition rate encountered")
+        if np.any(exit_rates > self.rate_bound + _RATE_TOL):
+            raise BoundViolationError(
+                f"exit rate {float(np.max(exit_rates))!r} exceeds declared bound {self.rate_bound}"
+            )
         idx = np.arange(self.regime_count)
         q[..., idx, idx] = -exit_rates
         return q

@@ -1,8 +1,12 @@
+import importlib.util
 import itertools
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
 from hybridopt import (
@@ -20,9 +24,12 @@ from hybridopt import (
     solve,
     tol_disc,
 )
-from hybridopt.control import ConstantControl, MeasureBatch
-from hybridopt.dpp_solver import SolverKernels
+from hybridopt import config
+from hybridopt.control import ConstantControl, MeasureBatch, candidate_set
+from hybridopt.dpp_solver import SolverKernels, interpolation_matrix
 from tests.conftest import make_model
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def regime_cost_setup():
@@ -217,6 +224,109 @@ class TestKernels:
                 for p, (mi, ni) in enumerate(kern.pairs):
                     assert np.array_equal(batched[p], reference(k, i, mi, ni, shared))
                     assert np.array_equal(per_pair[p], reference(k, i, mi, ni, held[p]))
+
+
+def solve_2d_model():
+    """The benchmark's solve_2d model, read from perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return config.load_model(workloads.solve_model(42))[0]
+
+
+def three_d_model():
+    """Two regimes in 3-D with state-dependent, off-diagonal diffusion."""
+    u = ActionSet([0.0], [1.0])
+    return HybridModel(
+        state_dim=3,
+        action_set=u,
+        rates=RateSpec(2, [[None, "0.2*(1 + x1*x1)*(0.5 + 0.5*nu_m(1,0))"], ["0.1*(1 + x3*x3)", None]], 0.4),
+        drift=[["-x1 + 0.3*mu_m(1,0)", "-x2", "-0.5*x3 + 0.2*mu_m(1,0)"], ["-x1", "0.2 - x2", "-0.5*x3"]],
+        diffusion=[
+            [["0.3 + 0.2*mu_m(1,0)", "0", "0"], ["0.1*x1", "0.3", "0"], ["0", "0", "0.3 + 0.1*x2*x2"]],
+            [["0.4", "0", "0"], ["0", "0.3", "0.05"], ["0", "0", "0.3"]],
+        ],
+        running_cost="x1*x1 + x2*x2 + x3*x3 + i",
+        terminal_cost="x1*x1 + x2*x2 + x3*x3",
+        horizon=1.0,
+        truncation_lower=[-1.0] * 3,
+        truncation_upper=[1.0] * 3,
+    )
+
+
+def three_d_mu(u):
+    return [dirac(u, [0.0]), dirac(u, [1.0]), mixture([dirac(u, [0.0]), dirac(u, [1.0])], [0.5, 0.5])]
+
+
+def reference_move(kern):
+    """The movement operators built the earlier way: all n_nodes * q^d moved
+    points in one interpolation matrix, folded into one row per node by the
+    Kronecker product of the identity with the quadrature weights."""
+    model = kern.model
+    gh_pts, gh_wts = gauss_hermite(kern.grid.quad_order, model.state_dim)
+    fold = sparse.kron(sparse.eye(kern.n_nodes, format="csr"), sparse.csr_matrix(gh_wts[None, :]))
+    move, clamps = [], 0
+    for i in range(1, model.regime_count + 1):
+        regs = np.full(kern.n_nodes, i)
+        blocks = []
+        for mu in kern.mu_candidates:
+            mb = MeasureBatch.constant(mu, kern.n_nodes)
+            drifted = kern.nodes + model.drift_at(kern.nodes, regs, mb) * kern.dt
+            sig = model.diffusion_at(kern.nodes, regs, mb)
+            moved = drifted[:, None, :] + np.einsum("nrc,qc->nqr", sig, gh_pts) * np.sqrt(kern.dt)
+            mat, clamped = interpolation_matrix(kern.axes, moved.reshape(-1, model.state_dim))
+            clamps += clamped
+            blocks.append((fold @ mat).tocsr())
+        move.append(sparse.vstack(blocks, format="csr"))
+    return move, clamps
+
+
+class TestMovementOperator:
+    @pytest.mark.parametrize("case", ["solve_2d", "3d_state_sigma"])
+    def test_quadrature_sum_equals_the_kronecker_fold(self, case):
+        if case == "solve_2d":
+            model, grid = solve_2d_model(), GridSpec(20, [41, 41], 5)
+            mu_c = nu_c = candidate_set(model.action_set, 3, 1)
+        else:
+            model, grid = three_d_model(), GridSpec(4, [7, 6, 5], 3)
+            mu_c, nu_c = three_d_mu(model.action_set), [dirac(model.action_set, [0.5])]
+        kern = SolverKernels(model, grid, mu_c, nu_c)
+        ref, ref_clamps = reference_move(kern)
+        assert kern.clamp_count == ref_clamps > 0
+        for new, old in zip(kern.move, ref):
+            old.eliminate_zeros()
+            old.sort_indices()
+            assert new.has_canonical_format
+            assert np.array_equal(new.indptr, old.indptr)
+            assert np.array_equal(new.indices, old.indices)
+            assert np.array_equal(new.data, old.data)
+
+    def test_build_peak_is_a_small_multiple_of_the_operators(self):
+        # the Kronecker fold peaked at about 18x the operators here
+        model = three_d_model()
+        u = model.action_set
+        tracemalloc.start()
+        try:
+            kern = SolverKernels(model, GridSpec(4, [9, 9, 9], 5), three_d_mu(u), [dirac(u, [0.5])])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in kern.move)
+
+    def test_value_reads_equal_per_regime_interpolation(self):
+        model = make_model(rate12="0.3*x1*x1", rate21="0.2", drift="-x1", diffusion="0.5",
+                           running="x1*x1 + i", terminal="abs(x1)", box=1.5)
+        u = model.action_set
+        vg = solve(model, GridSpec(10, [13], 3), [dirac(u, [0.5])], [dirac(u, [0.0]), dirac(u, [1.0])])
+        pts = np.linspace(-2.5, 2.5, 41)[:, None]  # reaches outside the box on both sides
+        regimes = np.tile([1, 2], 21)[:41]
+        for t in (0.0, 0.4, 1.0):
+            k = vg.time_index(t)
+            per_regime = [interpolation_matrix(vg.axes, pts)[0] @ vg.values[k][:, j] for j in range(2)]
+            expected = np.where(regimes == 1, per_regime[0], per_regime[1])
+            assert np.array_equal(vg.values_at(t, pts, regimes), expected)
+            assert np.array_equal(vg.value_at(t, pts, 2), per_regime[1])
+            assert [vg.value_at(t, p, r) for p, r in zip(pts, regimes)] == expected.tolist()
 
 
 class TestCandidateMonotonicity:

@@ -312,3 +312,30 @@ class TestFinish:
         assert rep.passed and rep.margin == 0.0 and rep.tolerance == 0.0
         rep = _finish("x", time.perf_counter(), 1.0, [("a", 1.5, 1.0)])
         assert not rep.passed and rep.margin == -0.5 and rep.details["failed"] == ["a"]
+
+
+class TestSolverOracleRows:
+    def test_scalar_spot_check_reads_the_batched_rows(self, monkeypatch):
+        from hybridopt import oracle_verify, switching
+
+        # a degree-1 Taylor row is off by about 5e-3 at the active rate
+        monkeypatch.setattr(switching, "_TAYLOR_DEGREE", 1)
+        rep = oracle_verify.check_solver_oracle()
+        assert not rep.passed
+        assert rep.details["failed"] == ["two_state_scalar_rate_active"]
+
+
+class TestDeterminismWorkers:
+    def test_workers_subcheck_sees_a_reordered_pool(self, monkeypatch):
+        from hybridopt import dynamics, oracle_verify
+
+        pooled = dynamics.fan_out
+
+        def reversed_pool(job, args, workers):
+            out = list(pooled(job, args, workers))
+            return out[::-1] if int(workers) > 1 else out
+
+        monkeypatch.setattr(dynamics, "fan_out", reversed_pool)
+        rep = oracle_verify.check_determinism()
+        assert not rep.passed
+        assert rep.details["failed"] == ["simulate_workers_1_vs_8"]
