@@ -55,6 +55,8 @@ def _taylor_degree(norm_bound: float, tol: float) -> int:
 # ||Q dt||_inf <= 2 * dt * M: the diagonal and the off-diagonal part of a row
 # each carry the exit rate.  With the cap 0.1 this gives K = 12.
 _TAYLOR_DEGREE = _taylor_degree(2 * DT_RATE_CAP, 1e-18)
+# Coefficients per row block of ``transition_rows_batch``: 2**17 doubles, 1 MiB.
+_ROW_BLOCK = 2**17
 
 _ALLOWED_RATE_VARS = {"nu"}  # plus x coordinates, checked by prefix
 
@@ -124,18 +126,21 @@ class RateSpec:
 
     def generator(self, x, nu) -> np.ndarray:
         """Conservative generator Q(x, nu): off-diagonal rates, diagonal -q_i.
-        Negative rates and exit rates above the declared bound are rejected."""
+        Negative or NaN rates and exit rates above the declared bound are rejected."""
         q = self.off_diagonal(x, nu)
-        exit_rates = q.sum(axis=-1)  # the diagonal of q is still zero here
-        if np.any(q < 0):
-            raise ModelError("negative transition rate encountered")
-        if np.any(exit_rates > self.rate_bound + _RATE_TOL):
-            raise BoundViolationError(
-                f"exit rate {float(np.max(exit_rates))!r} exceeds declared bound {self.rate_bound}"
-            )
         idx = np.arange(self.regime_count)
-        q[..., idx, idx] = -exit_rates
+        q[..., idx, idx] = -_exit_rates(q, self.rate_bound)
         return q
+
+
+def _exit_rates(q: np.ndarray, bound: float) -> np.ndarray:
+    """Row sums of the off-diagonal rates q; rejects rates not >= 0 (negative or NaN) and sums above bound."""
+    if not np.all(q >= 0):
+        raise ModelError(f"negative or NaN transition rate encountered (min {float(np.min(q))!r})")
+    exit_rates = q.sum(axis=-1)
+    if np.any(exit_rates > bound + _RATE_TOL):
+        raise BoundViolationError(f"exit rate {float(np.max(exit_rates))!r} exceeds declared bound {bound}")
+    return exit_rates
 
 
 class IntervalLayout:
@@ -180,13 +185,7 @@ def build_intervals(rates: RateSpec, x, nu) -> IntervalLayout:
     q = rates.off_diagonal(x, nu)
     if q.ndim != 2:
         raise ValidationError("build_intervals takes a single state, not a batch")
-    if np.any(q < 0):
-        raise ModelError("negative transition rate encountered")
-    exit_rates = q.sum(axis=-1)
-    if np.any(exit_rates > rates.rate_bound + _RATE_TOL):
-        raise BoundViolationError(
-            f"exit rate {float(np.max(exit_rates))!r} exceeds declared bound {rates.rate_bound}"
-        )
+    _exit_rates(q, rates.rate_bound)
     return IntervalLayout(rates.regime_count, q, rates.rate_bound)
 
 
@@ -245,20 +244,30 @@ def transition_rows_batch(rates: RateSpec, regimes: np.ndarray, x: np.ndarray, n
     error is far below double precision (Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33(2), 2011).  Agreement with ``step_transition_probs`` is tested
     at 1e-12, also at dt * M = DT_RATE_CAP.
+
+    The recurrence runs path-last: a block of rows holds Q dt as (N, N, rows)
+    and the terms as (N, rows), so each step's einsum loops over contiguous
+    rows, not over the N regimes.  A block holds at most ``_ROW_BLOCK``
+    coefficients (1 MiB) to stay in cache at large N; a 4096-row batch is one
+    block for N <= 5.  Every entry sums over j in the order of the (n, N, N)
+    form ``einsum("nj,njk->nk")``, so the rows are bit-identical to it.
     """
     check_step(rates, dt)
     q = rates.generator(np.atleast_2d(x), nu)
-    a = q * dt
-    n_paths = a.shape[0]
-    n = rates.regime_count
-    row = np.zeros((n_paths, n))
-    row[np.arange(n_paths), np.asarray(regimes, dtype=int) - 1] = 1.0
-    acc = row.copy()
-    term = row
-    for k in range(1, _TAYLOR_DEGREE + 1):
-        term = np.einsum("nj,njk->nk", term, a) / k
-        acc += term
-    return np.clip(acc, 0.0, None)
+    n_paths, n = q.shape[0], rates.regime_count
+    out = np.zeros((n_paths, n))
+    out[np.arange(n_paths), np.asarray(regimes, dtype=int) - 1] = 1.0
+    block = max(1, _ROW_BLOCK // n**2)
+    for s in range(0, n_paths, block):
+        a = (q[s : s + block] * dt).transpose(1, 2, 0).copy()
+        term = out[s : s + block].T.copy()
+        acc = term.copy()
+        for k in range(1, _TAYLOR_DEGREE + 1):
+            term = np.einsum("jn,jkn->kn", term, a)
+            term /= k
+            acc += term
+        out[s : s + block] = acc.T
+    return np.clip(out, 0.0, None, out=out)
 
 
 def pick_regime(probs: np.ndarray, u) -> np.ndarray:

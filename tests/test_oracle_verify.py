@@ -325,6 +325,27 @@ class TestSolverOracleRows:
         assert rep.details["failed"] == ["two_state_scalar_rate_active"]
 
 
+class TestSwitchingLawLayout:
+    def test_transposed_rows_fail_the_occupation_check(self, monkeypatch):
+        from hybridopt import dynamics, oracle_verify
+
+        rows = dynamics.transition_rows_batch
+
+        def column_rows(rates, regimes, x, nu, dt):
+            # row r of exp(Q^T dt), i.e. column r of exp(Q dt)
+            regimes = np.asarray(regimes)
+            full = np.stack(
+                [rows(rates, np.full(regimes.shape, k), x, nu, dt) for k in range(1, rates.regime_count + 1)],
+                axis=1,
+            )
+            return full[np.arange(regimes.shape[0]), :, regimes - 1]
+
+        monkeypatch.setattr(dynamics, "transition_rows_batch", column_rows)
+        rep = oracle_verify.check_switching_law()
+        assert not rep.passed
+        assert rep.details["failed"] == ["occupation_at_T"]
+
+
 class TestDeterminismWorkers:
     def test_workers_subcheck_sees_a_reordered_pool(self, monkeypatch):
         from hybridopt import dynamics, oracle_verify

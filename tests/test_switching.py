@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridopt import (
     ActionSet,
@@ -20,9 +22,37 @@ from hybridopt import (
     transition_matrix,
     w1_distance,
 )
-from hybridopt.switching import pick_regime, transition_rows_batch
+from hybridopt.dpp_solver import GridSpec, SolverKernels
+from hybridopt.dynamics import simulate_paths
+from hybridopt.switching import DT_RATE_CAP, _TAYLOR_DEGREE, pick_regime, transition_rows_batch
+from tests.conftest import const_control, make_model
 
 X0 = np.zeros(1)
+
+
+def reference_rows(q, regimes, dt):
+    """The (n, N, N) form of the Taylor rows: one einsum over the regimes per term."""
+    a = q * dt
+    row = np.zeros(a.shape[:2])
+    row[np.arange(a.shape[0]), np.asarray(regimes) - 1] = 1.0
+    acc = row.copy()
+    term = row
+    for k in range(1, _TAYLOR_DEGREE + 1):
+        term = np.einsum("nj,njk->nk", term, a) / k
+        acc += term
+    return np.clip(acc, 0.0, None)
+
+
+def random_rows_case(n, rows, dt_m, seed):
+    """Asymmetric rates q_ij = x_{iN+j+1} with exit rates up to M = 2 (reached by
+    the first row), at dt = dt_m / M; returns the rates, regimes, states and dt."""
+    gen = np.random.default_rng(seed)
+    off = gen.random((rows, n, n)) * (gen.random((rows, n, n)) < 0.8)
+    off[:, np.arange(n), np.arange(n)] = 0.0
+    off *= 2.0 * gen.random((rows, 1, 1)) / np.maximum(off.sum(axis=-1).max(axis=-1), 1e-300)[:, None, None]
+    off[0] *= 2.0 / max(float(off[0].sum(axis=-1).max()), 1e-300)
+    exprs = [[None if i == j else f"x{i * n + j + 1}" for j in range(n)] for i in range(n)]
+    return RateSpec(n, exprs, 2.0), gen.integers(1, n + 1, rows), off.reshape(rows, n * n), dt_m / 2.0
 
 
 @pytest.fixture
@@ -176,6 +206,55 @@ class TestStepTransitionProbs:
         for row in range(40):
             exact = step_transition_probs(rates, int(regimes[row]), xs[row], pool[idx[row]], dt)
             assert np.max(np.abs(batch_rows[row] - exact)) <= 1e-12
+
+
+class TestPathLastRows:
+    # 1100 rows cross the 512-row block at N = 16; dt * M sits on the cap
+    @pytest.mark.parametrize("rows", [1, 7, 1100, 4096])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    def test_bit_identical_to_the_regime_last_form(self, n, rows):
+        rates, regimes, x, dt = random_rows_case(n, rows, DT_RATE_CAP, seed=n * 10_000 + rows)
+        got = transition_rows_batch(rates, regimes, x, None, dt)
+        assert np.array_equal(got, reference_rows(rates.generator(x, None), regimes, dt))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 16),
+        rows=st.integers(1, 1200),
+        dt_m=st.floats(1e-6, DT_RATE_CAP),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_property(self, n, rows, dt_m, seed):
+        rates, regimes, x, dt = random_rows_case(n, rows, dt_m, seed)
+        got = transition_rows_batch(rates, regimes, x, None, dt)
+        assert np.array_equal(got, reference_rows(rates.generator(x, None), regimes, dt))
+
+
+class TestNanRateRejected:
+    """A rate that evaluates to NaN fails every check written as ``q < 0`` or
+    ``exit > M``; it must raise, not yield NaN rows that pick regime 1."""
+
+    @pytest.fixture
+    def model(self):
+        # inf/inf = NaN at x1 = 2, where exp(400 * x1) overflows
+        return make_model(rate12="0.4*exp(400*x1)/(1 + exp(400*x1))", rate21="0.1", diffusion="0")
+
+    def test_generator(self, model):
+        with pytest.raises(ModelError, match="NaN"):
+            model.rates.generator(np.array([2.0]), dirac(model.action_set, [0.5]))
+
+    def test_build_intervals(self, model):
+        with pytest.raises(ModelError, match="NaN"):
+            build_intervals(model.rates, np.array([2.0]), dirac(model.action_set, [0.5]))
+
+    def test_simulate_paths(self, model):
+        with pytest.raises(ModelError, match="NaN"):
+            simulate_paths(model, const_control(model), 0.0, [2.0], 1, 1.0, 0.01, 0, 4)
+
+    def test_solver_kernels(self, model):
+        nu_m = dirac(model.action_set, [0.5])
+        with pytest.raises(ModelError, match="NaN"):
+            SolverKernels(model, GridSpec(10, 5), [nu_m], [nu_m])
 
 
 class TestSampleSwitch:
