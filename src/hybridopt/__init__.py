@@ -31,10 +31,7 @@ from .measure_space import (
 )
 from .expr import evaluate, parse, to_source, variables
 from .switching import (
-    IntervalLayout,
     RateSpec,
-    build_intervals,
-    jump_displacement,
     step_transition_probs,
     transition_matrix,
 )

@@ -54,7 +54,6 @@ def _default_workers() -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="model config JSON")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None, help="worker processes (default: HYBRIDOPT_WORKERS or CPU count)")
     p.add_argument("--out", default=None, help="output file path")
 
@@ -65,10 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the declared coefficient hypotheses by sampling")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
 
     p = sub.add_parser("simulate", help="simulate controlled paths")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--control", required=True, help="control spec JSON")
     p.add_argument("--paths", type=int, default=10)
     p.add_argument("--dt", type=float, default=0.01)
@@ -79,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="Monte Carlo cost of a control")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--control", required=True)
     p.add_argument("--paths", type=int, default=1000)
     p.add_argument("--dt", type=float, default=0.01)

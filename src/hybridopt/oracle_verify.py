@@ -29,6 +29,7 @@ import time
 import numpy as np
 
 from . import config as cfg
+from . import expr as ex
 from . import rng
 from .control import ConstantControl, FeedbackControl, MeasureBatch
 from .cost import batch_costs, monte_carlo_cost
@@ -46,9 +47,11 @@ from .measure_space import (
     w1_transport_lp,
 )
 from .switching import (
+    DT_RATE_CAP,
     RateSpec,
-    build_intervals,
-    jump_displacement,
+    jump_kernel,
+    pick_regime,
+    transition_matrix,
     transition_rows_batch,
 )
 
@@ -498,17 +501,29 @@ def check_w1_metric(scale: float = 1.0) -> CheckReport:
 
 
 def check_intervals(scale: float = 1.0) -> CheckReport:
-    """Interval-stack exactness on 200 random rate evaluations plus the
-    jump-displacement law under 1e5 uniform draws."""
+    """The uniformized jump kernel on 200 random rate evaluations plus one
+    with an exit rate at the bound: nonnegative, stochastic, and its series
+    rows equal to expm at dt * M = DT_RATE_CAP; then the jump law of a fixed
+    kernel under 1e5 uniform draws per row."""
     t0 = time.perf_counter()
     gen = rng.stream(202, 0, rng.ROLE_VALIDATE)
     u_set = ActionSet([0.0], [1.0])
-    sum_worst = 0.0
-    contain_worst = 0.0
-    consec_worst = 0.0
+    neg_worst = sum_worst = expm_worst = 0.0
+    # q_ij = c (0.5 + 0.5 m1(nu)) + d x1^2, built as trees: parsing 200 specs would dominate
+    scaled, square = ex.parse("0.5 + 0.5*nu_m(1,0)"), ex.parse("x1*x1")
+
+    def probe(rates, x, nu):
+        nonlocal neg_worst, sum_worst, expm_worst
+        kernel = jump_kernel(rates, x, nu)
+        neg_worst = max(neg_worst, -float(kernel.min()))
+        sum_worst = max(sum_worst, float(np.max(np.abs(kernel.sum(axis=-1) - 1.0))))
+        n = rates.regime_count
+        dt = DT_RATE_CAP / rates.rate_bound
+        rows = transition_rows_batch(rates, np.arange(1, n + 1), np.tile(x, (n, 1)), nu, dt)
+        expm_worst = max(expm_worst, float(np.max(np.abs(rows - transition_matrix(rates, x, nu, dt)))))
+
     for _ in range(200):
         n = int(gen.integers(2, 5))
-        bound = 1.0
         exprs = []
         for i in range(n):
             row = []
@@ -516,49 +531,38 @@ def check_intervals(scale: float = 1.0) -> CheckReport:
                 if i == j:
                     row.append(None)
                 else:
-                    c = gen.random() / (n - 1) * 0.9
-                    row.append(f"{c!r}*(0.5 + 0.5*nu_m(1,0)) + {gen.random() * 0.05!r}*x1*x1")
+                    c = ex.Num(gen.random() / (n - 1) * 0.9)
+                    d = ex.Num(gen.random() * 0.05)
+                    row.append(ex.Binary("+", ex.Binary("*", c, scaled), ex.Binary("*", d, square)))
             exprs.append(row)
-        rates = RateSpec(n, exprs, bound)
-        x = gen.random(1) * 2 - 1
-        nu = random_measure(gen, u_set)
-        layout = build_intervals(rates, x, nu)
-        q = rates.off_diagonal(x, nu)
-        exit_rates = q.sum(axis=-1)
-        row_sums = layout.lengths.sum(axis=-1)
-        sum_worst = max(sum_worst, float(np.max(np.abs(row_sums - exit_rates))))
-        contain_worst = max(
-            contain_worst, float(np.max(layout.ends)) - layout.cap, -float(np.min(layout.starts))
-        )
-        order = [(i, j) for i in range(n) for j in range(n) if j != i]
-        for m in range(len(order) - 1):
-            i0, j0 = order[m]
-            i1, j1 = order[m + 1]
-            consec_worst = max(
-                consec_worst, abs(layout.ends[i0, j0] - layout.starts[i1, j1])
-            )
+        probe(RateSpec(n, exprs, 1.0), gen.random(1) * 2 - 1, random_measure(gen, u_set))
+    # an exit rate above M = 1 but inside the rate tolerance, which the generator accepts
+    probe(RateSpec(2, [[None, "1.0000000000005"], ["0.5", None]], 1.0), np.zeros(1), dirac(u_set, [0.5]))
 
-    # displacement law: fixed 3-regime layout, 1e5 uniform draws on [0, cap]
+    # jump law: q_ij / M off the diagonal, 1 - q_i / M for staying
     rates = RateSpec(3, [[None, "0.4", "0.2"], ["0.3", None, "0.1"], ["0.0", "0.5", None]], 1.0)
     nu = dirac(u_set, [0.5])
-    layout = build_intervals(rates, np.zeros(1), nu)
-    draws = gen.random(100_000) * layout.cap
+    q = rates.off_diagonal(np.zeros(1), nu)
+    law = q / rates.rate_bound + np.diag(1.0 - q.sum(axis=-1) / rates.rate_bound)
+    draws = gen.random((100_000, 3))
+    picked = pick_regime(jump_kernel(rates, np.zeros(1), nu)[0], draws)
+    # worst gap in standard errors; a probability of 0 or 1 must hold exactly
     law_worst = 0.0
-    for i in (1, 2, 3):
-        hits = np.array([jump_displacement(layout, i, z) for z in draws])
-        for j in range(1, 4):
-            if j == i:
-                continue
-            p_true = layout.lengths[i - 1, j - 1] / layout.cap
-            frac = float(np.mean(hits == (j - i)))
-            se = math.sqrt(max(p_true * (1 - p_true), 1e-12) / len(draws))
-            law_worst = max(law_worst, abs(frac - p_true) - 3 * se)
+    for i in range(3):
+        for j in range(3):
+            p_true = float(law[i, j])
+            frac = float(np.mean(picked[:, i] == j + 1))
+            se = math.sqrt(p_true * (1 - p_true) / len(draws))
+            if se > 0:
+                law_worst = max(law_worst, abs(frac - p_true) / se)
+            elif frac != p_true:
+                law_worst = math.inf
 
     triples = [
-        ("row_sums_exact", sum_worst, 0.0),
-        ("contained_in_cap", contain_worst, 0.0),
-        ("consecutive_exact", consec_worst, 0.0),
-        ("jump_law_within_3se", law_worst, 0.0),
+        ("kernel_nonnegative", neg_worst, 0.0),
+        ("kernel_rows_sum_to_one", sum_worst, 1e-15),
+        ("rows_match_expm", expm_worst, 1e-15),
+        ("jump_law_within_3se", law_worst, 3.0),
     ]
     return _finish("intervals", t0, scale, triples)
 

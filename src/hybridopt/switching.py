@@ -5,11 +5,12 @@ A RateSpec holds the off-diagonal transition-rate expressions q_ij(x, nu)
 on the exit rates q_i = sum_{j != i} q_ij.  The diagonal is always derived,
 so the rate matrix is conservative by construction.
 
-The per-(x, nu) rates are laid out as a stack of consecutive, left-closed,
-right-open intervals inside [0, N(N-1)M], one interval of length q_ij per
-ordered pair (row by row, columns ascending, empty when the rate vanishes).
-A uniform draw on that range triggers the jump whose interval it hits;
-``jump_displacement`` returns the signed regime change l - i, or 0.
+The regime process is driven by a Poisson random measure of intensity
+Lambda = M (plus a rounding allowance): at each of its points, a regime i
+jumps to j != i when the point's mark falls in an interval of length q_ij,
+and stays otherwise.  ``jump_kernel`` is that mark law as a stochastic
+matrix, P = I + Q(x, nu) / Lambda: q_ij / Lambda off the diagonal and
+1 - q_i / Lambda for staying, every entry nonnegative by construction.
 
 Per-step transitions over dt freeze the generator at the step-start (x, nu)
 and use its matrix exponential, which matches the infinitesimal law
@@ -18,13 +19,16 @@ Bernoulli thinning.  ``check_step`` enforces dt * M <= 0.1 so the o(dt)
 terms stay controlled and multi-jump probability per step is second order.
 
 The solver and the simulator take their rows from ``transition_rows_batch``,
-a truncated Taylor series evaluated for a whole batch of (regime, x, nu) at
-once; its degree follows from the enforced bound ||Q dt|| <= 2 * dt * M <= 0.2.
-``pick_regime`` turns rows and uniform draws into the next regimes.
+which evaluates exp(Q dt) = e^{-lambda} exp(lambda P), lambda = dt * Lambda,
+as a Poisson-weighted sum of kernel powers for a whole batch of
+(regime, x, nu) at once (uniformization; Jensen, Skand. Aktuarietidskr. 36,
+1953).  ``pick_regime`` turns rows and uniform draws into the next regimes.
 ``transition_matrix`` and ``step_transition_probs`` use scipy's ``expm`` at
 one point and serve as the reference for the batch rows.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -32,7 +36,6 @@ from scipy.linalg import expm
 from . import expr as ex
 from .errors import (
     BoundViolationError,
-    DomainError,
     ModelError,
     StepSizeError,
     ValidationError,
@@ -43,18 +46,16 @@ DT_RATE_CAP = 0.1
 _RATE_TOL = 1e-12
 
 
-def _taylor_degree(norm_bound: float, tol: float) -> int:
-    """Smallest K with norm_bound**(K+1) / (K+1)! <= tol."""
-    k, remainder = 0, norm_bound
-    while remainder > tol:
+def _poisson_degree(lam: float) -> int:
+    """Smallest K with lam**(K+1) / (K+1)! <= 1e-18, the Poisson tail bound
+    of a uniformized series cut after the term of degree K."""
+    k, remainder = 0, lam
+    while remainder > 1e-18:
         k += 1
-        remainder *= norm_bound / (k + 1)
+        remainder *= lam / (k + 1)
     return k
 
 
-# ||Q dt||_inf <= 2 * dt * M: the diagonal and the off-diagonal part of a row
-# each carry the exit rate.  With the cap 0.1 this gives K = 12.
-_TAYLOR_DEGREE = _taylor_degree(2 * DT_RATE_CAP, 1e-18)
 # Coefficients per row block of ``transition_rows_batch``: 2**17 doubles, 1 MiB.
 _ROW_BLOCK = 2**17
 
@@ -64,9 +65,8 @@ _ALLOWED_RATE_VARS = {"nu"}  # plus x coordinates, checked by prefix
 class RateSpec:
     """Off-diagonal rate expressions q_ij(x, nu) with a declared exit-rate bound M.
 
-    regime_count N may be 1 (no switching; the layout degenerates to the
-    empty stack with cap 0) up to 16.  Expressions may reference the state
-    coordinates x1..xd and moments of nu only.
+    regime_count N may be 1 (no switching) up to 16.  Expressions may
+    reference the state coordinates x1..xd and moments of nu only.
     """
 
     __slots__ = ("regime_count", "rate_bound", "exprs")
@@ -143,67 +143,18 @@ def _exit_rates(q: np.ndarray, bound: float) -> np.ndarray:
     return exit_rates
 
 
-class IntervalLayout:
-    """The interval stack for one evaluated rate matrix.
-
-    ``lengths[i, j]`` is exactly the evaluated q_ij; starts/ends come from a
-    single running sum, so consecutive intervals share their boundary floats
-    and the row-i lengths sum to the row exit rate without rounding slack.
-    """
-
-    __slots__ = ("regime_count", "lengths", "starts", "ends", "total_mass", "cap")
-
-    def __init__(self, regime_count: int, lengths: np.ndarray, rate_bound: float):
-        n = regime_count
-        order = [(i, j) for i in range(n) for j in range(n) if j != i]
-        flat = np.array([lengths[i, j] for i, j in order], dtype=float)
-        bounds = np.concatenate([[0.0], np.cumsum(flat)])
-        starts = np.zeros((n, n))
-        ends = np.zeros((n, n))
-        for m, (i, j) in enumerate(order):
-            starts[i, j] = bounds[m]
-            ends[i, j] = bounds[m + 1]
-        for arr in (lengths, starts, ends):
-            arr.setflags(write=False)
-        self.regime_count = n
-        self.lengths = lengths
-        self.starts = starts
-        self.ends = ends
-        self.total_mass = float(bounds[-1])
-        self.cap = n * (n - 1) * rate_bound
-
-    def interval(self, i: int, j: int):
-        """Half-open interval [left, right) for the ordered pair, or None if empty."""
-        a, b = self.starts[i - 1, j - 1], self.ends[i - 1, j - 1]
-        if i == j or not b > a:
-            return None
-        return (float(a), float(b))
-
-
-def build_intervals(rates: RateSpec, x, nu) -> IntervalLayout:
-    """Evaluate the rates at one (x, nu) and stack their intervals row by row."""
-    q = rates.off_diagonal(x, nu)
-    if q.ndim != 2:
-        raise ValidationError("build_intervals takes a single state, not a batch")
-    _exit_rates(q, rates.rate_bound)
-    return IntervalLayout(rates.regime_count, q, rates.rate_bound)
-
-
-def jump_displacement(layout: IntervalLayout, i: int, z: float) -> int:
-    """Signed regime change triggered by z: (l - i) if z lies in the row-i
-    interval of pair (i, l), else 0."""
-    n = layout.regime_count
-    if not 1 <= i <= n:
-        raise ValidationError(f"regime {i} out of range 1..{n}")
-    if not 0.0 <= z <= layout.cap:
-        raise DomainError(f"draw {z!r} outside [0, {layout.cap}]")
-    row = i - 1
-    for j in range(n):
-        if j == row:
-            continue
-        if layout.starts[row, j] <= z < layout.ends[row, j]:
-            return (j + 1) - i
-    return 0
+def jump_kernel(rates: RateSpec, x, nu) -> np.ndarray:
+    """The uniformized jump kernel P = I + Q(x, nu) / Lambda as (n, N, N), with
+    Lambda = M + ``_RATE_TOL`` so that every exit rate the generator accepts
+    leaves a stay entry 1 - q_i / Lambda >= 0.  ``x`` is one state (d,) or a
+    batch (n, d); ``nu`` a measure or a batched moment provider."""
+    q = rates.off_diagonal(np.atleast_2d(x), nu)
+    big_lam = rates.rate_bound + _RATE_TOL
+    stay = 1.0 - _exit_rates(q, rates.rate_bound) / big_lam
+    q /= big_lam
+    idx = np.arange(rates.regime_count)
+    q[:, idx, idx] = stay
+    return q
 
 
 def check_step(rates: RateSpec, dt: float) -> None:
@@ -238,36 +189,44 @@ def step_transition_probs(rates: RateSpec, i: int, x, nu, dt: float) -> np.ndarr
 def transition_rows_batch(rates: RateSpec, regimes: np.ndarray, x: np.ndarray, nu, dt: float) -> np.ndarray:
     """Row ``regimes[n]`` of exp(Q(x[n], nu[n]) dt) for every n in the batch.
 
-    The exponential is a Taylor series of degree K, the smallest with
-    (2 * DT_RATE_CAP)**(K+1) / (K+1)! <= 1e-18 (K = 12).  ``check_step``
-    enforces dt * M <= DT_RATE_CAP, so ||Q dt||_inf <= 0.2 and the truncation
-    error is far below double precision (Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33(2), 2011).  Agreement with ``step_transition_probs`` is tested
-    at 1e-12, also at dt * M = DT_RATE_CAP.
+    Uniformization: with P = ``jump_kernel`` and lambda = dt * Lambda, the row
+    is e^{-lambda} sum_k lambda^k / k! e_i P^k, a sum of nonnegative terms, so
+    no entry can come out negative.  The series stops at the smallest degree K
+    whose Poisson tail lambda^(K+1) / (K+1)! is at most 1e-18 at this call's
+    lambda (K = 6, 7 and 10 at dt * M = 0.004, 0.02 and the cap 0.1).  The
+    stay entry is then set to 1 minus the row's other entries, so each row
+    sums to 1 and an absorbing regime (q_i = 0) keeps the row e_i exactly.
+    Agreement with ``transition_matrix`` is tested at 1e-15.
 
-    The recurrence runs path-last: a block of rows holds Q dt as (N, N, rows)
-    and the terms as (N, rows), so each step's einsum loops over contiguous
-    rows, not over the N regimes.  A block holds at most ``_ROW_BLOCK``
-    coefficients (1 MiB) to stay in cache at large N; a 4096-row batch is one
-    block for N <= 5.  Every entry sums over j in the order of the (n, N, N)
-    form ``einsum("nj,njk->nk")``, so the rows are bit-identical to it.
+    The recurrence runs path-last: a block of rows holds lambda P as
+    (N, N, rows) and the terms as (N, rows), so each step's einsum loops over
+    contiguous rows, not over the N regimes.  A block holds at most
+    ``_ROW_BLOCK`` coefficients (1 MiB) to stay in cache at large N; a
+    4096-row batch is one block for N <= 5.  Every entry sums over j in the
+    order of the (n, N, N) form ``einsum("nj,njk->nk")``, so the rows are
+    bit-identical to it.
     """
     check_step(rates, dt)
-    q = rates.generator(np.atleast_2d(x), nu)
-    n_paths, n = q.shape[0], rates.regime_count
-    out = np.zeros((n_paths, n))
-    out[np.arange(n_paths), np.asarray(regimes, dtype=int) - 1] = 1.0
+    p = jump_kernel(rates, x, nu)
+    lam = dt * (rates.rate_bound + _RATE_TOL)
+    degree = _poisson_degree(lam)
+    n_paths, n = p.shape[0], rates.regime_count
+    # (N, n) mask of each row's own regime
+    own = np.asarray(regimes, dtype=int) - 1 == np.arange(n)[:, None]
+    out = np.empty((n_paths, n))
     block = max(1, _ROW_BLOCK // n**2)
     for s in range(0, n_paths, block):
-        a = (q[s : s + block] * dt).transpose(1, 2, 0).copy()
-        term = out[s : s + block].T.copy()
+        a = (p[s : s + block] * lam).transpose(1, 2, 0).copy()
+        stay = own[:, s : s + block]
+        term = np.where(stay, math.exp(-lam), 0.0)
         acc = term.copy()
-        for k in range(1, _TAYLOR_DEGREE + 1):
+        for k in range(1, degree + 1):
             term = np.einsum("jn,jkn->kn", term, a)
             term /= k
             acc += term
-        out[s : s + block] = acc.T
-    return np.clip(out, 0.0, None, out=out)
+        acc = np.where(stay, 0.0, acc)
+        out[s : s + block] = np.where(stay, 1.0 - acc.sum(axis=0), acc).T
+    return out
 
 
 def pick_regime(probs: np.ndarray, u) -> np.ndarray:

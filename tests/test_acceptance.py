@@ -16,7 +16,9 @@ CRITERIA = [
         "symmetry_exact", "nonnegativity", "triangle_inequality", "identity", "diameter_bound",
         "dirac_euclidean_exact", "cdf_vs_lp",
     ]),
-    (2, "intervals", 30.0, ["row_sums_exact", "contained_in_cap", "consecutive_exact", "jump_law_within_3se"]),
+    (2, "intervals", 30.0, [
+        "kernel_nonnegative", "kernel_rows_sum_to_one", "rows_match_expm", "jump_law_within_3se",
+    ]),
     (3, "switching_law", 60.0, ["occupation_at_T"]),
     (4, "diffusion_law", 60.0, ["terminal_mean", "terminal_variance_within_5pct"]),
     (5, "cost_oracle", 60.0, ["occupation_cost"]),

@@ -490,6 +490,12 @@ class TestSolve:
         assert cli.main(args) == 2
         assert "exceeds the cap" in capsys.readouterr().err
 
+    def test_seed_is_a_usage_error(self, demo_files, tmp_path, capsys):
+        # the solver draws nothing at random, so it takes no --seed
+        model, _ = demo_files
+        assert cli.main(self.solve_args(model, tmp_path / "vg.json") + ["--seed", "1"]) == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_table_control_usable_for_simulation(self, demo_files, tmp_path):
         model, _ = demo_files
         artifact = tmp_path / "vg.json"

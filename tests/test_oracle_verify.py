@@ -318,11 +318,63 @@ class TestSolverOracleRows:
     def test_scalar_spot_check_reads_the_batched_rows(self, monkeypatch):
         from hybridopt import oracle_verify, switching
 
-        # a degree-1 Taylor row is off by about 5e-3 at the active rate
-        monkeypatch.setattr(switching, "_TAYLOR_DEGREE", 1)
+        # a series cut after the linear term is off by about 5e-3 at the active rate
+        monkeypatch.setattr(switching, "_poisson_degree", lambda lam: 1)
         rep = oracle_verify.check_solver_oracle()
         assert not rep.passed
         assert rep.details["failed"] == ["two_state_scalar_rate_active"]
+
+
+class TestIntervalsCheck:
+    """Each subcheck of ``intervals`` fails on a fault of its own."""
+
+    @staticmethod
+    def failed(monkeypatch, module, name, value):
+        from hybridopt import oracle_verify
+
+        assert oracle_verify.check_intervals().passed
+        monkeypatch.setattr(module, name, value)
+        rep = oracle_verify.check_intervals()
+        assert not rep.passed
+        return rep.details["failed"]
+
+    def test_kernel_over_half_the_bound_goes_negative(self, monkeypatch):
+        from hybridopt import oracle_verify, switching
+
+        def halved(rates, x, nu):
+            # I + Q / (M / 2): rows still sum to one, stay entries dip below zero
+            p = switching.jump_kernel(rates, x, nu)
+            return 2.0 * p - np.eye(rates.regime_count)
+
+        failed = self.failed(monkeypatch, oracle_verify, "jump_kernel", halved)
+        assert failed == ["kernel_nonnegative", "jump_law_within_3se"]
+
+    def test_stay_entry_left_at_one_breaks_the_row_sums(self, monkeypatch):
+        from hybridopt import oracle_verify, switching
+
+        def stay_one(rates, x, nu):
+            p = switching.jump_kernel(rates, x, nu)
+            idx = np.arange(rates.regime_count)
+            p[:, idx, idx] = 1.0
+            return p
+
+        failed = self.failed(monkeypatch, oracle_verify, "jump_kernel", stay_one)
+        assert failed == ["kernel_rows_sum_to_one", "jump_law_within_3se"]
+
+    def test_series_cut_to_two_terms_misses_expm(self, monkeypatch):
+        from hybridopt import switching
+
+        failed = self.failed(monkeypatch, switching, "_poisson_degree", lambda lam: 1)
+        assert failed == ["rows_match_expm"]
+
+    def test_biased_draws_break_the_jump_law(self, monkeypatch):
+        from hybridopt import oracle_verify, switching
+
+        def squared_draws(probs, u):
+            return switching.pick_regime(probs, np.asarray(u) ** 2)
+
+        failed = self.failed(monkeypatch, oracle_verify, "pick_regime", squared_draws)
+        assert failed == ["jump_law_within_3se"]
 
 
 class TestSwitchingLawLayout:

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -8,15 +9,12 @@ from hypothesis import strategies as st
 from hybridopt import (
     ActionSet,
     BoundViolationError,
-    DomainError,
     MeasureBatch,
     ModelError,
     RateSpec,
     StepSizeError,
     ValidationError,
-    build_intervals,
     dirac,
-    jump_displacement,
     mixture,
     step_transition_probs,
     transition_matrix,
@@ -24,23 +22,35 @@ from hybridopt import (
 )
 from hybridopt.dpp_solver import GridSpec, SolverKernels
 from hybridopt.dynamics import simulate_paths
-from hybridopt.switching import DT_RATE_CAP, _TAYLOR_DEGREE, pick_regime, transition_rows_batch
+from hybridopt.switching import (
+    _RATE_TOL,
+    DT_RATE_CAP,
+    _poisson_degree,
+    jump_kernel,
+    pick_regime,
+    transition_rows_batch,
+)
 from tests.conftest import const_control, make_model
 
 X0 = np.zeros(1)
 
 
-def reference_rows(q, regimes, dt):
-    """The (n, N, N) form of the Taylor rows: one einsum over the regimes per term."""
-    a = q * dt
-    row = np.zeros(a.shape[:2])
-    row[np.arange(a.shape[0]), np.asarray(regimes) - 1] = 1.0
-    acc = row.copy()
-    term = row
-    for k in range(1, _TAYLOR_DEGREE + 1):
+def reference_rows(rates, regimes, x, dt):
+    """The (n, N, N) form of the uniformized rows: one einsum over the regimes
+    per term, then the stay entry as the complement."""
+    lam = dt * (rates.rate_bound + _RATE_TOL)
+    a = jump_kernel(rates, x, None) * lam
+    rows, stay = np.arange(a.shape[0]), np.asarray(regimes) - 1
+    term = np.zeros(a.shape[:2])
+    term[rows, stay] = math.exp(-lam)
+    acc = term.copy()
+    for k in range(1, _poisson_degree(lam) + 1):
         term = np.einsum("nj,njk->nk", term, a) / k
         acc += term
-    return np.clip(acc, 0.0, None)
+    acc[rows, stay] = 0.0
+    # the same order over j as the path-last sum: regime by regime, in index order
+    acc[rows, stay] = 1.0 - acc.T.copy().sum(axis=0)
+    return acc
 
 
 def random_rows_case(n, rows, dt_m, seed):
@@ -66,20 +76,29 @@ def three_regime():
     return RateSpec(3, [[None, "1.0", "0.5"], ["2", None, "0"], ["0", "0", None]], 3.5)
 
 
+def kernel_at(rates, nu, x=X0):
+    return jump_kernel(rates, x, nu)[0]
+
+
 class TestIntervalLayout:
+    """The paper's intervals Gamma_ij(x, nu) of length q_ij, scaled by the
+    uniformization rate Lambda = M + _RATE_TOL, are the jump kernel's
+    off-diagonal entries; the rest of each row is the stay mass."""
+
+    LAM = 3.5 + _RATE_TOL
+
     def test_row_one_stacking(self, three_regime, nu):
-        layout = build_intervals(three_regime, X0, nu)
-        assert layout.interval(1, 2) == (0.0, 1.0)
-        assert layout.interval(1, 3) == (1.0, 1.5)
+        row = kernel_at(three_regime, nu)[0]
+        assert np.array_equal(row, [1 - 1.5 / self.LAM, 1 / self.LAM, 0.5 / self.LAM])
 
     def test_second_row_continues_the_stack(self, three_regime, nu):
-        layout = build_intervals(three_regime, X0, nu)
-        assert layout.interval(2, 1) == (1.5, 3.5)
+        row = kernel_at(three_regime, nu)[1]
+        assert np.array_equal(row, [2 / self.LAM, 1 - 2 / self.LAM, 0.0])
 
     def test_zero_rate_gives_empty_interval(self, three_regime, nu):
-        layout = build_intervals(three_regime, X0, nu)
-        assert layout.interval(2, 3) is None
-        assert layout.interval(3, 1) is None
+        p = kernel_at(three_regime, nu)
+        assert p[1, 2] == 0.0
+        assert np.array_equal(p[2], [0.0, 0.0, 1.0])
 
     def test_lengths_sum_exactly_to_exit_rates(self, unit_interval):
         gen = np.random.default_rng(1)
@@ -92,51 +111,74 @@ class TestIntervalLayout:
             rates = RateSpec(n, exprs, 1.0)
             nu_m = dirac(unit_interval, [float(gen.random())])
             x = gen.standard_normal(1)
-            layout = build_intervals(rates, x, nu_m)
+            p = kernel_at(rates, nu_m, x)
             q = rates.off_diagonal(x, nu_m)
-            assert np.array_equal(layout.lengths.sum(axis=-1), q.sum(axis=-1))
-            assert float(np.max(layout.ends)) <= layout.cap
-            assert float(np.min(layout.starts)) >= 0.0
+            lam = 1.0 + _RATE_TOL
+            off = ~np.eye(n, dtype=bool)
+            assert np.array_equal(p[off], q[off] / lam)
+            assert np.array_equal(np.diag(p), 1.0 - q.sum(axis=-1) / lam)
+            assert float(p.min()) >= 0.0
+            assert np.max(np.abs(p.sum(axis=-1) - 1.0)) <= 1e-15
+
+    def test_exit_rate_at_the_bound_keeps_the_stay_entry_nonnegative(self, nu):
+        # an exit rate above M but inside the rate tolerance is accepted
+        rates = RateSpec(2, [[None, "1.0000000000005"], ["0", None]], 1.0)
+        p = kernel_at(rates, nu)
+        assert p[0, 0] >= 0.0
+        assert 1.0 - rates.off_diagonal(X0, nu)[0, 1] / rates.rate_bound < 0.0
+
+    def test_batch_of_states(self, unit_interval):
+        rates = RateSpec(2, [[None, "0.5*x1*x1"], ["0.25", None]], 1.0)
+        xs = np.array([[0.0], [1.0], [-1.0]])
+        p = jump_kernel(rates, xs, dirac(unit_interval, [0.5]))
+        assert p.shape == (3, 2, 2)
+        lam = 1.0 + _RATE_TOL
+        assert np.array_equal(p[:, 0, 1], [0.0, 0.5 / lam, 0.5 / lam])
+        assert np.array_equal(p[:, 1, 0], np.full(3, 0.25 / lam))
 
     def test_negative_rate_rejected(self, unit_interval, nu):
         rates = RateSpec(2, [[None, "nu_m(1,0) - 1"], ["0", None]], 1.0)
         with pytest.raises(ModelError):
-            build_intervals(rates, X0, dirac(unit_interval, [0.0]))
+            jump_kernel(rates, X0, dirac(unit_interval, [0.0]))
 
     def test_bound_violation(self, nu):
         rates = RateSpec(2, [[None, "3"], ["0", None]], 1.0)
         with pytest.raises(BoundViolationError):
-            build_intervals(rates, X0, nu)
+            jump_kernel(rates, X0, nu)
 
 
 class TestJumpDisplacement:
+    """A uniform draw picks the next regime through ``pick_regime`` over a
+    kernel row: the stay mass comes first in index order for regime 1."""
+
+    LAM = 3.5 + _RATE_TOL
+
     def test_inside_row_one(self, three_regime, nu):
-        layout = build_intervals(three_regime, X0, nu)
-        assert jump_displacement(layout, 1, 0.5) == 1
-        assert jump_displacement(layout, 1, 1.2) == 2
+        row = kernel_at(three_regime, nu)[0]
+        stay = 1 - 1.5 / self.LAM
+        assert pick_regime(row, stay + 0.5 / self.LAM) == 2
+        assert pick_regime(row, stay + 1.2 / self.LAM) == 3
 
     def test_beyond_all_intervals(self, three_regime, nu):
-        layout = build_intervals(three_regime, X0, nu)
-        assert jump_displacement(layout, 1, 3.9) == 0
+        row = kernel_at(three_regime, nu)[0]
+        assert pick_regime(row, 0.5) == 1
+        assert pick_regime(row, 0.0) == 1
 
     def test_other_rows_do_not_trigger(self, three_regime, nu):
-        layout = build_intervals(three_regime, X0, nu)
-        # z = 2.0 lies in the (2 -> 1) interval, so from regime 1 nothing fires
-        assert jump_displacement(layout, 1, 2.0) == 0
-        assert jump_displacement(layout, 2, 2.0) == -1
-
-    def test_domain_error(self, three_regime, nu):
-        layout = build_intervals(three_regime, X0, nu)
-        with pytest.raises(DomainError):
-            jump_displacement(layout, 1, layout.cap + 1.0)
+        # regime 3 has no outgoing interval, so no draw leaves it
+        row = kernel_at(three_regime, nu)[2]
+        draws = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
+        assert pick_regime(row, draws).tolist() == [3, 3, 3]
+        # regime 2 leaves only for regime 1, from the bottom of its row
+        assert pick_regime(kernel_at(three_regime, nu)[1], 0.1) == 1
 
     def test_uniform_draw_law(self, three_regime, nu):
-        layout = build_intervals(three_regime, X0, nu)
+        row = kernel_at(three_regime, nu)[0]
         gen = np.random.default_rng(9)
-        draws = gen.random(100_000) * layout.cap
-        hits = np.array([jump_displacement(layout, 1, z) for z in draws])
-        for target, length in ((1, 1.0), (2, 0.5)):
-            p = length / layout.cap
+        draws = gen.random(100_000)
+        hits = pick_regime(row, draws)
+        for target, length in ((2, 1.0), (3, 0.5)):
+            p = length / self.LAM
             se = math.sqrt(p * (1 - p) / len(draws))
             assert abs(float(np.mean(hits == target)) - p) <= 3 * se
 
@@ -215,7 +257,7 @@ class TestPathLastRows:
     def test_bit_identical_to_the_regime_last_form(self, n, rows):
         rates, regimes, x, dt = random_rows_case(n, rows, DT_RATE_CAP, seed=n * 10_000 + rows)
         got = transition_rows_batch(rates, regimes, x, None, dt)
-        assert np.array_equal(got, reference_rows(rates.generator(x, None), regimes, dt))
+        assert np.array_equal(got, reference_rows(rates, regimes, x, dt))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -227,7 +269,35 @@ class TestPathLastRows:
     def test_bit_identical_property(self, n, rows, dt_m, seed):
         rates, regimes, x, dt = random_rows_case(n, rows, dt_m, seed)
         got = transition_rows_batch(rates, regimes, x, None, dt)
-        assert np.array_equal(got, reference_rows(rates.generator(x, None), regimes, dt))
+        assert np.array_equal(got, reference_rows(rates, regimes, x, dt))
+
+    @pytest.mark.parametrize("dt_m", [DT_RATE_CAP, 0.02, 0.004])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    def test_matches_expm_without_a_clip(self, n, dt_m):
+        rates, regimes, x, dt = random_rows_case(n, 60, dt_m, seed=n)
+        got = transition_rows_batch(rates, regimes, x, None, dt)
+        exact = np.stack([transition_matrix(rates, x[r], None, dt)[regimes[r] - 1] for r in range(60)])
+        assert np.max(np.abs(got - exact)) <= 1e-15
+        assert got.min() >= 0.0
+
+    @pytest.mark.parametrize("dt_m", [DT_RATE_CAP, 0.02, 0.004])
+    def test_absorbing_rows_stay_absorbing(self, dt_m):
+        # regime 2 of 3 has no exit rate; regimes 1 and 3 leave at the bound
+        rates = RateSpec(3, [[None, "1", "1"], ["0", None, "0"], ["1.5", "0.5", None]], 2.0)
+        rows = transition_rows_batch(rates, np.array([2, 1, 2]), np.zeros((3, 1)), None, dt_m / 2.0)
+        for row in rows[[0, 2]]:
+            assert row.tolist() == [0.0, 1.0, 0.0]
+            assert pick_regime(row, np.nextafter(1.0, 0.0)) == 2
+        assert rows[1, 1] > 0.0 and rows[1, 0] < 1.0
+
+    @pytest.mark.parametrize("lam,degree", [(0.004, 6), (0.02, 7), (DT_RATE_CAP, 10)])
+    def test_degree_follows_lambda(self, lam, degree):
+        assert _poisson_degree(lam) == degree
+        # the call's own lambda carries the rate tolerance
+        assert _poisson_degree(lam * (1.0 + _RATE_TOL)) == degree
+
+    def test_no_clip(self):
+        assert "clip" not in inspect.getsource(transition_rows_batch)
 
 
 class TestNanRateRejected:
@@ -243,9 +313,9 @@ class TestNanRateRejected:
         with pytest.raises(ModelError, match="NaN"):
             model.rates.generator(np.array([2.0]), dirac(model.action_set, [0.5]))
 
-    def test_build_intervals(self, model):
+    def test_jump_kernel(self, model):
         with pytest.raises(ModelError, match="NaN"):
-            build_intervals(model.rates, np.array([2.0]), dirac(model.action_set, [0.5]))
+            jump_kernel(model.rates, np.array([2.0]), dirac(model.action_set, [0.5]))
 
     def test_simulate_paths(self, model):
         with pytest.raises(ModelError, match="NaN"):
@@ -293,10 +363,9 @@ class TestRateSpecValidation:
 
     def test_single_regime_degenerates(self, nu):
         rates = RateSpec(1, [[None]], 0.0)
-        layout = build_intervals(rates, X0, nu)
-        assert layout.cap == 0.0
-        assert layout.total_mass == 0.0
         assert step_transition_probs(rates, 1, X0, nu, 0.01).tolist() == [1.0]
+        batch = transition_rows_batch(rates, np.array([1, 1]), np.zeros((2, 1)), MeasureBatch.constant(nu, 2), 0.01)
+        assert batch.tolist() == [[1.0], [1.0]]
 
     def test_disallowed_variables(self):
         with pytest.raises(ValidationError, match="x and nu only"):
