@@ -6,8 +6,9 @@ Subcommands: ``validate`` (coefficient hypothesis report), ``simulate``
 deterministic given config + seed, carry the config hash, and are written
 atomically.  Plot-ready CSV/JSON is the output contract; no plotting here.
 
-Exit codes: 0 ok, 2 config/parse error, 3 hypothesis failure, 4 simulation
-error, 5 capacity error, 6 verification failure.
+Exit codes: 0 ok, 2 config/parse error or a file that cannot be read or
+written, 3 hypothesis failure, 4 simulation error, 5 capacity error,
+6 verification failure.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from . import oracle_verify, rng
 from .control import candidate_set
 from .cost import monte_carlo_cost
 from .dpp_solver import GridSpec, solve
-from .dynamics import simulate_paths, validate_model
+from .dynamics import grid_steps, simulate_chunks, simulate_paths, validate_model
 from .errors import CapacityError, HybridOptError, ModelError, NumericalError, SimulationError, ValidationError
 
 EXIT_OK = 0
@@ -138,6 +139,10 @@ def _run_hash(args, model_payload, control_payload, x0, i0, t0, horizon, antithe
 
 # paths per block of rows handed to the file by the CSV writer
 CSV_BLOCK_PATHS = 64
+#: Cap on paths x (steps + 1) x (d + 3) for ``simulate --out *.json``, which
+#: builds every path as nested lists before writing; at the cap a 1-D run
+#: peaks at about 0.9 GB RSS (see the README, "Path CSV").
+JSON_PATH_CELLS = 12_000_000
 
 
 def _csv_cells(pool, end: str = "") -> np.ndarray:
@@ -148,25 +153,39 @@ def _csv_cells(pool, end: str = "") -> np.ndarray:
     return np.array([c + end for c in buf.getvalue().split("\n")[:-1] + [""]], dtype=object)
 
 
-def _paths_to_csv(batch, hash_line: str, fh) -> None:
+def _paths_to_csv(batch, hash_line: str, fh, header: bool = True) -> None:
     """Write one CSV row per path and grid time to ``fh``, CSV_BLOCK_PATHS paths
-    at a time; the byte contract is in the README ("Path CSV")."""
+    at a time, after the hash and header lines unless ``header`` is false; the
+    byte contract is in the README ("Path CSV").
+
+    A row is the parts ``path,`` ``t,`` x1 ``,`` ... xd ``,regime,`` ``mu,``
+    ``nu\\n``.  All but the coordinates are cells made once per call and shared
+    by reference, and each block goes to ``fh`` as one joined string."""
     n_paths, n_rows, d = batch.states.shape
-    fh.write(f"# config_hash={hash_line}\n")
-    fh.write(",".join(["path", "t"] + [f"x{c + 1}" for c in range(d)] + ["regime", "mu", "nu"]) + "\n")
-    measures = ((_csv_cells(batch.mu_pool), batch.mu_idx), (_csv_cells(batch.nu_pool, end="\n"), batch.nu_idx))
-    times = [repr(t) for t in batch.times.tolist()]
+    if header:
+        fh.write(f"# config_hash={hash_line}\n")
+        fh.write(",".join(["path", "t"] + [f"x{c + 1}" for c in range(d)] + ["regime", "mu", "nu"]) + "\n")
+    width = 2 * d + 4
+    path_cells = np.array([f"{p}," for p in batch.path_indices.tolist()], dtype=object)
+    times = [float.__repr__(t) + "," for t in batch.times.tolist()]
+    regime_cells = np.array([f",{r}," for r in range(int(batch.regimes.max()) + 1)], dtype=object)
+    measures = ((2 * d + 2, _csv_cells(batch.mu_pool, ","), batch.mu_idx),
+                (2 * d + 3, _csv_cells(batch.nu_pool, "\n"), batch.nu_idx))
     for lo in range(0, n_paths, CSV_BLOCK_PATHS):
         block = slice(lo, lo + CSV_BLOCK_PATHS)
-        n = len(batch.path_indices[block])
-        cols = [map(str, np.repeat(batch.path_indices[block], n_rows).tolist()), times * n]
-        cols += [map(repr, batch.states[block, :, c].ravel().tolist()) for c in range(d)]
-        cols.append(map(str, batch.regimes[block].ravel().tolist()))
-        for cells, idx in measures:
-            # index len(pool) is a terminal row's empty cell; the nu cells end in "\n"
+        n = len(path_cells[block])
+        # the "," between coordinates is the fill; every other part is set below
+        parts = [","] * (n * n_rows * width)
+        parts[0::width] = path_cells[block].repeat(n_rows).tolist()
+        parts[1::width] = times * n
+        for c in range(d):
+            parts[2 + 2 * c::width] = map(float.__repr__, batch.states[block, :, c].ravel().tolist())
+        parts[2 * d + 1::width] = regime_cells[batch.regimes[block].ravel()].tolist()
+        for col, cells, idx in measures:
+            # index len(pool) is a terminal row's empty cell
             full = np.pad(idx[block], ((0, 0), (0, 1)), constant_values=len(cells) - 1)
-            cols.append(cells[full.ravel()].tolist())
-        fh.writelines(map(",".join, zip(*cols)))
+            parts[col::width] = cells[full.ravel()].tolist()
+        fh.write("".join(parts))
 
 
 def _paths_to_json(batch, hash_line: str) -> dict:
@@ -214,16 +233,25 @@ def cmd_simulate(args) -> int:
     i0 = args.i0 if args.i0 is not None else model.default_start()[1]
     t_end = args.horizon if args.horizon is not None else model.horizon
     workers = args.workers if args.workers is not None else _default_workers()
-    batch = simulate_paths(
-        model, control, args.t0, x0, i0, t_end, args.dt, args.seed, args.paths, workers
-    )
     run_hash = _run_hash(args, payload, control_payload, x0, i0, args.t0, t_end)
     out = args.out or "paths.csv"
+    sim = (model, control, args.t0, x0, i0, t_end, args.dt, args.seed, args.paths, workers)
     if str(out).endswith(".json"):
-        cfg.atomic_write_json(out, _paths_to_json(batch, run_hash))
+        cells = args.paths * (grid_steps(args.t0, t_end, args.dt) + 1) * (model.state_dim + 3)
+        if cells > JSON_PATH_CELLS:
+            raise CapacityError(
+                f"JSON path export of {cells} cells exceeds the cap of {JSON_PATH_CELLS}; write CSV instead"
+            )
+        cfg.atomic_write_json(out, _paths_to_json(simulate_paths(*sim), run_hash))
     else:
         with cfg.atomic_open(out) as fh:
-            _paths_to_csv(batch, run_hash, fh)
+            header = True
+            for batch in simulate_chunks(*sim):
+                _paths_to_csv(batch, run_hash, fh, header=header)
+                header = False
+                # drop the chunk before the next one is simulated, so that one
+                # is held at a time (enumerate would hold it in its result tuple)
+                del batch
     print(f"wrote {args.paths} paths to {out}")
     return EXIT_OK
 
@@ -348,8 +376,11 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
+        if args.out:
+            # a bad target fails before the work, not at the final rename
+            cfg.check_target(args.out)
         return _COMMANDS[args.command](args)
-    except (json.JSONDecodeError, FileNotFoundError, HybridOptError) as err:
+    except (json.JSONDecodeError, OSError, HybridOptError) as err:
         print(f"error: {err}", file=sys.stderr)
         return next((code for kinds, code in _EXIT_CODES if isinstance(err, kinds)), EXIT_PARSE)
 

@@ -7,6 +7,7 @@ outputs are traceable and reruns are byte-comparable.
 """
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -41,21 +42,41 @@ def config_hash(payload) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
+def check_target(path) -> None:
+    """Raise the OSError, naming ``path``, that writing a file there would end
+    in: ``path`` is a directory, or its parent is not one.  The CLI calls it
+    before a command's work, so a bad ``--out`` fails at once."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "no such directory", str(path.parent))
+
+
 @contextmanager
 def atomic_open(path):
-    """Text file handle on a sibling temp file that is renamed onto ``path``
-    on a clean exit, so readers never see partial files.  On an error the
-    temp file is removed and an earlier file at ``path`` keeps its bytes.
-    The file gets the mode ``open`` would give it, 0o666 less the umask."""
+    """UTF-8 text handle, lines ending in ``\\n`` on every platform, on a
+    sibling temp file that is renamed onto ``path`` on a clean exit, so
+    readers never see partial files.  On an error the temp file is removed
+    and an earlier file at ``path`` keeps its bytes.  The file gets the mode
+    ``open`` would give it, 0o666 less the umask.  An OSError from making or
+    renaming the temp file is raised as one naming ``path``."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    check_target(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, str(path)) from err
     umask = os.umask(0)
     os.umask(umask)
     try:
         os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, str(path)) from err
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -135,7 +156,7 @@ def atomic_write_json(path, payload) -> None:
 
 def _load_payload(source) -> dict:
     if isinstance(source, (str, Path)):
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             return json.load(fh)
     return source
 

@@ -19,14 +19,17 @@ streams keyed by (seed, block, role): path p reads row p % BLOCK_PATHS of
 block p // BLOCK_PATHS (see ``rng``), so a path's trajectory is independent
 of batch composition and worker scheduling.  Batches are simulated in chunks
 that stay inside one block (``path_chunks``), fanned out over one process
-pool per call (``fan_out``) and reassembled bit-identically.
+pool per call (``fan_out``) and handed on in path order.
 
-``simulate_paths`` is the only simulation entry point; a single path is a
-batch of one.  A ``PathBatch`` keeps states, regimes and per-step control
-pool indices, not the Brownian increments.
+``simulate_chunks`` is the simulation entry point: it yields one
+``PathBatch`` per chunk, so a caller that consumes each chunk holds one at a
+time.  ``simulate_paths`` concatenates them; a single path is a batch of
+one.  A ``PathBatch`` keeps states, regimes and per-step control pool
+indices, not the Brownian increments.
 """
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -302,7 +305,7 @@ class PathBatch:
         )
 
 
-def _grid_steps(s: float, t_end: float, dt: float) -> int:
+def grid_steps(s: float, t_end: float, dt: float) -> int:
     if dt <= 0 or t_end <= s:
         raise ValidationError("need dt > 0 and t_end > s")
     n = int(round((t_end - s) / dt))
@@ -326,7 +329,7 @@ def _simulate_block(
 ) -> PathBatch:
     """Paths first_path..first_path+n_paths-1, all inside one stream block
     (one chunk of ``path_chunks``)."""
-    n_steps = _grid_steps(s, t_end, dt)
+    n_steps = grid_steps(s, t_end, dt)
     check_step(model.rates, dt)
     d = model.state_dim
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -412,16 +415,29 @@ def path_chunks(first: int, count: int):
 
 
 def fan_out(job, args: list, workers: int):
-    """``job(a)`` for each ``a`` of ``args``, in order.  With ``workers > 1`` and
-    more than one job, one process pool serves them all; otherwise they run
-    here one at a time, each result made before the next job starts."""
-    if int(workers) <= 1 or len(args) < 2:
-        return map(job, args)
-    with ProcessPoolExecutor(max_workers=min(int(workers), len(args))) as pool:
-        return list(pool.map(job, args))
+    """``job(a)`` for each ``a`` of ``args``, yielded in order.  With ``workers > 1``
+    and more than one job, one process pool serves them all, and at most
+    ``workers`` jobs are in flight, the result the caller holds included;
+    otherwise they run here one at a time, each when the caller asks for it.
+    Closing the generator early cancels the jobs not yet started."""
+    workers = min(int(workers), len(args))
+    if workers <= 1:
+        yield from map(job, args)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        window = deque()
+        for a in args:
+            if len(window) == workers:
+                yield window.popleft().result()
+            window.append(pool.submit(job, a))
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def simulate_paths(
+def simulate_chunks(
     model: HybridModel,
     control: FeedbackControl,
     s: float,
@@ -434,20 +450,27 @@ def simulate_paths(
     workers: int = 1,
     flip_brownian: bool = False,
     first_path_index: int = 0,
-) -> PathBatch:
-    """Simulate a batch, optionally fanned out over worker processes.
-
-    Paths are simulated in chunks that stay inside one stream block; the
-    block-keyed streams make the assembled result independent of the worker
-    count and of ``first_path_index``.
-    """
+):
+    """The batch of ``simulate_paths`` as an iterator of one ``PathBatch`` per
+    chunk of ``path_chunks``, in path order, made as ``fan_out`` makes them."""
     if path_count < 1:
         raise ValidationError("path_count must be >= 1")
     args = [
         (model, control, s, x0, i0, t_end, dt, seed, first, count, flip_brownian)
         for first, count in path_chunks(first_path_index, path_count)
     ]
-    return PathBatch.concatenate(list(fan_out(_block_args, args, workers)))
+    return fan_out(_block_args, args, workers)
+
+
+def simulate_paths(*args, **kwargs) -> PathBatch:
+    """Simulate a batch, optionally fanned out over worker processes; takes
+    the arguments of ``simulate_chunks``.
+
+    Paths are simulated in chunks that stay inside one stream block; the
+    block-keyed streams make the assembled result independent of the worker
+    count and of ``first_path_index``.
+    """
+    return PathBatch.concatenate(list(simulate_chunks(*args, **kwargs)))
 
 
 class HypothesisCheck:

@@ -5,12 +5,17 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hybridopt import cli, config, errors, rng
-from hybridopt.dynamics import simulate_paths
+from hybridopt import cli, config, dynamics, errors, rng
+from hybridopt.dynamics import PathBatch, simulate_paths
+from hybridopt.measure_space import ActionSet, DiscreteMeasure
 
 
 @pytest.fixture
@@ -327,21 +332,28 @@ class TestCsvWriter:
         written = []
 
         class FailingSecondBlock:
+            """Fails on the second write that carries data rows (lines that
+            start with a path index), whichever method the writer calls."""
+
             def __init__(self, fh):
                 self.fh = fh
 
             def write(self, text):
-                self.fh.write(text)
-
-            def writelines(self, lines):
+                if not any(line[:1].isdigit() for line in text.splitlines()):
+                    return self.fh.write(text)
                 if written:
                     raise RuntimeError("formatting failed")
-                self.fh.writelines(lines)
+                self.fh.write(text)
                 self.fh.flush()
                 written.extend(p.stat().st_size for p in out_dir.iterdir() if p != out)
 
+            def writelines(self, lines):
+                self.write("".join(lines))
+
         real = cli._paths_to_csv
-        monkeypatch.setattr(cli, "_paths_to_csv", lambda batch, h, fh: real(batch, h, FailingSecondBlock(fh)))
+        monkeypatch.setattr(
+            cli, "_paths_to_csv", lambda batch, h, fh, **kw: real(batch, h, FailingSecondBlock(fh), **kw)
+        )
         with pytest.raises(RuntimeError, match="formatting failed"):
             cli.main(
                 ["simulate", "--model", str(model), "--control", str(control), "--out", str(out),
@@ -351,6 +363,192 @@ class TestCsvWriter:
         assert len(written) == 1 and written[0] > 0
         assert list(out_dir.iterdir()) == [out]
         assert out.read_text() == "earlier run\n"
+
+    def test_error_in_second_chunk_leaves_no_partial_file(self, demo_files, tmp_path, monkeypatch):
+        # the first chunk is on disk before the second is simulated; the
+        # second chunk's failure removes it and keeps the earlier file
+        model, control = demo_files
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "paths.csv"
+        out.write_text("earlier run\n")
+        written = []
+        real = dynamics._simulate_block
+
+        def fail_second_chunk(*args, **kwargs):
+            if args[8] >= rng.BLOCK_PATHS:
+                written.extend(p.stat().st_size for p in out_dir.iterdir() if p != out)
+                raise errors.SimulationError("second chunk failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_simulate_block", fail_second_chunk)
+        code = cli.main(
+            ["simulate", "--model", str(model), "--control", str(control), "--out", str(out),
+             "--paths", str(rng.BLOCK_PATHS + 1), "--dt", "0.25", "--seed", "1", "--workers", "1"]
+        )
+        assert code == 4
+        assert len(written) == 1 and written[0] > 0
+        assert list(out_dir.iterdir()) == [out]
+        assert out.read_text() == "earlier run\n"
+
+    @pytest.mark.parametrize(
+        "paths, workers",
+        [(1, 1), (rng.BLOCK_PATHS + 1, 1), (2 * rng.BLOCK_PATHS + 3, 1), (2 * rng.BLOCK_PATHS + 3, 2)],
+        ids=["1chunk", "2chunks", "3chunks", "3chunks-w2"],
+    )
+    def test_streamed_chunks_match_one_batch(self, tmp_path, paths, workers):
+        # the CSV written chunk by chunk equals the per-row reference over the
+        # whole batch, at any chunk and worker count
+        model_path = write_json(tmp_path / "m.json", MULTI_ATOM_MODEL)
+        control_path = write_json(tmp_path / "c.json", MULTI_ATOM_CONTROL)
+        out = tmp_path / "paths.csv"
+        assert cli.main(
+            ["simulate", "--model", str(model_path), "--control", str(control_path), "--out", str(out),
+             "--paths", str(paths), "--dt", "0.05", "--horizon", "0.1", "--seed", "11",
+             "--workers", str(workers)]
+        ) == 0
+        model, _ = config.load_model(MULTI_ATOM_MODEL)
+        control, _ = config.load_control(MULTI_ATOM_CONTROL, model)
+        batch = simulate_paths(model, control, 0.0, [0.0, 0.0], 1, 0.1, 0.05, 11, paths)
+        text = out.read_text()
+        assert text == reference_csv(batch, text[len("# config_hash="):].split("\n", 1)[0])
+
+
+# floats whose repr is easy to get wrong, and clamp bounds of the models above
+SPECIAL_FLOATS = [-0.0, 0.0, 1e-05, 1e16, 5e-324, 0.30000000000000004, -1.0, 1.0, -6.0, 6.0]
+# weight vectors that sum to 1 exactly, by atom count
+WEIGHTS = {1: [1.0], 2: [0.25, 0.75], 3: [0.1, 0.2, 0.7]}
+
+
+@st.composite
+def path_batches(draw):
+    """A hand-built PathBatch: d in 1..3, up to 3 regimes, pools of up to 5
+    measures of up to 3 atoms, path counts around the writer's blocks."""
+    d = draw(st.integers(1, 3))
+    regime_count = draw(st.integers(1, 3))
+    box = ActionSet([-1.0] * d, [1.0] * d)
+    coords = st.sampled_from([v for v in SPECIAL_FLOATS if abs(v) <= 1.0])
+
+    def measure(k):
+        atoms = draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=k, max_size=k))
+        return DiscreteMeasure(box, atoms, WEIGHTS[k])
+
+    pools = [[measure(draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 5)))] for _ in range(2)]
+    b = cli.CSV_BLOCK_PATHS
+    n_paths = draw(st.sampled_from([1, b - 1, b + 1, 2 * b + 3]))
+    first = draw(st.sampled_from([0, rng.BLOCK_PATHS - 2]))
+    n_steps = draw(st.integers(1, 3))
+    values = np.array(draw(st.lists(
+        st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12
+    )))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return PathBatch(
+        0.1,
+        gen.choice(values, n_steps + 1),
+        gen.choice(values, (n_paths, n_steps + 1, d)),
+        gen.integers(1, regime_count + 1, (n_paths, n_steps + 1)),
+        pools[0],
+        pools[1],
+        gen.integers(0, len(pools[0]), (n_paths, n_steps)),
+        gen.integers(0, len(pools[1]), (n_paths, n_steps)),
+        np.arange(first, first + n_paths),
+        0,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=path_batches())
+def test_csv_writer_matches_reference(batch):
+    assert block_csv(batch, "h") == reference_csv(batch, "h")
+
+
+def never_simulate(*args, **kwargs):
+    raise AssertionError("simulated before the output was checked")
+
+
+class TestOutputTargets:
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_directory_out_fails_before_simulating(self, command, demo_files, tmp_path, monkeypatch, capsys):
+        model, control = demo_files
+        target = tmp_path / "outdir"
+        target.mkdir()
+        monkeypatch.setattr(dynamics, "_simulate_block", never_simulate)
+        assert cli.main(
+            [command, "--model", str(model), "--control", str(control), "--out", str(target),
+             "--paths", "2", "--dt", "0.25", "--workers", "1"]
+        ) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{target}'\n"
+        assert list(target.iterdir()) == []
+
+    def test_missing_out_directory_exits_2(self, demo_files, tmp_path, monkeypatch, capsys):
+        model, control = demo_files
+        monkeypatch.setattr(dynamics, "_simulate_block", never_simulate)
+        assert cli.main(
+            ["simulate", "--model", str(model), "--control", str(control),
+             "--out", str(tmp_path / "nodir" / "p.csv"), "--paths", "2", "--dt", "0.25"]
+        ) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] no such directory: '{tmp_path / 'nodir'}'\n"
+
+    def test_directory_model_exits_2(self, tmp_path, capsys):
+        assert cli.main(["validate", "--model", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_atomic_open_names_the_target(self, tmp_path):
+        with pytest.raises(IsADirectoryError) as err:
+            with config.atomic_open(tmp_path):
+                pass
+        assert str(err.value) == f"[Errno 21] Is a directory: '{tmp_path}'"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_atomic_open_writes_utf8_and_newlines(self, tmp_path):
+        out = tmp_path / "t.txt"
+        with config.atomic_open(out) as fh:
+            assert fh.encoding == "utf-8"
+            fh.write("\u03bc\nb\n")
+        assert out.read_bytes() == "\u03bc\nb\n".encode("utf-8")
+
+    def test_json_export_cap_counts_cells(self, demo_files, tmp_path, monkeypatch):
+        # paths x (steps + 1) x (d + 3): 2 steps of the 1-D demo are 12 cells a path
+        model, control = demo_files
+        out = tmp_path / "paths.json"
+        argv = ["simulate", "--model", str(model), "--control", str(control), "--out", str(out),
+                "--dt", "0.125", "--horizon", "0.25", "--seed", "1", "--workers", "1", "--paths"]
+        monkeypatch.setattr(cli, "JSON_PATH_CELLS", 2 * 12)
+        assert cli.main(argv + ["2"]) == 0
+        out.unlink()
+        assert cli.main(argv + ["3"]) == 5
+        assert not out.exists()
+
+    def test_json_export_cap_exits_5(self, demo_files, tmp_path, monkeypatch):
+        model, control = demo_files
+        monkeypatch.setattr(dynamics, "_simulate_block", never_simulate)
+        out = tmp_path / "paths.json"
+        assert cli.main(
+            ["simulate", "--model", str(model), "--control", str(control), "--out", str(out),
+             "--paths", str(cli.JSON_PATH_CELLS // (101 * 4) + 1), "--dt", "0.01", "--seed", "1"]
+        ) == 5
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["control.json", "model.json"]
+
+
+def test_simulate_memory_does_not_grow_with_paths(demo_files, tmp_path):
+    # chunks are written and dropped one by one: 8 blocks of paths peak at
+    # about what 2 do, where holding every chunk would take 4 times as much,
+    # and 2 blocks at about what 1 does, where holding two chunks would not
+    model, control = demo_files
+    peaks = {}
+    for blocks in (1, 2, 8):
+        tracemalloc.start()
+        try:
+            assert cli.main(
+                ["simulate", "--model", str(model), "--control", str(control),
+                 "--out", str(tmp_path / "p.csv"), "--paths", str(blocks * rng.BLOCK_PATHS),
+                 "--dt", "0.05", "--horizon", "0.25", "--seed", "1", "--workers", "1"]
+            ) == 0
+            peaks[blocks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] < 2 * peaks[2]
+    assert peaks[2] < 1.2 * peaks[1]
 
 
 class TestEstimate:
@@ -654,6 +852,8 @@ class TestExitCodes:
             (errors.BoundViolationError("bad"), 3),
             (errors.SimulationError("bad"), 4),
             (errors.NumericalError("bad"), 4),
+            (IsADirectoryError(21, "Is a directory", "out"), 2),
+            (PermissionError(13, "Permission denied", "model.json"), 2),
         ],
     )
     def test_error_kind_sets_exit_code(self, error, code, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hybridopt import (
     step_transition_probs,
     validate_model,
 )
+from hybridopt import dynamics
 from hybridopt.dynamics import growth_ratio
 from tests.conftest import const_control, make_model
 
@@ -427,3 +429,50 @@ class TestStepSizeCap:
         simulate_paths(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.1, 0, 1)
         with pytest.raises(StepSizeError):
             simulate_paths(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.125, 0, 1)
+
+
+class RecordingPool:
+    """Stands in for the process pool: runs each job at submit and records
+    what was submitted and how the pool was shut down."""
+
+    submitted: list = []
+    shutdowns: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def submit(self, job, arg):
+        RecordingPool.submitted.append(arg)
+        future = Future()
+        future.set_result(job(arg))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        RecordingPool.shutdowns.append(cancel_futures)
+
+
+class TestFanOutWindow:
+    @pytest.fixture(autouse=True)
+    def pool(self, monkeypatch):
+        RecordingPool.submitted, RecordingPool.shutdowns = [], []
+        monkeypatch.setattr(dynamics, "ProcessPoolExecutor", RecordingPool)
+
+    def test_at_most_workers_jobs_ahead(self):
+        taken = []
+        for result in dynamics.fan_out(lambda a: 2 * a, list(range(10)), 3):
+            # the result in hand and the ones submitted after it: 3 at most
+            assert len(RecordingPool.submitted) - len(taken) <= 3
+            taken.append(result)
+        assert taken == [2 * a for a in range(10)]
+        assert RecordingPool.shutdowns == [True]
+
+    def test_abandoned_run_cancels_the_rest(self):
+        results = dynamics.fan_out(lambda a: a, list(range(10)), 2)
+        assert next(results) == 0
+        results.close()
+        assert RecordingPool.submitted == [0, 1]
+        assert RecordingPool.shutdowns == [True]
+
+    def test_one_worker_needs_no_pool(self):
+        assert list(dynamics.fan_out(lambda a: -a, [1, 2, 3], 1)) == [-1, -2, -3]
+        assert RecordingPool.submitted == [] and RecordingPool.shutdowns == []
