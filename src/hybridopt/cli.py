@@ -78,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i0", type=int, default=None, help="start regime (default: model starts)")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--horizon", type=float, default=None, help="end time (default: model horizon)")
+    p.set_defaults(out="paths.csv")
 
     p = sub.add_parser("estimate", help="Monte Carlo cost of a control")
     _add_common(p)
@@ -98,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-levels", type=int, default=1)
     p.add_argument("--nu-atoms", type=int, default=2)
     p.add_argument("--nu-levels", type=int, default=1)
+    p.set_defaults(out="value_grid.json")
 
     p = sub.add_parser("verify", help="run the oracle verification battery")
     p.add_argument("--check", nargs="*", default=None, help="check names (default: the full battery)")
@@ -153,18 +155,21 @@ def _csv_cells(pool, end: str = "") -> np.ndarray:
     return np.array([c + end for c in buf.getvalue().split("\n")[:-1] + [""]], dtype=object)
 
 
-def _paths_to_csv(batch, hash_line: str, fh, header: bool = True) -> None:
+def _csv_header(hash_line: str, d: int) -> str:
+    """The hash and header lines that open a path CSV of state dimension d."""
+    columns = ["path", "t"] + [f"x{c + 1}" for c in range(d)] + ["regime", "mu", "nu"]
+    return f"# config_hash={hash_line}\n" + ",".join(columns) + "\n"
+
+
+def _paths_to_csv(batch, fh) -> None:
     """Write one CSV row per path and grid time to ``fh``, CSV_BLOCK_PATHS paths
-    at a time, after the hash and header lines unless ``header`` is false; the
-    byte contract is in the README ("Path CSV").
+    at a time; the rows follow ``_csv_header`` and the byte contract is in the
+    README ("Path CSV").
 
     A row is the parts ``path,`` ``t,`` x1 ``,`` ... xd ``,regime,`` ``mu,``
     ``nu\\n``.  All but the coordinates are cells made once per call and shared
     by reference, and each block goes to ``fh`` as one joined string."""
     n_paths, n_rows, d = batch.states.shape
-    if header:
-        fh.write(f"# config_hash={hash_line}\n")
-        fh.write(",".join(["path", "t"] + [f"x{c + 1}" for c in range(d)] + ["regime", "mu", "nu"]) + "\n")
     width = 2 * d + 4
     path_cells = np.array([f"{p}," for p in batch.path_indices.tolist()], dtype=object)
     times = [float.__repr__(t) + "," for t in batch.times.tolist()]
@@ -234,25 +239,23 @@ def cmd_simulate(args) -> int:
     t_end = args.horizon if args.horizon is not None else model.horizon
     workers = args.workers if args.workers is not None else _default_workers()
     run_hash = _run_hash(args, payload, control_payload, x0, i0, args.t0, t_end)
-    out = args.out or "paths.csv"
     sim = (model, control, args.t0, x0, i0, t_end, args.dt, args.seed, args.paths, workers)
-    if str(out).endswith(".json"):
+    if str(args.out).endswith(".json"):
         cells = args.paths * (grid_steps(args.t0, t_end, args.dt) + 1) * (model.state_dim + 3)
         if cells > JSON_PATH_CELLS:
             raise CapacityError(
                 f"JSON path export of {cells} cells exceeds the cap of {JSON_PATH_CELLS}; write CSV instead"
             )
-        cfg.atomic_write_json(out, _paths_to_json(simulate_paths(*sim), run_hash))
+        cfg.atomic_write_json(args.out, _paths_to_json(simulate_paths(*sim), run_hash))
     else:
-        with cfg.atomic_open(out) as fh:
-            header = True
+        with cfg.atomic_open(args.out) as fh:
+            fh.write(_csv_header(run_hash, model.state_dim))
             for batch in simulate_chunks(*sim):
-                _paths_to_csv(batch, run_hash, fh, header=header)
-                header = False
+                _paths_to_csv(batch, fh)
                 # drop the chunk before the next one is simulated, so that one
                 # is held at a time (enumerate would hold it in its result tuple)
                 del batch
-    print(f"wrote {args.paths} paths to {out}")
+    print(f"wrote {args.paths} paths to {args.out}")
     return EXIT_OK
 
 
@@ -295,9 +298,8 @@ def cmd_solve(args) -> int:
          "mu": [args.mu_atoms, args.mu_levels], "nu": [args.nu_atoms, args.nu_levels]}
     )
     doc["start_values"] = start_values
-    out = args.out or "value_grid.json"
-    cfg.atomic_write_json(out, doc)
-    print(f"wrote value grid to {out}")
+    cfg.atomic_write_json(args.out, doc)
+    print(f"wrote value grid to {args.out}")
     return EXIT_OK
 
 
@@ -377,7 +379,8 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         if args.out:
-            # a bad target fails before the work, not at the final rename
+            # a bad target fails before the work, naming the target, not the
+            # temp file of the final rename
             cfg.check_target(args.out)
         return _COMMANDS[args.command](args)
     except (json.JSONDecodeError, OSError, HybridOptError) as err:

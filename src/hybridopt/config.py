@@ -45,7 +45,7 @@ def config_hash(payload) -> str:
 def check_target(path) -> None:
     """Raise the OSError, naming ``path``, that writing a file there would end
     in: ``path`` is a directory, or its parent is not one.  The CLI calls it
-    before a command's work, so a bad ``--out`` fails at once."""
+    on the output target before a command's work, so a bad one fails at once."""
     path = Path(path)
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
@@ -59,10 +59,9 @@ def atomic_open(path):
     sibling temp file that is renamed onto ``path`` on a clean exit, so
     readers never see partial files.  On an error the temp file is removed
     and an earlier file at ``path`` keeps its bytes.  The file gets the mode
-    ``open`` would give it, 0o666 less the umask.  An OSError from making or
-    renaming the temp file is raised as one naming ``path``."""
+    ``open`` would give it, 0o666 less the umask.  An OSError from making the
+    temp file is raised as one naming ``path``."""
     path = Path(path)
-    check_target(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     except OSError as err:
@@ -73,10 +72,7 @@ def atomic_open(path):
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
-        try:
-            os.replace(tmp, path)
-        except OSError as err:
-            raise OSError(err.errno, err.strerror, str(path)) from err
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

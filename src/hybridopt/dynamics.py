@@ -416,9 +416,10 @@ def path_chunks(first: int, count: int):
 
 def fan_out(job, args: list, workers: int):
     """``job(a)`` for each ``a`` of ``args``, yielded in order.  With ``workers > 1``
-    and more than one job, one process pool serves them all, and at most
-    ``workers`` jobs are in flight, the result the caller holds included;
-    otherwise they run here one at a time, each when the caller asks for it.
+    and more than one job, one process pool serves them all: while the caller
+    holds a result, the next ``workers`` jobs are in flight, so every worker
+    stays busy and at most ``workers + 1`` results are held at once.  Otherwise
+    the jobs run here one at a time, each when the caller asks for it.
     Closing the generator early cancels the jobs not yet started."""
     workers = min(int(workers), len(args))
     if workers <= 1:
@@ -428,9 +429,9 @@ def fan_out(job, args: list, workers: int):
     try:
         window = deque()
         for a in args:
-            if len(window) == workers:
-                yield window.popleft().result()
             window.append(pool.submit(job, a))
+            if len(window) > workers:
+                yield window.popleft().result()
         while window:
             yield window.popleft().result()
     finally:
@@ -462,15 +463,31 @@ def simulate_chunks(
     return fan_out(_block_args, args, workers)
 
 
-def simulate_paths(*args, **kwargs) -> PathBatch:
-    """Simulate a batch, optionally fanned out over worker processes; takes
-    the arguments of ``simulate_chunks``.
+def simulate_paths(
+    model: HybridModel,
+    control: FeedbackControl,
+    s: float,
+    x0,
+    i0: int,
+    t_end: float,
+    dt: float,
+    seed: int,
+    path_count: int,
+    workers: int = 1,
+    flip_brownian: bool = False,
+    first_path_index: int = 0,
+) -> PathBatch:
+    """Simulate a batch, optionally fanned out over worker processes: the
+    chunks of ``simulate_chunks``, concatenated.
 
     Paths are simulated in chunks that stay inside one stream block; the
     block-keyed streams make the assembled result independent of the worker
     count and of ``first_path_index``.
     """
-    return PathBatch.concatenate(list(simulate_chunks(*args, **kwargs)))
+    chunks = simulate_chunks(
+        model, control, s, x0, i0, t_end, dt, seed, path_count, workers, flip_brownian, first_path_index
+    )
+    return PathBatch.concatenate(list(chunks))
 
 
 class HypothesisCheck:

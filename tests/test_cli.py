@@ -234,7 +234,8 @@ def reference_csv(batch, hash_line: str) -> str:
 
 def block_csv(batch, hash_line: str) -> str:
     out = io.StringIO()
-    cli._paths_to_csv(batch, hash_line, out)
+    out.write(cli._csv_header(hash_line, batch.states.shape[2]))
+    cli._paths_to_csv(batch, out)
     return out.getvalue()
 
 
@@ -352,7 +353,7 @@ class TestCsvWriter:
 
         real = cli._paths_to_csv
         monkeypatch.setattr(
-            cli, "_paths_to_csv", lambda batch, h, fh, **kw: real(batch, h, FailingSecondBlock(fh), **kw)
+            cli, "_paths_to_csv", lambda batch, fh: real(batch, FailingSecondBlock(fh))
         )
         with pytest.raises(RuntimeError, match="formatting failed"):
             cli.main(
@@ -493,12 +494,15 @@ class TestOutputTargets:
         assert cli.main(["validate", "--model", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
-    def test_atomic_open_names_the_target(self, tmp_path):
-        with pytest.raises(IsADirectoryError) as err:
-            with config.atomic_open(tmp_path):
-                pass
-        assert str(err.value) == f"[Errno 21] Is a directory: '{tmp_path}'"
-        assert list(tmp_path.iterdir()) == []
+    def test_directory_at_default_out_fails_before_simulating(self, demo_files, tmp_path, monkeypatch, capsys):
+        model, control = demo_files
+        (tmp_path / "paths.csv").mkdir()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(dynamics, "_simulate_block", never_simulate)
+        assert cli.main(
+            ["simulate", "--model", str(model), "--control", str(control), "--paths", "2", "--dt", "0.25"]
+        ) == 2
+        assert capsys.readouterr().err == "error: [Errno 21] Is a directory: 'paths.csv'\n"
 
     def test_atomic_open_writes_utf8_and_newlines(self, tmp_path):
         out = tmp_path / "t.txt"

@@ -457,11 +457,12 @@ class TestFanOutWindow:
         RecordingPool.submitted, RecordingPool.shutdowns = [], []
         monkeypatch.setattr(dynamics, "ProcessPoolExecutor", RecordingPool)
 
-    def test_at_most_workers_jobs_ahead(self):
+    def test_workers_jobs_ahead_of_the_result_in_hand(self):
         taken = []
         for result in dynamics.fan_out(lambda a: 2 * a, list(range(10)), 3):
-            # the result in hand and the ones submitted after it: 3 at most
-            assert len(RecordingPool.submitted) - len(taken) <= 3
+            # past the result in hand, 3 jobs are in flight while 3 remain
+            ahead = len(RecordingPool.submitted) - len(taken) - 1
+            assert ahead == min(3, 10 - len(taken) - 1)
             taken.append(result)
         assert taken == [2 * a for a in range(10)]
         assert RecordingPool.shutdowns == [True]
@@ -470,7 +471,7 @@ class TestFanOutWindow:
         results = dynamics.fan_out(lambda a: a, list(range(10)), 2)
         assert next(results) == 0
         results.close()
-        assert RecordingPool.submitted == [0, 1]
+        assert RecordingPool.submitted == [0, 1, 2]
         assert RecordingPool.shutdowns == [True]
 
     def test_one_worker_needs_no_pool(self):
