@@ -34,7 +34,7 @@ from scipy import sparse
 from . import expr as ex
 from .control import MeasureBatch, TableControl
 from .dynamics import HybridModel
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .measure_space import DiscreteMeasure
 from .switching import check_step, transition_rows_batch
 
@@ -104,46 +104,102 @@ def nodes_mesh(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
+# (node, quadrature point, corner) triples per block of the interpolation
+# build; a block's dense windows also hold at most 4x as many slots
+_BLOCK = 2**16
+
+
+def _interpolation_rows(axes: list[np.ndarray], points: np.ndarray, weights: np.ndarray):
+    """Rows sum_q weights[q] * I(points[q]) of clamped multilinear interpolation.
+
+    ``points`` is (Q, m, d): Q query points for each of m rows.  Each entry
+    is 0.0 + weights[0] * v_0 + weights[1] * v_1 + ... in quadrature order,
+    the sum that ``acc = acc + w * I_q`` over q builds, and zero sums are
+    dropped.  Rows are built in blocks of at most ``_BLOCK`` (row, q,
+    corner) triples, each summed by one ``np.bincount`` over a dense window
+    per row.  Returns per-block ``(entries per row, sorted column indices,
+    values)`` and the count of query points clamped into the box.
+    """
+    n_q, m, d = points.shape
+    rows = max(1, _BLOCK // (n_q << d))
+    blocks = []
+    clamped = 0
+    for s in range(0, m, rows):
+        clamped += _rows_block(axes, points[:, s : s + rows], weights, blocks)
+    return blocks, clamped
+
+
+def _rows_block(axes, pts, weights, out) -> int:
+    """Append one block of ``_interpolation_rows`` to ``out``; returns its
+    clamped count."""
+    n_q, m, d = pts.shape
+    # lowest cell index and the corner weights, (Q, corner, row) with corners
+    # lexicographic; each weight multiplies its factors in dimension order
+    lo = np.empty((d, n_q, m), dtype=np.intp)
+    vals = np.ones((n_q, 1, m))
+    outside = np.zeros((n_q, m), dtype=bool)
+    for dd, axis in enumerate(axes):
+        x = pts[..., dd]
+        outside |= (x < axis[0]) | (x > axis[-1])
+        x = np.clip(x, axis[0], axis[-1])
+        pos = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, len(axis) - 2)
+        f = np.clip((x - axis[pos]) / (axis[pos + 1] - axis[pos]), 0.0, 1.0)
+        lo[dd] = pos
+        vals = (vals[:, :, None] * np.stack((1.0 - f, f), axis=1)[:, None]).reshape(n_q, -1, m)
+    vals *= weights[:, None, None]
+    _window_sums([len(a) for a in axes], lo, vals, out)
+    return int(np.count_nonzero(outside))
+
+
+def _window_sums(shape, lo, vals, out) -> None:
+    """Sum a block's weighted corners over a dense window per row and append
+    its nonzero entries to ``out``.  A block whose windows would exceed 4
+    ``_BLOCK`` slots is split, so one wide row cannot blow it up."""
+    d, n_q, m = lo.shape
+    # each row's window spans its cells in every dimension, from its lowest one
+    first = lo.min(axis=1)
+    span = (lo.max(axis=1) - first).max(axis=1) + 2
+    size = int(np.prod(span))
+    if m > 1 and m * size > 4 * _BLOCK:
+        step = max(1, 4 * _BLOCK // size)
+        for s in range(0, m, step):
+            _window_sums(shape, lo[:, :, s : s + step], vals[:, :, s : s + step], out)
+        return
+    span = tuple(span.tolist())
+    slot = np.arange(m) * size + np.ravel_multi_index(tuple(lo - first[:, None, :]), span)
+    corners = np.ravel_multi_index(np.indices((2,) * d).reshape(d, -1), span)
+    # q-major input: every slot sums its contributions in quadrature order
+    sums = np.bincount((slot[:, None, :] + corners[:, None]).ravel(), vals.ravel(), minlength=m * size)
+
+    # window slots in row-major order are grid columns in increasing order
+    hit = np.flatnonzero(sums != 0)
+    row, local = np.divmod(hit, size)
+    # CSR's own index type whenever the grid allows it, so no copy converts it
+    index_type = np.int32 if np.prod(shape) < 2**31 else np.intp
+    offsets = np.ravel_multi_index(np.indices(span).reshape(d, -1), shape).astype(index_type)
+    cols = np.ravel_multi_index(tuple(first), shape).astype(index_type)[row] + offsets[local]
+    out.append((np.bincount(row, minlength=m), cols, sums[hit]))
+
+
+def _csr(blocks, n_cols: int) -> sparse.csr_matrix:
+    """One CSR matrix from ``_interpolation_rows`` blocks, rows in order."""
+    if not blocks:
+        return sparse.csr_matrix((0, n_cols))
+    counts, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return sparse.csr_matrix((vals, cols, indptr), shape=(counts.size, n_cols))
+
+
 def interpolation_matrix(axes: list[np.ndarray], points: np.ndarray) -> tuple[sparse.csr_matrix, int]:
     """Multilinear interpolation weights with edge clamping.
 
-    Returns a (m, n_nodes) sparse matrix whose rows are convex weights, plus
-    the count of query points that had to be clamped into the box.
+    Returns a (m, n_nodes) sparse matrix whose rows are convex weights, with
+    zero weights dropped, plus the count of query points that had to be
+    clamped into the box.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m, d = pts.shape
-    lows = np.array([a[0] for a in axes])
-    highs = np.array([a[-1] for a in axes])
-    clamped = int(np.count_nonzero(np.any((pts < lows) | (pts > highs), axis=1)))
-    pts = np.clip(pts, lows, highs)
-
-    idx_lo = []
-    frac = []
-    for dd, axis in enumerate(axes):
-        pos = np.searchsorted(axis, pts[:, dd], side="right") - 1
-        pos = np.clip(pos, 0, len(axis) - 2)
-        width = axis[pos + 1] - axis[pos]
-        f = (pts[:, dd] - axis[pos]) / width
-        idx_lo.append(pos)
-        frac.append(np.clip(f, 0.0, 1.0))
-
-    shape = tuple(len(a) for a in axes)
-    corners = list(itertools.product((0, 1), repeat=d))
-    cols = np.empty((m, len(corners)), dtype=np.intp)
-    vals = np.empty((m, len(corners)))
-    for c, corner in enumerate(corners):
-        w = np.ones(m)
-        multi = []
-        for dd, hi_bit in enumerate(corner):
-            w = w * (frac[dd] if hi_bit else 1.0 - frac[dd])
-            multi.append(idx_lo[dd] + hi_bit)
-        cols[:, c] = np.ravel_multi_index(tuple(multi), shape)
-        vals[:, c] = w
-    # corners in lexicographic order have increasing row-major indices, so
-    # every row of 2**d entries is already sorted and free of duplicates
-    indptr = np.arange(0, cols.size + 1, len(corners))
-    mat = sparse.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(m, int(np.prod(shape))))
-    return mat, clamped
+    blocks, clamped = _interpolation_rows(axes, pts[None], np.ones(1))
+    return _csr(blocks, int(np.prod([len(a) for a in axes]))), clamped
 
 
 class SolverKernels:
@@ -152,9 +208,15 @@ class SolverKernels:
     ``move[i-1]`` is one CSR matrix of shape (n_mu * n_nodes, n_nodes): rows
     ``mi * n_nodes`` to ``(mi + 1) * n_nodes`` are the state-transport kernel
     for drift/diffusion under mu candidate mi: the Gauss-Hermite sum
-    sum_q w_q * I(x + b dt + sigma sqrt(dt) W_q) of the interpolation
-    matrices of the moved points, added in quadrature-index order, so rows
-    are convex and sorted; ``clamp_count`` counts the clamped moved points.
+    sum_q w_q * I(x + b dt + sigma sqrt(dt) W_q) of the interpolation rows
+    of the moved points.  ``_interpolation_rows`` builds it in blocks of
+    nodes, one ``np.bincount`` per block adding each entry's terms in
+    quadrature-index order, as adding the matrices I_q one by one would, so
+    rows are convex and sorted.  Besides the operators and the moved points
+    the build holds one block: at most ``_BLOCK`` (node, q, corner) triples
+    and 4 ``_BLOCK`` window slots.  ``clamp_count`` counts the clamped moved
+    points; a drift or diffusion that is not finite at a node raises
+    ``NumericalError``.
     ``regime_rows[i-1][ni]`` is the (n_nodes, N) matrix of one-step
     transition rows out of regime i under the nu candidate, built for all
     nodes by one ``switching.transition_rows_batch`` call.  Rates and
@@ -188,27 +250,16 @@ class SolverKernels:
         self.pairs = list(zip(self.pair_mu.tolist(), self.pair_nu.tolist()))
 
         gh_pts, gh_wts = gauss_hermite(grid.quad_order, model.state_dim)
-        sqrt_dt = np.sqrt(dt)
 
         n = model.regime_count
         self.move: list[sparse.csr_matrix] = []
         for i in range(1, n + 1):
             blocks = []
-            regs = np.full(self.n_nodes, i)
             for mu in self.mu_candidates:
-                mb = MeasureBatch.constant(mu, self.n_nodes)
-                b = model.drift_at(self.nodes, regs, mb)
-                sig = model.diffusion_at(self.nodes, regs, mb)
-                drifted = self.nodes + b * dt
-                # moved points for every (node, quadrature) pair
-                moved = drifted[:, None, :] + np.einsum("nrc,qc->nqr", sig, gh_pts) * sqrt_dt
-                acc = sparse.csr_matrix((self.n_nodes, self.n_nodes))
-                for q, w in enumerate(gh_wts):
-                    mat, clamped = interpolation_matrix(self.axes, moved[:, q])
-                    self.clamp_count += clamped
-                    acc = acc + w * mat
-                blocks.append(acc)
-            self.move.append(sparse.vstack(blocks, format="csr"))
+                mu_blocks, clamped = _interpolation_rows(self.axes, self._moved_points(i, mu, gh_pts), gh_wts)
+                blocks += mu_blocks
+                self.clamp_count += clamped
+            self.move.append(_csr(blocks, self.n_nodes))
 
         self.regime_rows: list[np.ndarray] = [
             np.stack([
@@ -228,6 +279,25 @@ class SolverKernels:
             None if "t" in ex.variables(model.running_cost)
             else [self.stage_costs(0.0, i) for i in range(1, n + 1)]
         )
+
+    def _moved_points(self, i: int, mu, gh_pts: np.ndarray) -> np.ndarray:
+        """x + b dt + sigma sqrt(dt) W_q for every quadrature point q and
+        node x, as (Q, n_nodes, d); sigma W_q sums over c in index order."""
+        regs = np.full(self.n_nodes, i)
+        mb = MeasureBatch.constant(mu, self.n_nodes)
+        b = self.model.drift_at(self.nodes, regs, mb)
+        sig = self.model.diffusion_at(self.nodes, regs, mb)
+        for name, coef in (("drift", b), ("diffusion", sig)):
+            bad = ~np.isfinite(coef.reshape(self.n_nodes, -1)).all(axis=1)
+            if bad.any():
+                node = self.nodes[np.argmax(bad)].tolist()
+                raise NumericalError(f"{name} of regime {i} is not finite at node {node}")
+        moved = sig[None, :, :, 0] * gh_pts[:, None, None, 0]
+        for c in range(1, gh_pts.shape[1]):
+            moved += sig[None, :, :, c] * gh_pts[:, None, None, c]
+        moved *= np.sqrt(self.dt)
+        moved += self.nodes + b * self.dt
+        return moved
 
     def stage_costs(self, t: float, i: int) -> np.ndarray:
         """f(t, node, i, mu, nu) dt for every candidate pair, (n_pairs, n_nodes)."""

@@ -684,6 +684,17 @@ class TestSolve:
         )
         assert code == 5
 
+    @pytest.mark.parametrize("coefficient", ["drift", "diffusion"])
+    def test_non_finite_coefficient_exits_4_and_writes_nothing(self, tmp_path, capsys, coefficient):
+        # exp(800 * x1) overflows at the box's upper node x1 = 1
+        blowup = {"drift": [["exp(800*x1)"]] * 2, "diffusion": [[["exp(800*x1)"]]] * 2}[coefficient]
+        model = write_json(tmp_path / "blowup.json", dict(cli.DEMO_MODEL, **{coefficient: blowup}))
+        out = tmp_path / "vg.json"
+        code = cli.main(["solve", "--model", str(model), "--out", str(out), "--grid-nx", "5", "--grid-nt", "4"])
+        assert code == 4
+        assert f"{coefficient} of regime 1 is not finite at node [1.0]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [model]
+
     def test_step_above_rate_cap_exits_2(self, demo_files, tmp_path, capsys):
         # rate bound 0.4 over 3 slices of the unit horizon: dt * M = 0.133 > 0.1
         model, _ = demo_files

@@ -24,7 +24,7 @@ from hybridopt import (
     solve,
     tol_disc,
 )
-from hybridopt import config
+from hybridopt import config, dpp_solver
 from hybridopt.control import ConstantControl, MeasureBatch, candidate_set
 from hybridopt.dpp_solver import SolverKernels, interpolation_matrix
 from tests.conftest import make_model
@@ -281,6 +281,86 @@ def reference_move(kern):
     return move, clamps
 
 
+def plane_kernels(drift, sigma, space_nodes, quad_order):
+    """Kernels of one regime on [-1, 1]^2 with constant drift and diagonal
+    diffusion, over 4 slices of the unit horizon (dt = 0.25)."""
+    u = ActionSet([0.0], [1.0])
+    model = HybridModel(
+        state_dim=2,
+        action_set=u,
+        rates=RateSpec(1, [[None]], 0.0),
+        drift=[list(drift)],
+        diffusion=[[[sigma, "0"], ["0", sigma]]],
+        running_cost="0",
+        terminal_cost="0",
+        horizon=1.0,
+        truncation_lower=[-1.0, -1.0],
+        truncation_upper=[1.0, 1.0],
+    )
+    return SolverKernels(model, GridSpec(4, space_nodes, quad_order), [dirac(u, [0.5])], [dirac(u, [0.5])])
+
+
+def assert_equals_the_kronecker_fold(kern):
+    """The solver's operators and clamp count are those of ``reference_move``
+    bit for bit; returns the count."""
+    ref, ref_clamps = reference_move(kern)
+    assert kern.clamp_count == ref_clamps
+    for new, old in zip(kern.move, ref):
+        old.eliminate_zeros()
+        old.sort_indices()
+        assert new.has_canonical_format
+        assert np.array_equal(new.indptr, old.indptr)
+        assert np.array_equal(new.indices, old.indices)
+        assert np.array_equal(new.data, old.data)
+    return ref_clamps
+
+
+def operator_bytes(kern):
+    return sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in kern.move)
+
+
+def dense_interpolation(axes, points):
+    """Clamped multilinear interpolation weights, one dense row per point,
+    written from the formula: clamp, find the cell, multiply (1 - f) or f
+    over the dimensions for each of the 2^d corners."""
+    shape = tuple(len(a) for a in axes)
+    rows = np.zeros((len(points), int(np.prod(shape))))
+    for r, x in enumerate(points):
+        cell, frac = [], []
+        for axis, v in zip(axes, x):
+            v = min(max(v, axis[0]), axis[-1])
+            k = max(j for j in range(len(axis) - 1) if axis[j] <= v)
+            cell.append(k)
+            frac.append((v - axis[k]) / (axis[k + 1] - axis[k]))
+        for corner in itertools.product((0, 1), repeat=len(axes)):
+            w = 1.0
+            for f, bit in zip(frac, corner):
+                w *= f if bit else 1.0 - f
+            rows[r, np.ravel_multi_index(tuple(k + b for k, b in zip(cell, corner)), shape)] += w
+    return rows
+
+
+class TestInterpolationMatrix:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_dense_formula(self, d):
+        rng = np.random.default_rng(d)
+        axes = [np.sort(np.r_[-1.0, rng.uniform(-1.0, 1.5, 3 + dd), 1.5]) for dd in range(d)]
+        nodes = dpp_solver.nodes_mesh(axes)
+        inside = rng.uniform(-1.0, 1.5, size=(20, d))
+        outside = rng.uniform(-3.0, 3.5, size=(20, d))
+        outside[:, 0] = np.where(rng.random(20) < 0.5, -2.0, 2.5)
+        points = np.concatenate([inside, nodes, outside])
+        mat, clamped = interpolation_matrix(axes, points)
+        assert clamped == 20
+        assert mat.has_canonical_format
+        assert np.allclose(mat.toarray(), dense_interpolation(axes, points), rtol=0.0, atol=1e-15)
+        # a node, first and last ones included (frac 0 and 1), reads exactly itself
+        on_node = mat[20 : 20 + len(nodes)]
+        assert np.array_equal(on_node.indices, np.arange(len(nodes)))
+        assert np.array_equal(on_node.data, np.ones(len(nodes)))
+        assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-15
+
+
 class TestMovementOperator:
     @pytest.mark.parametrize("case", ["solve_2d", "3d_state_sigma"])
     def test_quadrature_sum_equals_the_kronecker_fold(self, case):
@@ -291,18 +371,50 @@ class TestMovementOperator:
             model, grid = three_d_model(), GridSpec(4, [7, 6, 5], 3)
             mu_c, nu_c = three_d_mu(model.action_set), [dirac(model.action_set, [0.5])]
         kern = SolverKernels(model, grid, mu_c, nu_c)
-        ref, ref_clamps = reference_move(kern)
-        assert kern.clamp_count == ref_clamps > 0
-        for new, old in zip(kern.move, ref):
-            old.eliminate_zeros()
-            old.sort_indices()
-            assert new.has_canonical_format
-            assert np.array_equal(new.indptr, old.indptr)
-            assert np.array_equal(new.indices, old.indices)
-            assert np.array_equal(new.data, old.data)
+        assert assert_equals_the_kronecker_fold(kern) > 0
+
+    def test_three_blocks_with_a_partial_last_one(self):
+        model = solve_2d_model()
+        c = candidate_set(model.action_set, 3, 1)
+        kern = SolverKernels(model, GridSpec(4, [43, 37], 5), c, c)
+        rows = dpp_solver._BLOCK // (25 * 4)
+        assert kern.n_nodes > 2 * rows and kern.n_nodes % rows
+        assert assert_equals_the_kronecker_fold(kern) > 0
+
+    def test_window_as_wide_as_the_grid(self, monkeypatch):
+        # sigma sqrt(dt) W_q reaches past the box on both sides of every node
+        window_rows = []
+        real = dpp_solver._window_sums
+
+        def spy(shape, lo, vals, out):
+            window_rows.append(lo.shape[2])
+            real(shape, lo, vals, out)
+
+        monkeypatch.setattr(dpp_solver, "_window_sums", spy)
+        kern = plane_kernels(["0", "0"], "3", [29, 27], 5)
+        move = kern.move[0]
+        first = move.indices[move.indptr[:-1]]
+        last = move.indices[move.indptr[1:] - 1]
+        assert np.any((first == 0) & (last == kern.n_nodes - 1))
+        # a full block's 783-slot windows exceed 4 _BLOCK slots, so it is split in two
+        rows = dpp_solver._BLOCK // 100
+        assert window_rows[0] == rows and window_rows[1] + window_rows[2] == rows
+        assert assert_equals_the_kronecker_fold(kern) > 0
+
+    @pytest.mark.parametrize("sigma", ["0", "0.5"])
+    def test_points_exactly_on_nodes(self, sigma):
+        # dt = 0.25 and node spacing 0.25: the drift moves by one and by -two
+        # nodes, and the middle quadrature point adds nothing
+        kern = plane_kernels(["1", "-2"], sigma, [9, 9], 3)
+        assert assert_equals_the_kronecker_fold(kern) > 0
+        if sigma == "0":
+            # every moved point is a node (or clamped onto one): one entry of 1.0 per row
+            assert np.array_equal(kern.move[0].indptr, np.arange(kern.n_nodes + 1))
+            assert np.all(kern.move[0].data == 1.0)
 
     def test_build_peak_is_a_small_multiple_of_the_operators(self):
-        # the Kronecker fold peaked at about 18x the operators here
+        # the Kronecker fold peaked at about 18x the operators here, the
+        # per-quadrature-point sum at 1.8x; the node blocks measure 1.52x
         model = three_d_model()
         u = model.action_set
         tracemalloc.start()
@@ -311,7 +423,20 @@ class TestMovementOperator:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in kern.move)
+        assert peak <= 1.75 * operator_bytes(kern)
+
+    def test_wide_window_build_peak_is_bounded_by_the_block(self):
+        # every node's window is the whole 61 x 61 grid; without the cap on
+        # window slots one block's sums alone would take 655 * 3721 * 8 bytes
+        tracemalloc.start()
+        try:
+            kern = plane_kernels(["0", "0"], "3", [61, 61], 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        moved = 25 * kern.n_nodes * 2 * 8
+        # one block: _BLOCK triples and 4 _BLOCK window slots, tens of bytes each
+        assert peak <= moved + 2 * operator_bytes(kern) + 80 * dpp_solver._BLOCK
 
     def test_value_reads_equal_per_regime_interpolation(self):
         model = make_model(rate12="0.3*x1*x1", rate21="0.2", drift="-x1", diffusion="0.5",
