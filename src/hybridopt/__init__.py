@@ -24,17 +24,12 @@ from .measure_space import (
     dirac,
     euclidean,
     mixture,
-    moment,
     w1_distance,
     w1_sorted_cdf,
     w1_transport_lp,
 )
 from .expr import evaluate, parse, to_source, variables
-from .switching import (
-    RateSpec,
-    step_transition_probs,
-    transition_matrix,
-)
+from .switching import RateSpec
 from .control import (
     CandidateMap,
     ConstantControl,
@@ -64,13 +59,11 @@ from .oracle_verify import (
     BATTERY,
     CheckReport,
     LatticeProblem,
-    check_dpp,
-    check_minimizing_sequence,
-    check_moment_bound,
     enumerate_value,
     gronwall_sup_moment_bound,
     run_battery,
     tol_disc,
+    transition_matrix,
 )
 from .config import load_control, load_model
 

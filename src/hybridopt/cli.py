@@ -109,13 +109,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _comma_list(raw, convert, flag) -> list:
+    """The comma-separated values of a flag; a bad one is a ValidationError (exit 2)."""
+    try:
+        return [convert(v) for v in str(raw).split(",")]
+    except ValueError as err:
+        raise ValidationError(f"bad {flag} value {raw!r}: {err}") from err
+
+
 def _parse_x0(raw, model):
     if raw is None:
         return model.default_start()[0]
-    try:
-        return np.array([float(v) for v in str(raw).split(",")], dtype=float)
-    except ValueError as err:
-        raise ValidationError(f"bad --x0 value {raw!r}: {err}") from err
+    return np.array(_comma_list(raw, float, "--x0"), dtype=float)
 
 
 def _run_hash(args, model_payload, control_payload, x0, i0, t0, horizon, antithetic=False) -> str:
@@ -279,8 +284,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_solve(args) -> int:
     model, payload = cfg.load_model(args.model)
-    nx = [int(v) for v in str(args.grid_nx).split(",")]
-    grid = GridSpec(args.grid_nt, nx, args.quad_order)
+    grid = GridSpec(args.grid_nt, _comma_list(args.grid_nx, int, "--grid-nx"), args.quad_order)
     mu_c = candidate_set(model.action_set, args.mu_atoms, args.mu_levels)
     nu_c = candidate_set(model.action_set, args.nu_atoms, args.nu_levels)
     vg = solve(model, grid, mu_c, nu_c)

@@ -25,10 +25,9 @@ from .control import (
     FeedbackControl,
     MarkovControl,
     PathDependentControl,
-    TableControl,
 )
 from .dynamics import HybridModel
-from .dpp_solver import ValueGrid
+from .dpp_solver import ValueGrid, extract_policy
 from .errors import ValidationError
 from .measure_space import ActionSet, DiscreteMeasure
 from .switching import RateSpec
@@ -157,13 +156,25 @@ def _load_payload(source) -> dict:
     return source
 
 
+@contextmanager
+def _config_errors(what: str):
+    """Raise the KeyError, IndexError, TypeError, ValueError or AttributeError
+    of reading a malformed ``what`` as a ValidationError (exit 2)."""
+    try:
+        yield
+    except KeyError as err:
+        raise ValidationError(f"{what} missing field {err}") from err
+    except (IndexError, TypeError, ValueError, AttributeError) as err:
+        raise ValidationError(f"malformed {what}: {err}") from err
+
+
 def load_model(source) -> tuple[HybridModel, dict]:
     """Build a HybridModel from a config dict or JSON file path.
 
     Returns the model together with the raw payload (for hashing).
     """
     payload = _load_payload(source)
-    try:
+    with _config_errors("model config"):
         box = payload["action_set"]
         action_set = ActionSet(box["lower"], box["upper"])
         n = int(payload["regime_count"])
@@ -191,10 +202,6 @@ def load_model(source) -> tuple[HybridModel, dict]:
             starts=[(s["x"], s["i"]) for s in payload.get("starts", [])],
             undeclared=[k for k in ("lipschitz_drift_diffusion", "lipschitz_rates", "growth") if k not in constants],
         )
-    except KeyError as err:
-        raise ValidationError(f"model config missing field {err}") from err
-    except (IndexError, TypeError) as err:
-        raise ValidationError(f"malformed model config: {err}") from err
     return model, payload
 
 
@@ -210,39 +217,38 @@ def load_control(source, model: HybridModel) -> tuple[FeedbackControl, dict]:
     replaced by the hash of the artifact's contents.
     """
     payload = _load_payload(source)
-    kind = payload.get("kind")
-    a = model.action_set
-    if kind == "constant":
-        control = ConstantControl(
-            DiscreteMeasure.from_dict(a, payload["mu"]),
-            DiscreteMeasure.from_dict(a, payload["nu"]),
-        )
-    elif kind == "markov":
-        def build(spec):
-            return CandidateMap(
-                _measures(a, spec["candidates"]),
-                index_expr=spec.get("index_expr"),
-                per_regime=spec.get("per_regime"),
+    with _config_errors("control spec"):
+        kind = payload.get("kind")
+        a = model.action_set
+        if kind == "constant":
+            control = ConstantControl(
+                DiscreteMeasure.from_dict(a, payload["mu"]),
+                DiscreteMeasure.from_dict(a, payload["nu"]),
             )
+        elif kind == "markov":
+            def build(spec):
+                return CandidateMap(
+                    _measures(a, spec["candidates"]),
+                    index_expr=spec.get("index_expr"),
+                    per_regime=spec.get("per_regime"),
+                )
 
-        control = MarkovControl(build(payload["mu"]), build(payload["nu"]))
-    elif kind == "table":
-        artifact = _load_payload(payload["artifact"])
-        payload = {**payload, "artifact": config_hash(artifact)}
-        from .dpp_solver import extract_policy
-
-        control = extract_policy(ValueGrid.from_dict(artifact, a))
-    elif kind == "path_dependent":
-        control = PathDependentControl(
-            window=payload["window"],
-            statistic=payload["statistic"],
-            coordinate=payload.get("coordinate", 0),
-            bucket_edges=payload["buckets"],
-            mu_candidates=_measures(a, payload["mu"]["candidates"]),
-            mu_map=payload["mu"]["map"],
-            nu_candidates=_measures(a, payload["nu"]["candidates"]),
-            nu_map=payload["nu"]["map"],
-        )
-    else:
-        raise ValidationError(f"unknown control kind {kind!r}")
+            control = MarkovControl(build(payload["mu"]), build(payload["nu"]))
+        elif kind == "table":
+            artifact = _load_payload(payload["artifact"])
+            payload = {**payload, "artifact": config_hash(artifact)}
+            control = extract_policy(ValueGrid.from_dict(artifact, a))
+        elif kind == "path_dependent":
+            control = PathDependentControl(
+                window=payload["window"],
+                statistic=payload["statistic"],
+                coordinate=payload.get("coordinate", 0),
+                bucket_edges=payload["buckets"],
+                mu_candidates=_measures(a, payload["mu"]["candidates"]),
+                mu_map=payload["mu"]["map"],
+                nu_candidates=_measures(a, payload["nu"]["candidates"]),
+                nu_map=payload["nu"]["map"],
+            )
+        else:
+            raise ValidationError(f"unknown control kind {kind!r}")
     return control, payload

@@ -266,9 +266,11 @@ class PathDependentControl(FeedbackControl):
         return self.mu_map[bucket], self.nu_map[bucket]
 
 
-def candidate_set(
-    action_set: ActionSet, atom_grid_per_dim: int, weight_resolution: int, cap: int = 10_000
-) -> list[DiscreteMeasure]:
+#: Cap on the atoms and on the measures of a ``candidate_set`` family.
+CANDIDATE_CAP = 10_000
+
+
+def candidate_set(action_set: ActionSet, atom_grid_per_dim: int, weight_resolution: int) -> list[DiscreteMeasure]:
     """Finite family approximating the measures on U: all weight vectors with
     entries in {0, 1/L, ..., 1} over a regular a^k atom grid.
 
@@ -282,9 +284,9 @@ def candidate_set(
     k = action_set.dim
     n_atoms = a**k
     n_measures = math.comb(levels + n_atoms - 1, n_atoms - 1)
-    if n_atoms > cap or n_measures > cap:
+    if n_atoms > CANDIDATE_CAP or n_measures > CANDIDATE_CAP:
         raise CapacityError(
-            f"candidate family would contain {max(n_atoms, n_measures)} entries, cap is {cap}"
+            f"candidate family would contain {max(n_atoms, n_measures)} entries, cap is {CANDIDATE_CAP}"
         )
     if a == 1:
         per_dim = [np.array([(lo + hi) / 2.0]) for lo, hi in zip(action_set.lower, action_set.upper)]

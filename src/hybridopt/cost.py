@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dynamics
 from .control import FeedbackControl, MeasureBatch
-from .dynamics import HybridModel, PathBatch, fan_out, path_chunks
+from .dynamics import HybridModel, PathBatch, chunk_args, fan_out
 from .errors import NumericalError, ValidationError
 
 
@@ -70,7 +70,7 @@ def _chunk_costs(args) -> np.ndarray:
     """Pathwise costs of one chunk; an antithetic chunk averages a plain and a
     Brownian-mirrored pass over the same paths.  Each pass's ``PathBatch`` is
     dropped once it is costed."""
-    *sim, antithetic = args
+    sim, antithetic = args
     model = sim[0]
     # looked up on the module, where the benchmark tracer wraps the engine
     costs = batch_costs(model, dynamics._simulate_block(*sim))
@@ -105,10 +105,7 @@ def monte_carlo_cost(
     if antithetic and path_count % 2:
         raise ValidationError("antithetic estimation needs an even path_count")
     n = path_count // 2 if antithetic else path_count
-    args = [
-        (model, control, s, x0, i0, t_end, dt, seed, first, count, antithetic)
-        for first, count in path_chunks(0, n)
-    ]
+    args = [(sim, antithetic) for sim in chunk_args(model, control, s, x0, i0, t_end, dt, seed, n)]
     samples = np.concatenate(list(fan_out(_chunk_costs, args, workers)))
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / np.sqrt(len(samples))) if len(samples) > 1 else 0.0

@@ -27,6 +27,7 @@ is immutable.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy import sparse
@@ -34,7 +35,7 @@ from scipy import sparse
 from . import expr as ex
 from .control import MeasureBatch, TableControl
 from .dynamics import HybridModel
-from .errors import NumericalError, ValidationError
+from .errors import CapacityError, NumericalError, ValidationError
 from .measure_space import DiscreteMeasure
 from .switching import check_step, transition_rows_batch
 
@@ -202,6 +203,19 @@ def interpolation_matrix(axes: list[np.ndarray], points: np.ndarray) -> tuple[sp
     return _csr(blocks, int(np.prod([len(a) for a in axes]))), clamped
 
 
+#: Cap on ``move_entry_bound``.  The 21^3, q = 5 build peaks at about 20 bytes
+#: of RSS per stored entry, so a build at the cap stays near 2 GB.
+MOVE_ENTRY_BUDGET = 100_000_000
+
+
+def move_entry_bound(model: HybridModel, grid: GridSpec, n_mu: int) -> int:
+    """Most entries the movement operators can store: each of their
+    N * n_mu * n_nodes rows holds at most q^d * 2^d corners, and no more
+    than n_nodes columns."""
+    n_nodes, d = math.prod(grid.space_nodes), len(grid.space_nodes)
+    return model.regime_count * n_mu * n_nodes * min(grid.quad_order**d * 2**d, n_nodes)
+
+
 class SolverKernels:
     """Precomputed per-regime one-step operators for one grid.
 
@@ -216,7 +230,8 @@ class SolverKernels:
     the build holds one block: at most ``_BLOCK`` (node, q, corner) triples
     and 4 ``_BLOCK`` window slots.  ``clamp_count`` counts the clamped moved
     points; a drift or diffusion that is not finite at a node raises
-    ``NumericalError``.
+    ``NumericalError``, and a grid whose ``move_entry_bound`` is above
+    ``MOVE_ENTRY_BUDGET`` raises ``CapacityError`` before the build.
     ``regime_rows[i-1][ni]`` is the (n_nodes, N) matrix of one-step
     transition rows out of regime i under the nu candidate, built for all
     nodes by one ``switching.transition_rows_batch`` call.  Rates and
@@ -231,6 +246,9 @@ class SolverKernels:
         for m in list(mu_candidates) + list(nu_candidates):
             if m.action_set != model.action_set:
                 raise ValidationError("candidates must live on the model's action set")
+        bound = move_entry_bound(model, grid, len(mu_candidates))
+        if bound > MOVE_ENTRY_BUDGET:
+            raise CapacityError(f"the movement operators may hold {bound} entries, over the budget of {MOVE_ENTRY_BUDGET}")
         dt = model.horizon / grid.time_steps
         check_step(model.rates, dt)
         self.model = model

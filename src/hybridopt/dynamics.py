@@ -17,15 +17,16 @@ increments are drawn before the switch sample within a step; the switch
 uses the step-start (x, nu).  All randomness comes from counter-based
 streams keyed by (seed, block, role): path p reads row p % BLOCK_PATHS of
 block p // BLOCK_PATHS (see ``rng``), so a path's trajectory is independent
-of batch composition and worker scheduling.  Batches are simulated in chunks
-that stay inside one block (``path_chunks``), fanned out over one process
-pool per call (``fan_out``) and handed on in path order.
+of batch composition and worker scheduling.  A chunk of a batch is one
+stream block, or the first paths of the last one (``path_chunks``); chunks
+are fanned out over one process pool per call (``fan_out``) and handed on in
+path order.
 
-``simulate_chunks`` is the simulation entry point: it yields one
-``PathBatch`` per chunk, so a caller that consumes each chunk holds one at a
-time.  ``simulate_paths`` concatenates them; a single path is a batch of
-one.  A ``PathBatch`` keeps states, regimes and per-step control pool
-indices, not the Brownian increments.
+``simulate_chunks`` is the simulation engine, with ``_simulate_block`` the
+work on one chunk: it yields one ``PathBatch`` per chunk, so a caller that
+consumes each chunk holds one at a time.  ``simulate_paths`` only
+concatenates them; a single path is a batch of one.  A ``PathBatch`` keeps
+states, regimes and per-step control pool indices, not the Brownian draws.
 """
 from __future__ import annotations
 
@@ -198,7 +199,7 @@ class HybridModel:
                     _finite_or_raise(ex.evaluate(e, env), "diffusion")
         _finite_or_raise(ex.evaluate(self.running_cost, env), "running_cost")
         _finite_or_raise(ex.evaluate(self.terminal_cost, env), "terminal_cost")
-        self.rates.generator(mid, probe)
+        self.rates.generator(mid[None], probe)
 
     def default_start(self) -> tuple[np.ndarray, int]:
         if self.starts:
@@ -323,12 +324,12 @@ def _simulate_block(
     t_end: float,
     dt: float,
     seed: int,
-    first_path: int,
+    block: int,
     n_paths: int,
     flip_brownian: bool = False,
 ) -> PathBatch:
-    """Paths first_path..first_path+n_paths-1, all inside one stream block
-    (one chunk of ``path_chunks``)."""
+    """The first n_paths paths of stream block ``block`` (one chunk of
+    ``path_chunks``); ``flip_brownian`` mirrors their increments."""
     n_steps = grid_steps(s, t_end, dt)
     check_step(model.rates, dt)
     d = model.state_dim
@@ -353,11 +354,9 @@ def _simulate_block(
     # returns, and freeing the newest allocations leaves no hole in the heap
     brownian = np.empty((n_paths, n_steps, d))
     uniforms = np.empty((n_paths, n_steps))
-    block, row = divmod(first_path, rng.BLOCK_PATHS)
-    rows = range(row, row + n_paths)
-    rng.brownian_increments(seed, block, rows, n_steps, d, dt, out=brownian)
+    rng.brownian_increments(seed, block, n_paths, n_steps, d, dt, out=brownian)
     if model.regime_count > 1:
-        rng.switch_uniforms(seed, block, rows, n_steps, out=uniforms)
+        rng.switch_uniforms(seed, block, n_paths, n_steps, out=uniforms)
     if flip_brownian:
         np.negative(brownian, out=brownian)
 
@@ -396,7 +395,7 @@ def _simulate_block(
         rows = transition_rows_batch(model.rates, lam_k, x_k, nu_b, dt)
         regimes[:, k + 1] = pick_regime(rows, uniforms[:, k])
 
-    paths = np.arange(first_path, first_path + n_paths)
+    paths = np.arange(n_paths) + block * rng.BLOCK_PATHS
     return PathBatch(dt, times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, paths, clamp_count)
 
 
@@ -404,14 +403,18 @@ def _block_args(args):
     return _simulate_block(*args)
 
 
-def path_chunks(first: int, count: int):
-    """(first path, path count) of each run of the paths first..first+count-1
-    that stays inside one stream block: the unit of work of the fan-out."""
-    stop = first + count
-    while first < stop:
-        end = min(stop, (first // rng.BLOCK_PATHS + 1) * rng.BLOCK_PATHS)
-        yield first, end - first
-        first = end
+def path_chunks(count: int):
+    """(block, path count) of each chunk of the paths 0..count-1: a stream
+    block, or the first paths of the last one; the unit of work of the fan-out."""
+    for block, first in enumerate(range(0, count, rng.BLOCK_PATHS)):
+        yield block, min(count - first, rng.BLOCK_PATHS)
+
+
+def chunk_args(model, control, s, x0, i0, t_end, dt, seed, path_count) -> list[tuple]:
+    """The ``_simulate_block`` arguments of each chunk of path_count paths, in order."""
+    if path_count < 1:
+        raise ValidationError("path_count must be >= 1")
+    return [(model, control, s, x0, i0, t_end, dt, seed, block, n) for block, n in path_chunks(path_count)]
 
 
 def fan_out(job, args: list, workers: int):
@@ -449,17 +452,10 @@ def simulate_chunks(
     seed: int,
     path_count: int,
     workers: int = 1,
-    flip_brownian: bool = False,
-    first_path_index: int = 0,
 ):
     """The batch of ``simulate_paths`` as an iterator of one ``PathBatch`` per
     chunk of ``path_chunks``, in path order, made as ``fan_out`` makes them."""
-    if path_count < 1:
-        raise ValidationError("path_count must be >= 1")
-    args = [
-        (model, control, s, x0, i0, t_end, dt, seed, first, count, flip_brownian)
-        for first, count in path_chunks(first_path_index, path_count)
-    ]
+    args = chunk_args(model, control, s, x0, i0, t_end, dt, seed, path_count)
     return fan_out(_block_args, args, workers)
 
 
@@ -474,19 +470,12 @@ def simulate_paths(
     seed: int,
     path_count: int,
     workers: int = 1,
-    flip_brownian: bool = False,
-    first_path_index: int = 0,
 ) -> PathBatch:
     """Simulate a batch, optionally fanned out over worker processes: the
-    chunks of ``simulate_chunks``, concatenated.
-
-    Paths are simulated in chunks that stay inside one stream block; the
-    block-keyed streams make the assembled result independent of the worker
-    count and of ``first_path_index``.
-    """
-    chunks = simulate_chunks(
-        model, control, s, x0, i0, t_end, dt, seed, path_count, workers, flip_brownian, first_path_index
-    )
+    chunks of ``simulate_chunks``, concatenated.  The block-keyed streams
+    make the result independent of the worker count, and each path
+    independent of the path count."""
+    chunks = simulate_chunks(model, control, s, x0, i0, t_end, dt, seed, path_count, workers)
     return PathBatch.concatenate(list(chunks))
 
 

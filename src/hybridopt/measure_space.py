@@ -136,8 +136,12 @@ class DiscreteMeasure:
         return self.atoms.shape[0]
 
     def moment(self, exponent: int, coordinate: int = 0) -> float:
-        """sum_j w_j * atom_j[coordinate] ** exponent."""
-        return moment(self, exponent, coordinate)
+        """Raw moment of one coordinate: sum_j w_j * atom_j[coordinate] ** exponent."""
+        if exponent < 0 or int(exponent) != exponent:
+            raise ValidationError("moment exponent must be a nonnegative integer")
+        if not 0 <= coordinate < self.action_set.dim:
+            raise ValidationError(f"coordinate {coordinate} out of range for dimension {self.action_set.dim}")
+        return float(np.sum(self.weights * self.atoms[:, coordinate] ** int(exponent)))
 
     def canonical_key(self) -> bytes:
         return self.atoms.tobytes() + self.weights.tobytes()
@@ -209,17 +213,6 @@ def random_measure(gen: np.random.Generator, action_set: ActionSet, max_atoms: i
     atoms = action_set.lower + gen.random((m, action_set.dim)) * span
     raw = gen.random(m) + 1e-3
     return DiscreteMeasure(action_set, atoms, raw / raw.sum())
-
-
-def moment(measure: DiscreteMeasure, exponent: int, coordinate: int = 0) -> float:
-    """Raw moment of one coordinate: sum_j w_j * atom_j[coordinate] ** exponent."""
-    if exponent < 0 or int(exponent) != exponent:
-        raise ValidationError("moment exponent must be a nonnegative integer")
-    if not 0 <= coordinate < measure.action_set.dim:
-        raise ValidationError(
-            f"coordinate {coordinate} out of range for dimension {measure.action_set.dim}"
-        )
-    return float(np.sum(measure.weights * measure.atoms[:, coordinate] ** int(exponent)))
 
 
 def euclidean(diff: np.ndarray) -> np.ndarray:

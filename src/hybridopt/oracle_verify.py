@@ -27,11 +27,12 @@ import math
 import time
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import config as cfg
 from . import expr as ex
 from . import rng
-from .control import ConstantControl, FeedbackControl, MeasureBatch
+from .control import ConstantControl, MeasureBatch
 from .cost import batch_costs, monte_carlo_cost
 from .dpp_solver import GridSpec, SolverKernels, ValueGrid, dpp_residual, extract_policy, solve
 from .dynamics import HybridModel, growth_ratio, simulate_paths
@@ -49,9 +50,9 @@ from .measure_space import (
 from .switching import (
     DT_RATE_CAP,
     RateSpec,
+    check_step,
     jump_kernel,
     pick_regime,
-    transition_matrix,
     transition_rows_batch,
 )
 
@@ -260,30 +261,11 @@ def enumerate_value(problem: LatticeProblem) -> np.ndarray:
     return table.reshape(problem.n_steps + 1, -1, problem.model.regime_count)
 
 
-def check_dpp(
-    model: HybridModel,
-    grid: GridSpec,
-    mu_candidates,
-    nu_candidates,
-    intermediate_k: int,
-    x0,
-    i0: int,
-    path_count: int = 4000,
-    seed: int = 7,
-    workers: int = 1,
-) -> CheckReport:
-    """One-step and multi-step residuals of the recursion plus the Monte Carlo
-    restatement: V(0, x0, i0) against E[int_0^{t_k} f dt + V(t_k, X, Lam)]
-    under the extracted policy."""
-    t0 = time.perf_counter()
-    subchecks = _dpp_subchecks(
-        model, grid, mu_candidates, nu_candidates, intermediate_k, x0, i0, path_count, seed, workers
-    )
-    return _finish("dpp", t0, 1.0, *subchecks)
-
-
-def _dpp_subchecks(model, grid, mu_candidates, nu_candidates, intermediate_k, x0, i0, path_count, seed, workers):
-    """(triples, details) of ``check_dpp``."""
+def _dpp_subchecks(model, grid, mu_candidates, nu_candidates, intermediate_k, x0, i0, path_count, seed):
+    """(triples, details) of the DPP check of one instance: one-step and
+    multi-step residuals of the recursion plus the Monte Carlo restatement,
+    V(0, x0, i0) against E[int_0^{t_k} f dt + V(t_k, X, Lam)] under the
+    extracted policy."""
     kern = SolverKernels(model, grid, mu_candidates, nu_candidates)
     vg = solve(model, grid, mu_candidates, nu_candidates, kern)
     if not 1 <= intermediate_k <= grid.time_steps:
@@ -296,7 +278,7 @@ def _dpp_subchecks(model, grid, mu_candidates, nu_candidates, intermediate_k, x0
     policy = extract_policy(vg)
     t_mid = float(vg.times[intermediate_k])
     start_x, start_i = np.atleast_1d(np.asarray(x0, dtype=float)), int(i0)
-    batch = simulate_paths(model, policy, 0.0, start_x, start_i, t_mid, vg.dt, seed, path_count, workers)
+    batch = simulate_paths(model, policy, 0.0, start_x, start_i, t_mid, vg.dt, seed, path_count)
     running = batch_costs(model, batch, include_terminal=False)
     tails = vg.values_at(t_mid, batch.states[:, -1, :], batch.regimes[:, -1])
     samples = running + tails
@@ -320,44 +302,20 @@ def _dpp_subchecks(model, grid, mu_candidates, nu_candidates, intermediate_k, x0
     return triples, details
 
 
-def check_minimizing_sequence(
-    model: HybridModel,
-    grid: GridSpec,
-    mu_candidates,
-    nu_candidates,
-    control_sequence: list[FeedbackControl],
-    x0,
-    i0: int,
-    path_count: int = 2000,
-    seed: int = 11,
-    workers: int = 1,
-) -> CheckReport:
-    """Desk-scale shadow of minimizing-sequence convergence: the declared
-    controls' costs do not rise along the sequence, every one costs at least
-    the grid value (up to noise + discretization), and the extracted policy
-    is minimal among them.  Each allowance for noise is 3 standard errors."""
-    t0 = time.perf_counter()
-    subchecks = _minimizing_sequence_subchecks(
-        model, grid, mu_candidates, nu_candidates, control_sequence, x0, i0, path_count, seed, workers
-    )
-    return _finish("minimizing_sequence", t0, 1.0, *subchecks)
-
-
-def _minimizing_sequence_subchecks(
-    model, grid, mu_candidates, nu_candidates, control_sequence, x0, i0, path_count, seed, workers
-):
-    """(triples, details) of ``check_minimizing_sequence``."""
+def _minimizing_sequence_subchecks(model, grid, mu_candidates, nu_candidates, control_sequence, x0, i0, path_count, seed):
+    """(triples, details) of a desk-scale shadow of minimizing-sequence
+    convergence: the declared controls' costs do not rise along the
+    sequence, every one costs at least the grid value (up to noise +
+    discretization), and the extracted policy is minimal among them.  Each
+    allowance for noise is 3 standard errors."""
     vg = solve(model, grid, mu_candidates, nu_candidates)
     policy = extract_policy(vg)
     v0 = vg.value_at(0.0, np.atleast_1d(x0), int(i0))
     tol = tol_disc(model, vg)
     t_end = float(vg.times[-1])
 
-    estimates = [
-        monte_carlo_cost(model, c, 0.0, x0, i0, t_end, vg.dt, path_count, seed, workers)
-        for c in control_sequence
-    ]
-    policy_est = monte_carlo_cost(model, policy, 0.0, x0, i0, t_end, vg.dt, path_count, seed, workers)
+    estimates = [monte_carlo_cost(model, c, 0.0, x0, i0, t_end, vg.dt, path_count, seed) for c in control_sequence]
+    policy_est = monte_carlo_cost(model, policy, 0.0, x0, i0, t_end, vg.dt, path_count, seed)
     means = np.array([e.mean for e in estimates])
     stderrs = np.array([e.stderr for e in estimates])
     # rise of each cost over its predecessor in the declared order, less 3 se
@@ -380,29 +338,10 @@ def _minimizing_sequence_subchecks(
     return triples, details
 
 
-def check_moment_bound(
-    model: HybridModel,
-    control: FeedbackControl,
-    p: int,
-    path_count: int,
-    seed: int,
-    x0,
-    i0: int = 1,
-    t_end: float | None = None,
-    dt: float = 0.01,
-    workers: int = 1,
-) -> CheckReport:
-    """Empirical E[sup_t |X_t|^p] against twice the Gronwall constant."""
-    t0 = time.perf_counter()
-    subchecks = _moment_bound_subchecks(model, control, p, path_count, seed, x0, i0, t_end, dt, workers)
-    return _finish("moment_bound", t0, 1.0, *subchecks)
-
-
-def _moment_bound_subchecks(model, control, p, path_count, seed, x0, i0, t_end, dt, workers):
-    """(triples, details) of ``check_moment_bound``."""
-    if t_end is None:
-        t_end = model.horizon
-    batch = simulate_paths(model, control, 0.0, x0, i0, t_end, dt, seed, path_count, workers)
+def _moment_bound_subchecks(model, control, p, path_count, seed, x0, i0, t_end, dt):
+    """(triples, details) of the empirical E[sup_t |X_t|^p] against twice the
+    Gronwall constant, plus a scan of the declared growth constant."""
+    batch = simulate_paths(model, control, 0.0, x0, i0, t_end, dt, seed, path_count)
     sup_norm = np.max(np.linalg.norm(batch.states, axis=2), axis=1)
     estimate = float(np.mean(sup_norm**p))
     stderr = float(np.std(sup_norm**p, ddof=1) / np.sqrt(path_count))
@@ -500,6 +439,13 @@ def check_w1_metric(scale: float = 1.0) -> CheckReport:
     return _finish("w1_metric", t0, scale, triples)
 
 
+def transition_matrix(rates: RateSpec, x, nu, dt: float) -> np.ndarray:
+    """Exact expm(Q(x, nu) * dt) at one state x (d,) by scipy: the reference
+    for the uniformized rows of ``switching.transition_rows_batch``."""
+    check_step(rates, dt)
+    return np.clip(expm(rates.generator(np.reshape(x, (1, -1)), nu)[0] * dt), 0.0, None)
+
+
 def check_intervals(scale: float = 1.0) -> CheckReport:
     """The uniformized jump kernel on 200 random rate evaluations plus one
     with an exit rate at the bound: nonnegative, stochastic, and its series
@@ -542,7 +488,7 @@ def check_intervals(scale: float = 1.0) -> CheckReport:
     # jump law: q_ij / M off the diagonal, 1 - q_i / M for staying
     rates = RateSpec(3, [[None, "0.4", "0.2"], ["0.3", None, "0.1"], ["0.0", "0.5", None]], 1.0)
     nu = dirac(u_set, [0.5])
-    q = rates.off_diagonal(np.zeros(1), nu)
+    q = rates.off_diagonal(np.zeros((1, 1)), nu)[0]
     law = q / rates.rate_bound + np.diag(1.0 - q.sum(axis=-1) / rates.rate_bound)
     draws = gen.random((100_000, 3))
     picked = pick_regime(jump_kernel(rates, np.zeros(1), nu)[0], draws)
@@ -574,29 +520,33 @@ def _two_state_chain():
     return model, ConstantControl(dirac(model.action_set, [0.5]), dirac(model.action_set, [0.5]))
 
 
-def check_switching_law(scale: float = 1.0, path_count: int = 10_000, workers: int = 1) -> CheckReport:
+#: Paths of the switching, diffusion and cost laws.
+_LAW_PATHS = 10_000
+
+
+def check_switching_law(scale: float = 1.0) -> CheckReport:
     """Two-state constant-rate chain: occupation of regime 2 at T = 1 against
     the exact law 1 - e^{-1}."""
     t0 = time.perf_counter()
     model, control = _two_state_chain()
-    batch = simulate_paths(model, control, 0.0, [0.0], 1, 1.0, 0.01, 303, path_count, workers)
+    batch = simulate_paths(model, control, 0.0, [0.0], 1, 1.0, 0.01, 303, _LAW_PATHS)
     frac = float(np.mean(batch.regimes[:, -1] == 2))
     p_true = 1.0 - math.exp(-1.0)
-    se = math.sqrt(p_true * (1 - p_true) / path_count)
+    se = math.sqrt(p_true * (1 - p_true) / _LAW_PATHS)
     details = {"fraction": frac, "target": p_true, "stderr": se}
     return _finish("switching_law", t0, scale, [("occupation_at_T", abs(frac - p_true), 3 * se)], details)
 
 
-def check_diffusion_law(scale: float = 1.0, path_count: int = 10_000, workers: int = 1) -> CheckReport:
+def check_diffusion_law(scale: float = 1.0) -> CheckReport:
     """Driftless unit diffusion, one regime: X_T has mean x0 and variance T."""
     t0 = time.perf_counter()
     model = _model_1d([[None]], 0.0, ["0"], ["1"], "0", box=8.0)
     control = ConstantControl(dirac(model.action_set, [0.5]), dirac(model.action_set, [0.5]))
-    batch = simulate_paths(model, control, 0.0, [0.0], 1, 1.0, 0.01, 404, path_count, workers)
+    batch = simulate_paths(model, control, 0.0, [0.0], 1, 1.0, 0.01, 404, _LAW_PATHS)
     x_t = batch.states[:, -1, 0]
     mean = float(np.mean(x_t))
     var = float(np.var(x_t, ddof=1))
-    se_mean = float(np.std(x_t, ddof=1) / math.sqrt(path_count))
+    se_mean = float(np.std(x_t, ddof=1) / math.sqrt(_LAW_PATHS))
     details = {"mean": mean, "variance": var, "stderr_mean": se_mean}
     triples = [
         ("terminal_mean", abs(mean - 0.0), 3 * se_mean),
@@ -605,12 +555,12 @@ def check_diffusion_law(scale: float = 1.0, path_count: int = 10_000, workers: i
     return _finish("diffusion_law", t0, scale, triples, details)
 
 
-def check_cost_oracle(scale: float = 1.0, path_count: int = 10_000, workers: int = 1) -> CheckReport:
+def check_cost_oracle(scale: float = 1.0) -> CheckReport:
     """Regime-occupation running cost against the closed form 1 + e^{-1}."""
     t0 = time.perf_counter()
     model, control = _two_state_chain()
     dt = 0.01
-    est = monte_carlo_cost(model, control, 0.0, [0.0], 1, 1.0, dt, path_count, 505, workers)
+    est = monte_carlo_cost(model, control, 0.0, [0.0], 1, 1.0, dt, _LAW_PATHS, 505)
     target = 1.0 + math.exp(-1.0)
     tol = 3 * est.stderr + 2 * dt
     details = {"estimate": est.mean, "target": target, "stderr": est.stderr}
@@ -693,7 +643,7 @@ def check_solver_oracle(scale: float = 1.0) -> CheckReport:
     return _finish("solver_oracle", t0, scale, triples)
 
 
-def check_dpp_battery(scale: float = 1.0, workers: int = 1) -> CheckReport:
+def check_dpp_battery(scale: float = 1.0) -> CheckReport:
     """Criterion-style DPP check on three instances."""
     t0 = time.perf_counter()
     triples = []
@@ -701,7 +651,7 @@ def check_dpp_battery(scale: float = 1.0, workers: int = 1) -> CheckReport:
     for label, builder in _LATTICE_INSTANCES:
         model, grid, mu_c, nu_c = builder()
         x0, i0 = model.default_start()
-        subs, details[label] = _dpp_subchecks(model, grid, mu_c, nu_c, grid.time_steps // 2, x0, i0, 4000, 606, workers)
+        subs, details[label] = _dpp_subchecks(model, grid, mu_c, nu_c, grid.time_steps // 2, x0, i0, 4000, 606)
         triples += [(f"{label}:{sub}", observed, tol) for sub, observed, tol in subs]
     return _finish("dpp", t0, scale, triples, details)
 
@@ -752,23 +702,23 @@ def check_continuity(scale: float = 1.0) -> CheckReport:
     return _finish("continuity", t0, scale, triples, details)
 
 
-def check_minimizing_sequence_battery(scale: float = 1.0, workers: int = 1) -> CheckReport:
+def check_minimizing_sequence_battery(scale: float = 1.0) -> CheckReport:
     """Ten mixtures of the regime-cost instance's two nu candidates,
     interpolating the switch rate downward, followed by the extracted policy."""
     t0 = time.perf_counter()
     model, grid, mu_c, nu_c = _regime_cost_instance()
     weights = np.linspace(1.0, 0.1, 10)
     controls = [ConstantControl(mu_c[0], mixture(nu_c, [1.0 - w, w])) for w in weights]
-    subchecks = _minimizing_sequence_subchecks(model, grid, mu_c, nu_c, controls, [0.0], 1, 2000, 707, workers)
+    subchecks = _minimizing_sequence_subchecks(model, grid, mu_c, nu_c, controls, [0.0], 1, 2000, 707)
     return _finish("minimizing_sequence", t0, scale, *subchecks)
 
 
-def check_moment_bound_battery(scale: float = 1.0, workers: int = 1) -> CheckReport:
+def check_moment_bound_battery(scale: float = 1.0) -> CheckReport:
     """Mean-reverting unit-noise instance, p = 2, against the Gronwall constant."""
     t0 = time.perf_counter()
     model = _model_1d([[None]], 0.0, ["-x1"], ["1"], "0", box=8.0)
     control = ConstantControl(dirac(model.action_set, [0.5]), dirac(model.action_set, [0.5]))
-    triples, details = _moment_bound_subchecks(model, control, 2, 10_000, 808, [1.0], 1, 1.0, 0.01, workers)
+    triples, details = _moment_bound_subchecks(model, control, 2, 10_000, 808, [1.0], 1, 1.0, 0.01)
     # the estimate must also dominate the analytic marginal second moment
     marginal_sup = max(
         math.exp(-2 * t) * 1.0 + (1 - math.exp(-2 * t)) / 2 for t in np.linspace(0, 1, 101)

@@ -9,9 +9,11 @@ A block serves ``BLOCK_PATHS`` consecutive paths: path p reads row
 ``p % BLOCK_PATHS`` of the block ``p // BLOCK_PATHS``.  Rows are laid out one
 after another in the stream, as (rows, n_steps, dim) for the Brownian role and
 (rows, n_steps) for the switch role, so the first r rows of a block are a
-prefix of its sequence.  Draws for one path therefore never depend on how many
-other paths are simulated, which worker processed them, or in what order --
-the property the reproducibility and worker-count determinism tests rely on.
+prefix of its sequence.  A chunk of simulation is one block, or the first
+rows of the last one, so every draw is a prefix.  Draws for one path
+therefore never depend on how many other paths are simulated, which worker
+processed them, or in what order -- the property the reproducibility and
+worker-count determinism tests rely on.
 """
 from __future__ import annotations
 
@@ -36,34 +38,27 @@ def stream(seed: int, block: int, role: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def _rows_of(draw, rows: range, shape: tuple, out) -> np.ndarray:
-    """Rows ``rows`` of a block whose row has ``shape``.  A prefix is drawn
-    straight into ``out``; other ranges draw the prefix up to ``rows.stop``
-    and copy out the rows asked for."""
-    if rows.stop > BLOCK_PATHS:
-        raise ValueError(f"rows {rows} run past the {BLOCK_PATHS} paths of a block")
+def _prefix(draw, rows: int, shape: tuple, out) -> np.ndarray:
+    """The first ``rows`` rows of a block whose row has ``shape``, drawn into ``out``."""
+    if rows > BLOCK_PATHS:
+        raise ValueError(f"{rows} rows run past the {BLOCK_PATHS} paths of a block")
     if out is None:
-        out = np.empty((len(rows),) + shape)
-    if rows.start == 0:
-        draw(out=out)
-    else:
-        prefix = np.empty((rows.stop,) + shape)
-        draw(out=prefix)
-        out[...] = prefix[rows.start :]
+        out = np.empty((rows,) + shape)
+    draw(out=out)
     return out
 
 
-def brownian_increments(seed: int, block: int, rows: range, n_steps: int, dim: int, dt: float, out=None) -> np.ndarray:
+def brownian_increments(seed: int, block: int, rows: int, n_steps: int, dim: int, dt: float, out=None) -> np.ndarray:
     """Increments of a dim-dimensional Brownian motion on n_steps steps of size
-    dt for the paths ``rows`` of ``block``, shape (len(rows), n_steps, dim)."""
+    dt for the first ``rows`` paths of ``block``, shape (rows, n_steps, dim)."""
     g = stream(seed, block, ROLE_BROWNIAN)
-    out = _rows_of(g.standard_normal, rows, (n_steps, dim), out)
+    out = _prefix(g.standard_normal, rows, (n_steps, dim), out)
     out *= np.sqrt(dt)
     return out
 
 
-def switch_uniforms(seed: int, block: int, rows: range, n_steps: int, out=None) -> np.ndarray:
+def switch_uniforms(seed: int, block: int, rows: int, n_steps: int, out=None) -> np.ndarray:
     """Uniform [0, 1) draws feeding the per-step regime transition sampler for
-    the paths ``rows`` of ``block``, shape (len(rows), n_steps)."""
+    the first ``rows`` paths of ``block``, shape (rows, n_steps)."""
     g = stream(seed, block, ROLE_SWITCH)
-    return _rows_of(g.random, rows, (n_steps,), out)
+    return _prefix(g.random, rows, (n_steps,), out)

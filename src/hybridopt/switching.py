@@ -23,15 +23,14 @@ which evaluates exp(Q dt) = e^{-lambda} exp(lambda P), lambda = dt * Lambda,
 as a Poisson-weighted sum of kernel powers for a whole batch of
 (regime, x, nu) at once (uniformization; Jensen, Skand. Aktuarietidskr. 36,
 1953).  ``pick_regime`` turns rows and uniform draws into the next regimes.
-``transition_matrix`` and ``step_transition_probs`` use scipy's ``expm`` at
-one point and serve as the reference for the batch rows.
+Nothing here needs scipy: the ``expm`` reference the rows are checked
+against lives with the verification battery (``oracle_verify``).
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import expr as ex
 from .errors import (
@@ -105,31 +104,26 @@ class RateSpec:
         self.exprs = tuple(table)
 
     def off_diagonal(self, x, nu) -> np.ndarray:
-        """Evaluate q_ij at one (x, nu); returns (N, N) with a zero diagonal.
-
-        ``x`` may also be a batch (n, d) and ``nu`` a batched moment provider,
-        in which case the result is (n, N, N).
-        """
+        """Evaluate q_ij at a batch of states x (n, d) and a batched moment
+        provider nu (or one measure for all); returns (n, N, N) with a zero
+        diagonal."""
         n = self.regime_count
         x = np.asarray(x, dtype=float)
-        batch = x.ndim == 2
         env = {"x": x, "nu": nu}
-        shape = (x.shape[0], n, n) if batch else (n, n)
-        q = np.zeros(shape)
+        q = np.zeros((x.shape[0], n, n))
         for i in range(n):
             for j in range(n):
-                if i == j:
-                    continue
-                val = ex.evaluate(self.exprs[i][j], env)
-                q[..., i, j] = val
+                if i != j:
+                    q[:, i, j] = ex.evaluate(self.exprs[i][j], env)
         return q
 
     def generator(self, x, nu) -> np.ndarray:
-        """Conservative generator Q(x, nu): off-diagonal rates, diagonal -q_i.
-        Negative or NaN rates and exit rates above the declared bound are rejected."""
+        """Conservative generator Q(x, nu) as (n, N, N): off-diagonal rates,
+        diagonal -q_i.  Negative or NaN rates and exit rates above the
+        declared bound are rejected."""
         q = self.off_diagonal(x, nu)
         idx = np.arange(self.regime_count)
-        q[..., idx, idx] = -_exit_rates(q, self.rate_bound)
+        q[:, idx, idx] = -_exit_rates(q, self.rate_bound)
         return q
 
 
@@ -168,24 +162,6 @@ def check_step(rates: RateSpec, dt: float) -> None:
         )
 
 
-def transition_matrix(rates: RateSpec, x, nu, dt: float) -> np.ndarray:
-    """Exact expm(Q(x, nu) * dt) for one (x, nu)."""
-    check_step(rates, dt)
-    q = rates.generator(x, nu)
-    if q.ndim != 2:
-        raise ValidationError("transition_matrix takes a single state, not a batch")
-    p = expm(q * dt)
-    return np.clip(p, 0.0, None)
-
-
-def step_transition_probs(rates: RateSpec, i: int, x, nu, dt: float) -> np.ndarray:
-    """Row i of the exact frozen-generator exponential over one step."""
-    n = rates.regime_count
-    if not 1 <= i <= n:
-        raise ValidationError(f"regime {i} out of range 1..{n}")
-    return transition_matrix(rates, x, nu, dt)[i - 1]
-
-
 def transition_rows_batch(rates: RateSpec, regimes: np.ndarray, x: np.ndarray, nu, dt: float) -> np.ndarray:
     """Row ``regimes[n]`` of exp(Q(x[n], nu[n]) dt) for every n in the batch.
 
@@ -196,7 +172,8 @@ def transition_rows_batch(rates: RateSpec, regimes: np.ndarray, x: np.ndarray, n
     lambda (K = 6, 7 and 10 at dt * M = 0.004, 0.02 and the cap 0.1).  The
     stay entry is then set to 1 minus the row's other entries, so each row
     sums to 1 and an absorbing regime (q_i = 0) keeps the row e_i exactly.
-    Agreement with ``transition_matrix`` is tested at 1e-15.
+    Agreement with scipy's ``expm`` (``oracle_verify.transition_matrix``) is
+    tested at 1e-15.
 
     The recurrence runs path-last: a block of rows holds lambda P as
     (N, N, rows) and the terms as (N, rows), so each step's einsum loops over

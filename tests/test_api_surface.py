@@ -1,0 +1,69 @@
+"""Every name the package exports is used by the package itself.
+
+A function that only tests call is API nobody runs; it should be deleted and
+its tests ported to the calls the program makes.  This scan keeps such
+exports from growing back.
+"""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hybridopt"
+
+# exported although nothing in the package calls it, with the reason
+ALLOWED_UNUSED = {
+    "to_source": "the round-trip property tests cover the expression parser through it",
+}
+
+
+def exported_names() -> set:
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+class _Uses(ast.NodeVisitor):
+    """Names read as a ``Name`` or an ``Attribute``, outside the function or
+    class of the same name (a definition, or a recursive call, is not a use)."""
+
+    def __init__(self):
+        self.seen = set()
+        self.inside = []
+
+    def visit_FunctionDef(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if node.id not in self.inside:
+            self.seen.add(node.id)
+
+    def visit_Attribute(self, node):
+        if node.attr not in self.inside:
+            self.seen.add(node.attr)
+        self.generic_visit(node)
+
+
+def referenced_names() -> set:
+    """Names the package's modules use; ``__init__`` only re-exports."""
+    uses = _Uses()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            uses.visit(ast.parse(path.read_text()))
+    return uses.seen
+
+
+def test_every_export_is_used_by_the_package():
+    unused = exported_names() - referenced_names() - set(ALLOWED_UNUSED)
+    assert not unused, f"exported but referenced only by tests: {sorted(unused)}"
+
+
+def test_allowlist_is_not_stale():
+    assert set(ALLOWED_UNUSED) <= exported_names()
+    assert not set(ALLOWED_UNUSED) & referenced_names()

@@ -276,12 +276,11 @@ MULTI_ATOM_CONTROL = {
 class TestCsvWriter:
     """The block writer against the per-row reference, byte for byte."""
 
-    def batch(self, paths, first_path_index=0):
+    def batch(self, paths, chunk=0):
+        """Chunk ``chunk`` of a batch of ``paths`` paths."""
         model, _ = config.load_model(MULTI_ATOM_MODEL)
         control, _ = config.load_control(MULTI_ATOM_CONTROL, model)
-        return simulate_paths(
-            model, control, 0.0, [0.0, 0.0], 1, 1.0, 0.05, 11, paths, first_path_index=first_path_index
-        )
+        return list(dynamics.simulate_chunks(model, control, 0.0, [0.0, 0.0], 1, 1.0, 0.05, 11, paths))[chunk]
 
     def test_multi_atom_cells_need_quoting(self):
         batch = self.batch(6)
@@ -296,10 +295,11 @@ class TestCsvWriter:
         assert rows[21][5:] == ["", ""]
 
     def test_first_path_index_offset(self):
-        batch = self.batch(3, first_path_index=1000)
+        # the second chunk starts at path BLOCK_PATHS
+        batch = self.batch(rng.BLOCK_PATHS + 3, chunk=1)
         text = block_csv(batch, "h")
         assert text == reference_csv(batch, "h")
-        assert text.splitlines()[2].startswith("1000,0.0,")
+        assert text.splitlines()[2].startswith(f"{rng.BLOCK_PATHS},0.0,")
 
     def test_partial_last_block(self):
         batch = self.batch(cli.CSV_BLOCK_PATHS + 3)
@@ -377,7 +377,7 @@ class TestCsvWriter:
         real = dynamics._simulate_block
 
         def fail_second_chunk(*args, **kwargs):
-            if args[8] >= rng.BLOCK_PATHS:
+            if args[8] >= 1:  # the chunk's stream block
                 written.extend(p.stat().st_size for p in out_dir.iterdir() if p != out)
                 raise errors.SimulationError("second chunk failed")
             return real(*args, **kwargs)
@@ -851,7 +851,45 @@ class TestSimulateHorizonFlag:
         assert len(rows) == 2 + 6  # comment + header + six grid times
 
 
+_DIRAC = {"atoms": [[0.5]], "weights": [1.0]}
+_CONSTANT = {"kind": "constant", "mu": _DIRAC, "nu": _DIRAC}
+_POOL = {"candidates": [_DIRAC], "map": [0, 0]}
+
+# (command, changes to the demo model, control spec, extra flags); the table
+# control's "ARTIFACT" becomes a value-grid artifact without its "grid" entry
+MALFORMED_INPUTS = {
+    "control_without_mu": ("simulate", {}, {"kind": "constant", "nu": _DIRAC}, []),
+    "markov_map_without_candidates": (
+        "simulate", {}, {"kind": "markov", "mu": {"per_regime": [0, 0]}, "nu": dict(_POOL, per_regime=[0, 0])}, []
+    ),
+    "path_dependent_without_window": (
+        "simulate", {}, {"kind": "path_dependent", "statistic": "max", "buckets": [0.5], "mu": _POOL, "nu": _POOL}, []
+    ),
+    "table_artifact_without_grid": ("simulate", {}, {"kind": "table", "artifact": "ARTIFACT"}, []),
+    "control_spec_a_list": ("simulate", {}, [_CONSTANT], []),
+    "atoms_a_string": ("simulate", {}, {"kind": "constant", "mu": {"atoms": "x", "weights": [1.0]}, "nu": _DIRAC}, []),
+    "rate_bound_a_string": ("simulate", {"rate_bound": "x"}, _CONSTANT, []),
+    "growth_a_string": ("simulate", {"constants": {"growth": "abc"}}, _CONSTANT, []),
+    "grid_nx_a_letter": ("solve", {}, None, ["--grid-nx", "a"]),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_malformed_input_exits_2(self, case, tmp_path, capsys):
+        command, changes, control, extra = MALFORMED_INPUTS[case]
+        model = write_json(tmp_path / "model.json", dict(cli.DEMO_MODEL, **changes))
+        out = tmp_path / "out" / "result"
+        out.parent.mkdir()
+        argv = [command, "--model", str(model), "--out", str(out)] + extra
+        if control is not None:
+            if case == "table_artifact_without_grid":
+                control = dict(control, artifact=str(write_json(tmp_path / "vg.json", {"schema_version": 1})))
+            argv += ["--control", str(write_json(tmp_path / "control.json", control))]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(out.parent.iterdir()) == []
+
     @pytest.mark.parametrize(
         "error, code",
         [

@@ -46,9 +46,10 @@ class TestPathwiseCost:
         # running cost i, terminal 0: the left-point sum of the regime path
         closed = 0.01 * batch.regimes[:, :-1].sum(axis=1)
         np.testing.assert_allclose(vec, closed, rtol=0, atol=1e-12)
+        # path j costs the same as the last path of the batch 0..j
         for j in (0, 7, 15):
-            single = simulate_paths(chain_model, control, 0.0, [0.0], 1, 1.0, 0.01, 3, 1, first_path_index=j)
-            assert batch_costs(chain_model, single)[0] == vec[j]
+            prefix = simulate_paths(chain_model, control, 0.0, [0.0], 1, 1.0, 0.01, 3, j + 1)
+            assert batch_costs(chain_model, prefix)[j] == vec[j]
 
 
 class TestMonteCarloCost:

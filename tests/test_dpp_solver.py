@@ -1,6 +1,8 @@
 import importlib.util
 import itertools
+import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from hybridopt import (
     solve,
     tol_disc,
 )
-from hybridopt import config, dpp_solver
+from hybridopt import cli, config, dpp_solver
 from hybridopt.control import ConstantControl, MeasureBatch, candidate_set
 from hybridopt.dpp_solver import SolverKernels, interpolation_matrix
 from tests.conftest import make_model
@@ -175,7 +177,7 @@ class TestKernels:
         for i in (1, 2, 3):
             for ni, nu in enumerate(nu_c):
                 exact = np.array(
-                    [expm(model.rates.generator(x, nu) * kern.dt)[i - 1] for x in kern.nodes]
+                    [expm(model.rates.generator(x[None], nu)[0] * kern.dt)[i - 1] for x in kern.nodes]
                 )
                 assert np.max(np.abs(kern.regime_rows[i - 1][ni] - exact)) <= 1e-12
 
@@ -234,24 +236,27 @@ def solve_2d_model():
     return config.load_model(workloads.solve_model(42))[0]
 
 
+#: Two regimes in 3-D with state-dependent, off-diagonal diffusion.
+THREE_D_MODEL = {
+    "state_dim": 3,
+    "regime_count": 2,
+    "horizon": 1.0,
+    "action_set": {"lower": [0.0], "upper": [1.0]},
+    "truncation": {"lower": [-1.0] * 3, "upper": [1.0] * 3},
+    "rates": [[None, "0.2*(1 + x1*x1)*(0.5 + 0.5*nu_m(1,0))"], ["0.1*(1 + x3*x3)", None]],
+    "rate_bound": 0.4,
+    "drift": [["-x1 + 0.3*mu_m(1,0)", "-x2", "-0.5*x3 + 0.2*mu_m(1,0)"], ["-x1", "0.2 - x2", "-0.5*x3"]],
+    "diffusion": [
+        [["0.3 + 0.2*mu_m(1,0)", "0", "0"], ["0.1*x1", "0.3", "0"], ["0", "0", "0.3 + 0.1*x2*x2"]],
+        [["0.4", "0", "0"], ["0", "0.3", "0.05"], ["0", "0", "0.3"]],
+    ],
+    "running_cost": "x1*x1 + x2*x2 + x3*x3 + i",
+    "terminal_cost": "x1*x1 + x2*x2 + x3*x3",
+}
+
+
 def three_d_model():
-    """Two regimes in 3-D with state-dependent, off-diagonal diffusion."""
-    u = ActionSet([0.0], [1.0])
-    return HybridModel(
-        state_dim=3,
-        action_set=u,
-        rates=RateSpec(2, [[None, "0.2*(1 + x1*x1)*(0.5 + 0.5*nu_m(1,0))"], ["0.1*(1 + x3*x3)", None]], 0.4),
-        drift=[["-x1 + 0.3*mu_m(1,0)", "-x2", "-0.5*x3 + 0.2*mu_m(1,0)"], ["-x1", "0.2 - x2", "-0.5*x3"]],
-        diffusion=[
-            [["0.3 + 0.2*mu_m(1,0)", "0", "0"], ["0.1*x1", "0.3", "0"], ["0", "0", "0.3 + 0.1*x2*x2"]],
-            [["0.4", "0", "0"], ["0", "0.3", "0.05"], ["0", "0", "0.3"]],
-        ],
-        running_cost="x1*x1 + x2*x2 + x3*x3 + i",
-        terminal_cost="x1*x1 + x2*x2 + x3*x3",
-        horizon=1.0,
-        truncation_lower=[-1.0] * 3,
-        truncation_upper=[1.0] * 3,
-    )
+    return config.load_model(THREE_D_MODEL)[0]
 
 
 def three_d_mu(u):
@@ -452,6 +457,35 @@ class TestMovementOperator:
             assert np.array_equal(vg.values_at(t, pts, regimes), expected)
             assert np.array_equal(vg.value_at(t, pts, 2), per_regime[1])
             assert [vg.value_at(t, p, r) for p, r in zip(pts, regimes)] == expected.tolist()
+
+
+class TestMoveEntryBudget:
+    def test_21_cubed_fits_the_budget(self):
+        bound = dpp_solver.move_entry_bound(three_d_model(), GridSpec(4, [21, 21, 21], 5), 3)
+        # 2 regimes x 3 mu x 21^3 nodes x 5^3 points x 2^3 corners = 55.6 M
+        assert bound == 55_566_000
+        assert bound <= dpp_solver.MOVE_ENTRY_BUDGET
+
+    def test_bound_covers_the_built_operators(self):
+        model, u = three_d_model(), ActionSet([0.0], [1.0])
+        kern = SolverKernels(model, GridSpec(4, [7, 6, 5], 3), three_d_mu(u), [dirac(u, [0.5])])
+        # a row holds at most 27 * 8 corners or, here, all 210 nodes
+        bound = dpp_solver.move_entry_bound(model, kern.grid, 3)
+        assert bound == 2 * 3 * 210 * 210
+        assert sum(m.nnz for m in kern.move) <= bound
+
+    def test_41_cubed_exits_5_before_the_build(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(THREE_D_MODEL))
+        start = time.perf_counter()
+        code = cli.main(
+            ["solve", "--model", str(model), "--out", str(tmp_path / "vg.json"), "--grid-nt", "4",
+             "--grid-nx", "41,41,41", "--quad-order", "5", "--mu-atoms", "3", "--nu-atoms", "1"]
+        )
+        assert code == 5
+        assert time.perf_counter() - start < 1.0
+        assert "413526000 entries" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [model]
 
 
 class TestCandidateMonotonicity:

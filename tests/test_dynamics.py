@@ -16,7 +16,7 @@ from hybridopt import (
     gronwall_sup_moment_bound,
     rng,
     simulate_paths,
-    step_transition_probs,
+    transition_matrix,
     validate_model,
 )
 from hybridopt import dynamics
@@ -35,19 +35,19 @@ class TestBlockStreams:
         dt, steps = 0.04, 6
         whole = rng.stream(11, 2, rng.ROLE_BROWNIAN).standard_normal((9, steps, 2)) * np.sqrt(dt)
         uniforms = rng.stream(11, 2, rng.ROLE_SWITCH).random((9, steps))
-        for rows in (range(9), range(3), range(4, 9), range(8, 9)):
-            assert np.array_equal(rng.brownian_increments(11, 2, rows, steps, 2, dt), whole[rows.start : rows.stop])
-            assert np.array_equal(rng.switch_uniforms(11, 2, rows, steps), uniforms[rows.start : rows.stop])
-            out = np.empty((len(rows), steps))
+        for rows in (9, 3, 1):
+            assert np.array_equal(rng.brownian_increments(11, 2, rows, steps, 2, dt), whole[:rows])
+            assert np.array_equal(rng.switch_uniforms(11, 2, rows, steps), uniforms[:rows])
+            out = np.empty((rows, steps))
             assert rng.switch_uniforms(11, 2, rows, steps, out=out) is out
-            assert np.array_equal(out, uniforms[rows.start : rows.stop])
+            assert np.array_equal(out, uniforms[:rows])
 
     def test_rows_stay_inside_the_block(self):
         with pytest.raises(ValueError):
-            rng.switch_uniforms(1, 0, range(rng.BLOCK_PATHS - 1, rng.BLOCK_PATHS + 1), 2)
+            rng.switch_uniforms(1, 0, rng.BLOCK_PATHS + 1, 2)
 
     def test_blocks_and_roles_are_distinct_streams(self):
-        draws = [rng.switch_uniforms(1, block, range(2), 4) for block in (0, 1)]
+        draws = [rng.switch_uniforms(1, block, 2, 4) for block in (0, 1)]
         assert not np.array_equal(draws[0], draws[1])
         assert not np.array_equal(rng.stream(1, 0, rng.ROLE_BROWNIAN).random(8), draws[0].ravel())
 
@@ -57,13 +57,13 @@ class TestEmStep:
     def test_pure_noise(self):
         model = make_model(regimes=1, drift="0", diffusion="1", box=8.0)
         batch = one_step(model, [0.0], 0.1)
-        dw = rng.brownian_increments(4, 0, range(1), 1, 1, 0.1)[0, 0]
+        dw = rng.brownian_increments(4, 0, 1, 1, 1, 0.1)[0, 0]
         assert batch.states[0, 1, 0] == 0.0 + 0.0 * 0.1 + 1.0 * dw[0]
 
     def test_mean_reversion(self):
         model = make_model(regimes=1, drift="-x1", diffusion="0", box=8.0)
         batch = one_step(model, [1.0], 0.1)
-        dw = rng.brownian_increments(4, 0, range(1), 1, 1, 0.1)[0, 0]
+        dw = rng.brownian_increments(4, 0, 1, 1, 1, 0.1)[0, 0]
         assert batch.states[0, 1, 0] == 1.0 + (-1.0) * 0.1 + 0.0 * dw[0]
         assert batch.states[0, 1, 0] == pytest.approx(0.9, abs=1e-15)
 
@@ -133,26 +133,28 @@ class TestSimulate:
     def test_increments_come_from_the_path_stream(self, brownian_model):
         # path p reads row p % BLOCK_PATHS of the stream of block p // BLOCK_PATHS
         c = const_control(brownian_model)
+        batch = simulate_paths(brownian_model, c, 0.0, [0.0], 1, 0.5, 0.05, 3, rng.BLOCK_PATHS + 6)
         for p in (5, rng.BLOCK_PATHS + 5):
-            batch = simulate_paths(brownian_model, c, 0.0, [0.0], 1, 0.5, 0.05, 3, 1, first_path_index=p)
             block, row = divmod(p, rng.BLOCK_PATHS)
             dw = rng.stream(3, block, rng.ROLE_BROWNIAN).standard_normal((row + 1, 10, 1))[row] * np.sqrt(0.05)
-            np.testing.assert_allclose(batch.states[0, 1:, 0], np.cumsum(dw[:, 0]), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batch.states[p, 1:, 0], np.cumsum(dw[:, 0]), rtol=0, atol=1e-12)
 
     def test_batch_across_a_block_boundary(self):
         # paths BLOCK_PATHS-2 .. BLOCK_PATHS+1 span two blocks; each path must
-        # equal its row in larger batches that start elsewhere
+        # equal its row in a larger batch, and the second block's paths
+        # must also equal the second chunk
         model = make_model(rate12="1", rate21="0.5", drift="0", diffusion="1", box=8.0)
         c = const_control(model)
         b = rng.BLOCK_PATHS
-        small = simulate_paths(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, 4, first_path_index=b - 2)
-        for first, count in ((0, b + 8), (b - 8, 16)):
-            large = simulate_paths(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, count, first_path_index=first)
-            rows = slice(b - 2 - first, b + 2 - first)
-            assert np.array_equal(small.path_indices, large.path_indices[rows])
-            assert np.array_equal(small.states, large.states[rows])
-            assert np.array_equal(small.regimes, large.regimes[rows])
-        assert len(np.unique(small.states[:, -1, 0])) == 4
+        rows = slice(b - 2, b + 2)
+        small = simulate_paths(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, b + 2)
+        large = simulate_paths(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, b + 8)
+        for field in ("path_indices", "states", "regimes"):
+            assert np.array_equal(getattr(small, field)[rows], getattr(large, field)[rows])
+        second = list(dynamics.simulate_chunks(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, b + 8))[1]
+        assert second.path_indices.tolist() == list(range(b, b + 8))
+        assert np.array_equal(second.states, large.states[b:])
+        assert len(np.unique(small.states[rows, -1, 0])) == 4
 
     def test_path_independent_of_batch(self, brownian_model):
         c = const_control(brownian_model)
@@ -196,7 +198,7 @@ class TestSimulate:
         nu = dirac(unit_interval, [0.5])
         batch = simulate_paths(model, const_control(model), 0.0, [0.0], 1, 1.0, dt, 13, 10_000)
         p_step = np.vstack(
-            [step_transition_probs(model.rates, i, np.zeros(1), nu, dt) for i in (1, 2)]
+            [transition_matrix(model.rates, np.zeros(1), nu, dt)[i - 1] for i in (1, 2)]
         )
         marginal = np.array([1.0, 0.0])
         for k in range(1, 21):

@@ -15,7 +15,6 @@ from hybridopt import (
     dirac,
     euclidean,
     mixture,
-    moment,
     w1_distance,
     w1_sorted_cdf,
     w1_transport_lp,
@@ -109,16 +108,16 @@ class TestMixture:
 class TestMoment:
     def test_dirac(self):
         u = ActionSet([0.0], [5.0])
-        assert moment(dirac(u, [2.0]), 1, 0) == 2.0
+        assert dirac(u, [2.0]).moment(1, 0) == 2.0
 
     def test_mixture_first_and_second(self, unit_interval):
         m = mixture([dirac(unit_interval, [0.0]), dirac(unit_interval, [1.0])], [0.5, 0.5])
-        assert moment(m, 1, 0) == 0.5
-        assert moment(m, 2, 0) == 0.5
+        assert m.moment(1, 0) == 0.5
+        assert m.moment(2, 0) == 0.5
 
     def test_bad_coordinate(self, unit_interval):
         with pytest.raises(ValidationError):
-            moment(dirac(unit_interval, [0.5]), 1, 3)
+            dirac(unit_interval, [0.5]).moment(1, 3)
 
 
 class TestW1:

@@ -13,9 +13,6 @@ from hybridopt import (
     LatticeProblem,
     NumericalError,
     RateSpec,
-    check_dpp,
-    check_minimizing_sequence,
-    check_moment_bound,
     dirac,
     enumerate_value,
     gronwall_sup_moment_bound,
@@ -25,11 +22,31 @@ from hybridopt import (
 from hybridopt.dpp_solver import SolverKernels
 from hybridopt.oracle_verify import (
     _coupled_instance,
+    _dpp_subchecks,
     _drift_steering_instance,
     _finish,
+    _minimizing_sequence_subchecks,
+    _moment_bound_subchecks,
     _regime_cost_instance,
 )
 from tests.conftest import const_control, make_model
+
+
+# The battery folds each instance's subchecks with _finish; these do the same
+# for one instance.
+def fold_dpp(model, grid, mu_c, nu_c, intermediate_k, x0, i0, path_count, seed):
+    subchecks = _dpp_subchecks(model, grid, mu_c, nu_c, intermediate_k, x0, i0, path_count, seed)
+    return _finish("dpp", time.perf_counter(), 1.0, *subchecks)
+
+
+def fold_minimizing_sequence(model, grid, mu_c, nu_c, controls, x0, i0, path_count, seed):
+    subchecks = _minimizing_sequence_subchecks(model, grid, mu_c, nu_c, controls, x0, i0, path_count, seed)
+    return _finish("minimizing_sequence", time.perf_counter(), 1.0, *subchecks)
+
+
+def fold_moment_bound(model, control, p, path_count, seed, x0, i0, t_end, dt):
+    subchecks = _moment_bound_subchecks(model, control, p, path_count, seed, x0, i0, t_end, dt)
+    return _finish("moment_bound", time.perf_counter(), 1.0, *subchecks)
 
 
 def tiny_instance(n_nodes=2, n_steps=2):
@@ -130,13 +147,13 @@ class TestCheckDpp:
         grid = GridSpec(5, [21], 3)  # node spacing 0.2 == |drift| * dt
         mu_c = [dirac(u, [0.0]), dirac(u, [1.0])]
         nu_c = [dirac(u, [0.5])]
-        rep = check_dpp(model, grid, mu_c, nu_c, 2, [1.0], 1, path_count=200, seed=3)
+        rep = fold_dpp(model, grid, mu_c, nu_c, 2, [1.0], 1, path_count=200, seed=3)
         assert rep.passed
         assert abs(rep.details["value"] - rep.details["mc_restatement"]) <= 1e-9
 
     def test_regime_cost_midpoint(self):
         model, grid, mu_c, nu_c = _regime_cost_instance()
-        rep = check_dpp(model, grid, mu_c, nu_c, grid.time_steps // 2, [0.0], 1, path_count=500, seed=42)
+        rep = fold_dpp(model, grid, mu_c, nu_c, grid.time_steps // 2, [0.0], 1, path_count=500, seed=42)
         assert rep.passed
         assert rep.details["one_step_residual"] == 0.0
 
@@ -151,7 +168,7 @@ class TestCheckDpp:
 
         monkeypatch.setattr(SolverKernels, "__init__", counting_init)
         model, grid, mu_c, nu_c = _coupled_instance()
-        rep = check_dpp(model, grid, mu_c, nu_c, 2, [0.0], 1, path_count=200, seed=42)
+        rep = fold_dpp(model, grid, mu_c, nu_c, 2, [0.0], 1, path_count=200, seed=42)
         assert rep.details["one_step_residual"] == 0.0
         assert len(built) == 1
 
@@ -159,18 +176,18 @@ class TestCheckDpp:
         from hybridopt import oracle_verify
 
         model, grid, mu_c, nu_c = _drift_steering_instance()
-        rep = check_dpp(model, grid, mu_c, nu_c, 2, [1.0], 1, path_count=200, seed=3)
+        rep = fold_dpp(model, grid, mu_c, nu_c, 2, [1.0], 1, path_count=200, seed=3)
         assert rep.passed
         assert rep.details["multi_step_residual"] > 0.0
         # below the observed residual (0.005) the multi-step gate trips
         monkeypatch.setattr(oracle_verify, "tol_disc", lambda model, vg: 1e-3)
-        rep = check_dpp(model, grid, mu_c, nu_c, 2, [1.0], 1, path_count=200, seed=3)
+        rep = fold_dpp(model, grid, mu_c, nu_c, 2, [1.0], 1, path_count=200, seed=3)
         assert not rep.passed
         assert "multi_step_within_tol" in rep.details["failed"]
 
     def test_random_small_instance_logged(self):
         model, grid, mu_c, nu_c = _coupled_instance()
-        rep = check_dpp(model, grid, mu_c, nu_c, 2, [0.0], 1, path_count=2000, seed=42)
+        rep = fold_dpp(model, grid, mu_c, nu_c, 2, [0.0], 1, path_count=2000, seed=42)
         assert rep.passed
         assert "multi_step_residual" in rep.details
         assert rep.details["multi_step_residual"] >= 0.0
@@ -184,7 +201,7 @@ class TestMinimizingSequence:
         mu_fixed = dirac(u, [0.5])
         weights = np.linspace(1.0, 0.1, 10)
         controls = [ConstantControl(mu_fixed, mixture([d0, d1], [1 - w, w])) for w in weights]
-        rep = check_minimizing_sequence(
+        rep = fold_minimizing_sequence(
             model, grid, mu_c, nu_c, controls, [0.0], 1, path_count=1000, seed=5
         )
         assert rep.passed
@@ -198,7 +215,7 @@ class TestMinimizingSequence:
         vg = solve(model, grid, mu_c, nu_c)
         from hybridopt import extract_policy
 
-        rep = check_minimizing_sequence(
+        rep = fold_minimizing_sequence(
             model, grid, mu_c, nu_c, [extract_policy(vg)], [0.0], 1, path_count=500, seed=6
         )
         assert rep.passed
@@ -210,7 +227,7 @@ class TestMinimizingSequence:
         # declared with the switch rate 0.4 * point falling, so costs fall too
         points = sorted(gen.random(10).tolist(), reverse=True)
         controls = [ConstantControl(dirac(u, [0.5]), dirac(u, [p])) for p in points]
-        rep = check_minimizing_sequence(
+        rep = fold_minimizing_sequence(
             model, grid, mu_c, nu_c, controls, [0.0], 1, path_count=1000, seed=7
         )
         assert rep.passed
@@ -223,12 +240,12 @@ class TestMinimizingSequence:
         u = model.action_set
         d0, d1 = dirac(u, [0.0]), dirac(u, [1.0])
         controls = [ConstantControl(dirac(u, [0.5]), mixture([d0, d1], [1 - w, w])) for w in (0.1, 1.0)]
-        rep = check_minimizing_sequence(
+        rep = fold_minimizing_sequence(
             model, grid, mu_c, nu_c, controls, [0.0], 1, path_count=2000, seed=707
         )
         assert rep.details["costs"][1] - rep.details["costs"][0] > 0.1
         assert rep.details["failed"] == ["costs_nonincreasing_in_declared_order"]
-        assert check_minimizing_sequence(
+        assert fold_minimizing_sequence(
             model, grid, mu_c, nu_c, controls[::-1], [0.0], 1, path_count=2000, seed=707
         ).passed
 
@@ -238,13 +255,13 @@ class TestMomentBound:
         model = make_model(
             regimes=1, drift="0", diffusion="0", running="0", terminal="0", box=2.0, growth_bound=1.0
         )
-        rep = check_moment_bound(model, const_control(model), 2, 200, 3, [1.0], 1, 1.0, 0.1)
+        rep = fold_moment_bound(model, const_control(model), 2, 200, 3, [1.0], 1, 1.0, 0.1)
         assert rep.passed
         assert rep.details["estimate"] == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_reverting_unit_noise(self):
         model = make_model(regimes=1, drift="-x1", diffusion="1", box=8.0, growth_bound=1.0)
-        rep = check_moment_bound(model, const_control(model), 2, 4000, 4, [1.0], 1, 1.0, 0.01)
+        rep = fold_moment_bound(model, const_control(model), 2, 4000, 4, [1.0], 1, 1.0, 0.01)
         assert rep.passed
         marginal_sup = max(
             math.exp(-2 * t) + (1 - math.exp(-2 * t)) / 2 for t in np.linspace(0, 1, 101)
@@ -256,12 +273,12 @@ class TestMomentBound:
             regimes=1, drift="x1", diffusion="0.5", box=16.0, growth_bound=1.5,
             horizon=0.5, lipschitz_drift_diffusion=1.0,
         )
-        rep = check_moment_bound(model, const_control(model), 2, 1000, 5, [1.0], 1, 0.5, 0.01)
+        rep = fold_moment_bound(model, const_control(model), 2, 1000, 5, [1.0], 1, 0.5, 0.01)
         assert rep.passed
 
     def test_p4_supported(self):
         model = make_model(regimes=1, drift="-x1", diffusion="1", box=8.0, growth_bound=1.0)
-        rep = check_moment_bound(model, const_control(model), 4, 1000, 6, [0.0], 1, 1.0, 0.02)
+        rep = fold_moment_bound(model, const_control(model), 4, 1000, 6, [0.0], 1, 1.0, 0.02)
         assert rep.passed
 
     def test_bound_constants(self):
@@ -280,7 +297,7 @@ class TestGrowthViolationDetection:
             regimes=1, drift="-3*x1", diffusion="0.5", box=4.0,
             lipschitz_drift_diffusion=9.0, growth_bound=1.0, horizon=0.5,
         )
-        rep = check_moment_bound(model, const_control(model), 2, 300, 9, [1.0], 1, 0.5, 0.01)
+        rep = fold_moment_bound(model, const_control(model), 2, 300, 9, [1.0], 1, 0.5, 0.01)
         assert not rep.passed
         assert "declared_growth_holds" in rep.details.get("failed", [])
 

@@ -16,7 +16,6 @@ from hybridopt import (
     ValidationError,
     dirac,
     mixture,
-    step_transition_probs,
     transition_matrix,
     w1_distance,
 )
@@ -112,7 +111,7 @@ class TestIntervalLayout:
             nu_m = dirac(unit_interval, [float(gen.random())])
             x = gen.standard_normal(1)
             p = kernel_at(rates, nu_m, x)
-            q = rates.off_diagonal(x, nu_m)
+            q = rates.off_diagonal(x[None], nu_m)[0]
             lam = 1.0 + _RATE_TOL
             off = ~np.eye(n, dtype=bool)
             assert np.array_equal(p[off], q[off] / lam)
@@ -125,7 +124,7 @@ class TestIntervalLayout:
         rates = RateSpec(2, [[None, "1.0000000000005"], ["0", None]], 1.0)
         p = kernel_at(rates, nu)
         assert p[0, 0] >= 0.0
-        assert 1.0 - rates.off_diagonal(X0, nu)[0, 1] / rates.rate_bound < 0.0
+        assert 1.0 - rates.off_diagonal(X0[None], nu)[0, 0, 1] / rates.rate_bound < 0.0
 
     def test_batch_of_states(self, unit_interval):
         rates = RateSpec(2, [[None, "0.5*x1*x1"], ["0.25", None]], 1.0)
@@ -184,9 +183,11 @@ class TestJumpDisplacement:
 
 
 class TestStepTransitionProbs:
+    """One-step rows of ``transition_matrix``, the scipy ``expm`` reference."""
+
     def test_two_state_exact_exponential(self, unit_interval, nu):
         rates = RateSpec(2, [[None, "1"], ["0", None]], 1.0)
-        probs = step_transition_probs(rates, 1, X0, nu, 0.01)
+        probs = transition_matrix(rates, X0, nu, 0.01)[0]
         # frozen 0.009950166250831893 = 1 - e^{-0.01}, cross-checked against
         # the truncated series dt - dt^2/2 + dt^3/6 - dt^4/24
         assert probs[1] == pytest.approx(0.009950166250831893, abs=1e-15)
@@ -196,19 +197,19 @@ class TestStepTransitionProbs:
 
     def test_absorbing_when_no_rates(self, unit_interval, nu):
         rates = RateSpec(2, [[None, "0"], ["0", None]], 1.0)
-        probs = step_transition_probs(rates, 1, X0, nu, 0.01)
+        probs = transition_matrix(rates, X0, nu, 0.01)[0]
         assert probs[0] == 1.0
 
     def test_first_order_rate_recovery(self, unit_interval, nu):
         rates = RateSpec(2, [[None, "2"], ["0", None]], 2.0)
         for dt in (0.05, 0.01, 0.002):
-            probs = step_transition_probs(rates, 1, X0, nu, dt)
+            probs = transition_matrix(rates, X0, nu, dt)[0]
             assert abs(probs[1] / dt - 2.0) <= 2 * dt * rates.rate_bound
 
     def test_step_size_error(self, nu):
         rates = RateSpec(2, [[None, "2"], ["0", None]], 2.0)
         with pytest.raises(StepSizeError):
-            step_transition_probs(rates, 1, X0, nu, 0.2)
+            transition_matrix(rates, X0, nu, 0.2)[0]
 
     def test_rows_are_stochastic(self, unit_interval):
         gen = np.random.default_rng(12)
@@ -223,13 +224,13 @@ class TestStepTransitionProbs:
         rates = RateSpec(2, [[None, "1"], ["0.5", None]], 1.0)
         last = 0.0
         for dt in (0.01, 0.02, 0.05, 0.1):
-            p12 = step_transition_probs(rates, 1, X0, nu, dt)[1]
+            p12 = transition_matrix(rates, X0, nu, dt)[0][1]
             assert p12 > last
             last = p12
 
-    # dt = 0.1 puts dt * M on the cap, where the truncated series is least accurate
+    # dt = 0.1 puts dt * M on the cap, where the uniformized series is longest
     @pytest.mark.parametrize("dt", [0.05, 0.1])
-    def test_batch_taylor_matches_expm(self, unit_interval, dt):
+    def test_batch_rows_match_expm(self, unit_interval, dt):
         gen = np.random.default_rng(23)
         rates = RateSpec(
             3,
@@ -246,7 +247,7 @@ class TestStepTransitionProbs:
         idx = gen.integers(0, 2, size=40)
         batch_rows = transition_rows_batch(rates, regimes, xs, MeasureBatch(pool, idx), dt)
         for row in range(40):
-            exact = step_transition_probs(rates, int(regimes[row]), xs[row], pool[idx[row]], dt)
+            exact = transition_matrix(rates, xs[row], pool[idx[row]], dt)[regimes[row] - 1]
             assert np.max(np.abs(batch_rows[row] - exact)) <= 1e-12
 
 
@@ -311,7 +312,7 @@ class TestNanRateRejected:
 
     def test_generator(self, model):
         with pytest.raises(ModelError, match="NaN"):
-            model.rates.generator(np.array([2.0]), dirac(model.action_set, [0.5]))
+            model.rates.generator(np.array([[2.0]]), dirac(model.action_set, [0.5]))
 
     def test_jump_kernel(self, model):
         with pytest.raises(ModelError, match="NaN"):
@@ -331,7 +332,7 @@ class TestSampleSwitch:
     # the regime draw is pick_regime over the step's transition row
     def test_stay_mass_returns_same_regime(self, nu):
         rates = RateSpec(2, [[None, "1"], ["0", None]], 1.0)
-        probs = step_transition_probs(rates, 1, X0, nu, 0.01)
+        probs = transition_matrix(rates, X0, nu, 0.01)[0]
         # stay probability ~ 0.99; a draw inside it stays
         assert pick_regime(probs, 0.5) == 1
         assert pick_regime(probs, 0.9999) == 2
@@ -339,13 +340,13 @@ class TestSampleSwitch:
     def test_bound_violation_propagates(self, nu):
         rates = RateSpec(2, [[None, "50"], ["0", None]], 50.0)
         with pytest.raises(StepSizeError):
-            step_transition_probs(rates, 1, X0, nu, 0.01)
+            transition_matrix(rates, X0, nu, 0.01)[0]
         with pytest.raises(StepSizeError):
             transition_rows_batch(rates, np.array([1]), X0[None, :], MeasureBatch.constant(nu, 1), 0.01)
 
     def test_empirical_switch_fraction(self, nu):
         rates = RateSpec(2, [[None, "1"], ["0", None]], 1.0)
-        probs = step_transition_probs(rates, 1, X0, nu, 0.01)
+        probs = transition_matrix(rates, X0, nu, 0.01)[0]
         gen = np.random.default_rng(31)
         draws = gen.random(100_000)
         picked = pick_regime(probs, draws)
@@ -363,7 +364,7 @@ class TestRateSpecValidation:
 
     def test_single_regime_degenerates(self, nu):
         rates = RateSpec(1, [[None]], 0.0)
-        assert step_transition_probs(rates, 1, X0, nu, 0.01).tolist() == [1.0]
+        assert transition_matrix(rates, X0, nu, 0.01)[0].tolist() == [1.0]
         batch = transition_rows_batch(rates, np.array([1, 1]), np.zeros((2, 1)), MeasureBatch.constant(nu, 2), 0.01)
         assert batch.tolist() == [[1.0], [1.0]]
 
@@ -386,6 +387,6 @@ class TestRateSpecValidation:
             )
             x, y = gen.standard_normal(1), gen.standard_normal(1)
             gap = abs(
-                rates.off_diagonal(x, a)[0, 1] - rates.off_diagonal(y, b)[0, 1]
+                rates.off_diagonal(x[None], a)[0, 0, 1] - rates.off_diagonal(y[None], b)[0, 0, 1]
             )
             assert gap <= declared_c2 * (abs(float(x[0] - y[0])) + w1_distance(a, b)) + 1e-12

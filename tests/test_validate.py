@@ -65,8 +65,8 @@ def reference_validate(model, sample_count, seed=0):
                 growth_points += [(x, bx, sx), (y, by, sy)]
             worst_growth = max(worst_growth, float(np.max(growth_ratio(*map(np.array, zip(*growth_points))))))
 
-        qx = model.rates.off_diagonal(x, mu_a)
-        qy = model.rates.off_diagonal(y, mu_b)
+        qx = model.rates.off_diagonal(x[None], mu_a)[0]
+        qy = model.rates.off_diagonal(y[None], mu_b)[0]
         worst_rate_min = min(worst_rate_min, float(np.min(qx[off])), float(np.min(qy[off])))
         worst_exit = max(worst_exit, float(np.max(qx.sum(axis=-1))), float(np.max(qy.sum(axis=-1))))
         if dist1 > 1e-14:
