@@ -1,8 +1,8 @@
 """Controlled regime-switching diffusions with measure-valued feedback.
 
 Simulation, Monte Carlo cost estimation, a backward-induction value solver
-with policy extraction, and an oracle verification battery, plus the small
-expression language the model configs are written in.
+whose stored policy replays as a table control, and an oracle verification
+battery, plus the small expression language the model configs are written in.
 """
 
 from .errors import (
@@ -51,7 +51,6 @@ from .dpp_solver import (
     GridSpec,
     ValueGrid,
     dpp_residual,
-    extract_policy,
     gauss_hermite,
     solve,
 )

@@ -25,9 +25,10 @@ from .control import (
     FeedbackControl,
     MarkovControl,
     PathDependentControl,
+    TableControl,
 )
 from .dynamics import HybridModel
-from .dpp_solver import ValueGrid, extract_policy
+from .dpp_solver import ValueGrid
 from .errors import ValidationError
 from .measure_space import ActionSet, DiscreteMeasure
 from .switching import RateSpec
@@ -227,17 +228,23 @@ def load_control(source, model: HybridModel) -> tuple[FeedbackControl, dict]:
             )
         elif kind == "markov":
             def build(spec):
-                return CandidateMap(
+                cmap = CandidateMap(
                     _measures(a, spec["candidates"]),
                     index_expr=spec.get("index_expr"),
                     per_regime=spec.get("per_regime"),
                 )
+                if cmap.per_regime is not None and len(cmap.per_regime) < model.regime_count:
+                    raise ValidationError(f"per_regime table needs {model.regime_count} entries, one per regime")
+                return cmap
 
             control = MarkovControl(build(payload["mu"]), build(payload["nu"]))
         elif kind == "table":
             artifact = _load_payload(payload["artifact"])
             payload = {**payload, "artifact": config_hash(artifact)}
-            control = extract_policy(ValueGrid.from_dict(artifact, a))
+            vg = ValueGrid.from_dict(artifact, a)
+            if len(vg.axes) != model.state_dim or vg.values.shape[2] != model.regime_count:
+                raise ValidationError("table artifact's dimension or regime count differs from the model's")
+            control = TableControl(vg)
         elif kind == "path_dependent":
             control = PathDependentControl(
                 window=payload["window"],
@@ -249,6 +256,8 @@ def load_control(source, model: HybridModel) -> tuple[FeedbackControl, dict]:
                 nu_candidates=_measures(a, payload["nu"]["candidates"]),
                 nu_map=payload["nu"]["map"],
             )
+            if not 0 <= control.coordinate < model.state_dim:
+                raise ValidationError(f"coordinate {control.coordinate} outside 0..{model.state_dim - 1}")
         else:
             raise ValidationError(f"unknown control kind {kind!r}")
     return control, payload

@@ -12,13 +12,14 @@ Four families are provided:
 * constant        -- fixed (mu, nu), history ignored;
 * markov          -- candidate lists indexed by an expression of (t, x, i)
                      or by a per-regime table;
-* table           -- a solved value grid's stored argmin policy, looked up
-                     at (time slice, nearest space node, regime);
+* table           -- the argmin policy of the solved ``ValueGrid`` it holds,
+                     looked up at (time slice, nearest space node, regime);
 * path_dependent  -- a finite-window statistic of the observed state path,
                      bucketed into candidate indices.
 
-Every control exposes its candidate pools (``mu_pool`` / ``nu_pool``) and an
-index map; the simulator stores per-step pool indices, which keeps batched
+Every control is two candidate pools (``mu_pool`` / ``nu_pool``) plus an
+index map ``indices(t, x, regimes, hist_x)``; no control reads the regime
+history.  The simulator stores per-step pool indices, which keeps batched
 paths cheap and makes policy provenance explicit in exported paths.
 
 Controls are immutable, evaluation is pure, and all index maps are
@@ -33,7 +34,7 @@ import itertools
 import numpy as np
 
 from . import expr as ex
-from .errors import CapacityError, UsageError, ValidationError
+from .errors import CapacityError, ValidationError
 from .measure_space import ActionSet, DiscreteMeasure
 
 
@@ -94,7 +95,7 @@ class CandidateMap:
                 raise ValidationError(f"index expression may depend on t, x, i only: {sorted(bad)}")
         self.index_expr = index_expr
         if per_regime is not None:
-            per_regime = tuple(int(v) for v in per_regime)
+            per_regime = np.array([int(v) for v in per_regime], dtype=np.intp)
             for v in per_regime:
                 if not 0 <= v < len(self.candidates):
                     raise ValidationError(f"per-regime index {v} out of candidate range")
@@ -103,10 +104,7 @@ class CandidateMap:
     def indices(self, t: float, x: np.ndarray, regimes: np.ndarray) -> np.ndarray:
         n = x.shape[0]
         if self.per_regime is not None:
-            table = np.asarray(self.per_regime, dtype=np.intp)
-            if np.any(np.asarray(regimes) - 1 >= len(table)):
-                raise ValidationError("per-regime table smaller than the regime count")
-            return table[np.asarray(regimes, dtype=int) - 1]
+            return self.per_regime[np.asarray(regimes, dtype=int) - 1]
         raw = ex.eval_vector(
             self.index_expr, {"t": t, "x": x, "i": np.asarray(regimes, dtype=float)}, n
         )
@@ -119,35 +117,22 @@ class CandidateMap:
 
 
 class FeedbackControl:
-    """Base class; subclasses implement the pool index maps."""
+    """A mu pool, a nu pool and an index map; subclasses implement the map."""
 
-    @property
-    def mu_pool(self) -> tuple[DiscreteMeasure, ...]:
-        raise NotImplementedError
+    def __init__(self, mu_pool, nu_pool):
+        self.mu_pool = _as_pool(mu_pool)
+        self.nu_pool = _as_pool(nu_pool)
 
-    @property
-    def nu_pool(self) -> tuple[DiscreteMeasure, ...]:
-        raise NotImplementedError
-
-    def indices(self, t, x, regimes, hist_x=None, hist_regimes=None):
+    def indices(self, t, x, regimes, hist_x):
         """(mu indices, nu indices) for a batch of paths at step start t."""
         raise NotImplementedError
 
 
 class ConstantControl(FeedbackControl):
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
-        self._mu = mu
-        self._nu = nu
+        super().__init__((mu,), (nu,))
 
-    @property
-    def mu_pool(self):
-        return (self._mu,)
-
-    @property
-    def nu_pool(self):
-        return (self._nu,)
-
-    def indices(self, t, x, regimes, hist_x=None, hist_regimes=None):
+    def indices(self, t, x, regimes, hist_x):
         zeros = np.zeros(x.shape[0], dtype=np.intp)
         return zeros, zeros
 
@@ -156,57 +141,39 @@ class MarkovControl(FeedbackControl):
     """Reads only (t, X_t, Lambda_t); invariant to the earlier history."""
 
     def __init__(self, mu_map: CandidateMap, nu_map: CandidateMap):
-        self._mu_map = mu_map
-        self._nu_map = nu_map
+        super().__init__(mu_map.candidates, nu_map.candidates)
+        self.mu_map = mu_map
+        self.nu_map = nu_map
 
-    @property
-    def mu_pool(self):
-        return self._mu_map.candidates
-
-    @property
-    def nu_pool(self):
-        return self._nu_map.candidates
-
-    def indices(self, t, x, regimes, hist_x=None, hist_regimes=None):
-        return self._mu_map.indices(t, x, regimes), self._nu_map.indices(t, x, regimes)
+    def indices(self, t, x, regimes, hist_x):
+        return self.mu_map.indices(t, x, regimes), self.nu_map.indices(t, x, regimes)
 
 
 class TableControl(FeedbackControl):
-    """Argmin policy of a solved value grid, looked up at the enclosing cell."""
+    """Argmin policy of a solved value grid, read at the time slice holding
+    t (the last policy slice from then on) and the nearest space node."""
 
-    def __init__(self, origin, dt, axes, policy_mu, policy_nu, mu_candidates, nu_candidates):
-        self.origin = float(origin)
-        self.dt = float(dt)
-        self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        self.policy_mu = np.asarray(policy_mu, dtype=np.intp)
-        self.policy_nu = np.asarray(policy_nu, dtype=np.intp)
-        self._mu_candidates = _as_pool(mu_candidates)
-        self._nu_candidates = _as_pool(nu_candidates)
-        self.n_slices = self.policy_mu.shape[0]
-
-    @property
-    def mu_pool(self):
-        return self._mu_candidates
-
-    @property
-    def nu_pool(self):
-        return self._nu_candidates
+    def __init__(self, value_grid):
+        super().__init__(value_grid.mu_candidates, value_grid.nu_candidates)
+        self.value_grid = value_grid
 
     def _nearest_nodes(self, x: np.ndarray) -> np.ndarray:
+        axes = self.value_grid.axes
         flat = []
-        for d, axis in enumerate(self.axes):
+        for d, axis in enumerate(axes):
             pos = np.searchsorted(axis, x[:, d])
             lo = np.clip(pos - 1, 0, len(axis) - 1)
             hi = np.clip(pos, 0, len(axis) - 1)
             pick = np.where(np.abs(axis[hi] - x[:, d]) < np.abs(x[:, d] - axis[lo]), hi, lo)
             flat.append(pick)
-        return np.ravel_multi_index(tuple(flat), tuple(len(a) for a in self.axes))
+        return np.ravel_multi_index(tuple(flat), tuple(len(a) for a in axes))
 
-    def indices(self, t, x, regimes, hist_x=None, hist_regimes=None):
-        k = int(np.clip(round((t - self.origin) / self.dt), 0, self.n_slices - 1))
+    def indices(self, t, x, regimes, hist_x):
+        vg = self.value_grid
+        k = min(vg.time_index(t), len(vg.policy_mu) - 1)
         nodes = self._nearest_nodes(np.asarray(x, dtype=float))
         ridx = np.asarray(regimes, dtype=int) - 1
-        return self.policy_mu[k, nodes, ridx], self.policy_nu[k, nodes, ridx]
+        return vg.policy_mu[k, nodes, ridx], vg.policy_nu[k, nodes, ridx]
 
 
 _STATS = {
@@ -236,10 +203,9 @@ class PathDependentControl(FeedbackControl):
         self.statistic = statistic
         self.coordinate = int(coordinate)
         self.edges = edges
-        self._mu_candidates = _as_pool(mu_candidates)
-        self._nu_candidates = _as_pool(nu_candidates)
-        self.mu_map = self._check_map(mu_map, len(self._mu_candidates))
-        self.nu_map = self._check_map(nu_map, len(self._nu_candidates))
+        super().__init__(mu_candidates, nu_candidates)
+        self.mu_map = self._check_map(mu_map, len(self.mu_pool))
+        self.nu_map = self._check_map(nu_map, len(self.nu_pool))
 
     def _check_map(self, index_map, n_candidates):
         arr = np.asarray(index_map, dtype=np.intp)
@@ -249,17 +215,7 @@ class PathDependentControl(FeedbackControl):
             raise ValidationError("bucket index map entry out of candidate range")
         return arr
 
-    @property
-    def mu_pool(self):
-        return self._mu_candidates
-
-    @property
-    def nu_pool(self):
-        return self._nu_candidates
-
-    def indices(self, t, x, regimes, hist_x=None, hist_regimes=None):
-        if hist_x is None:
-            raise UsageError("path-dependent controls need the history")
+    def indices(self, t, x, regimes, hist_x):
         lo = max(0, hist_x.shape[1] - self.window)
         stat = _STATS[self.statistic](hist_x[:, lo:, self.coordinate])
         bucket = np.searchsorted(self.edges, stat, side="right")

@@ -18,7 +18,8 @@ index, so solved grids are bit-reproducible.
 The search runs over step-constant Markov policies; that family is exactly
 optimal for the discretized problem, while richer path-dependent controls
 can only be compared against it through the Monte Carlo side (see the
-verification module).
+verification module).  The argmin policy stays in the ``ValueGrid``;
+``control.TableControl(value_grid)`` replays it as a feedback control.
 
 Within a time slice all node minimizations are independent (they are plain
 vectorized array ops here); slices are strictly sequential.  A solved grid
@@ -33,7 +34,7 @@ import numpy as np
 from scipy import sparse
 
 from . import expr as ex
-from .control import MeasureBatch, TableControl
+from .control import MeasureBatch
 from .dynamics import HybridModel
 from .errors import CapacityError, NumericalError, ValidationError
 from .measure_space import DiscreteMeasure
@@ -420,7 +421,7 @@ class ValueGrid:
     def from_dict(cls, payload: dict, action_set) -> "ValueGrid":
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise ValidationError(f"unsupported value-grid schema {payload.get('schema_version')!r}")
-        return cls(
+        vg = cls(
             GridSpec.from_dict(payload["grid"]),
             [np.asarray(a, dtype=float) for a in payload["axes"]],
             payload["times"],
@@ -431,6 +432,13 @@ class ValueGrid:
             [DiscreteMeasure.from_dict(action_set, m) for m in payload["nu_candidates"]],
             payload.get("clamp_count", 0),
         )
+        n_t, nodes = vg.grid.time_steps, vg.grid.space_nodes
+        cells = (math.prod(nodes),) + vg.values.shape[-1:]  # (nodes, regimes)
+        want = [(n,) for n in nodes] + [(n_t + 1,), (n_t + 1, *cells), (n_t, *cells), (n_t, *cells)]
+        got = [a.shape for a in vg.axes] + [vg.times.shape, vg.values.shape, vg.policy_mu.shape, vg.policy_nu.shape]
+        if got != want:
+            raise ValidationError("value-grid arrays do not have the shapes its grid spec implies")
+        return vg
 
 
 def solve(model: HybridModel, grid: GridSpec, mu_candidates, nu_candidates, kernels=None) -> ValueGrid:
@@ -504,15 +512,3 @@ def dpp_residual(value_grid: ValueGrid, model: HybridModel, k_from: int, k_to: i
 
     return float(np.max(np.abs(chained - np.min(held, axis=0))))
 
-
-def extract_policy(value_grid: ValueGrid) -> TableControl:
-    """Greedy table policy: (time slice, nearest node, regime) -> argmin pair."""
-    return TableControl(
-        origin=float(value_grid.times[0]),
-        dt=value_grid.dt,
-        axes=value_grid.axes,
-        policy_mu=value_grid.policy_mu,
-        policy_nu=value_grid.policy_nu,
-        mu_candidates=value_grid.mu_candidates,
-        nu_candidates=value_grid.nu_candidates,
-    )

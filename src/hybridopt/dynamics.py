@@ -369,7 +369,7 @@ def _simulate_block(
         t_k = float(times[k])
         x_k = states[:, k, :]
         lam_k = regimes[:, k]
-        mi, ni = control.indices(t_k, x_k, lam_k, states[:, : k + 1, :], regimes[:, : k + 1])
+        mi, ni = control.indices(t_k, x_k, lam_k, states[:, : k + 1, :])
         mu_idx[:, k] = mi
         nu_idx[:, k] = ni
         mu_b = MeasureBatch(mu_pool, mi, mu_moments)

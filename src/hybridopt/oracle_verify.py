@@ -32,9 +32,9 @@ from scipy.linalg import expm
 from . import config as cfg
 from . import expr as ex
 from . import rng
-from .control import ConstantControl, MeasureBatch
+from .control import ConstantControl, MeasureBatch, TableControl
 from .cost import batch_costs, monte_carlo_cost
-from .dpp_solver import GridSpec, SolverKernels, ValueGrid, dpp_residual, extract_policy, solve
+from .dpp_solver import GridSpec, SolverKernels, ValueGrid, dpp_residual, solve
 from .dynamics import HybridModel, growth_ratio, simulate_paths
 from .errors import CapacityError, NumericalError, ValidationError
 from .measure_space import (
@@ -275,7 +275,7 @@ def _dpp_subchecks(model, grid, mu_candidates, nu_candidates, intermediate_k, x0
     )
     multi = dpp_residual(vg, model, 0, intermediate_k, kern)
 
-    policy = extract_policy(vg)
+    policy = TableControl(vg)
     t_mid = float(vg.times[intermediate_k])
     start_x, start_i = np.atleast_1d(np.asarray(x0, dtype=float)), int(i0)
     batch = simulate_paths(model, policy, 0.0, start_x, start_i, t_mid, vg.dt, seed, path_count)
@@ -309,7 +309,7 @@ def _minimizing_sequence_subchecks(model, grid, mu_candidates, nu_candidates, co
     discretization), and the extracted policy is minimal among them.  Each
     allowance for noise is 3 standard errors."""
     vg = solve(model, grid, mu_candidates, nu_candidates)
-    policy = extract_policy(vg)
+    policy = TableControl(vg)
     v0 = vg.value_at(0.0, np.atleast_1d(x0), int(i0))
     tol = tol_disc(model, vg)
     t_end = float(vg.times[-1])

@@ -67,3 +67,27 @@ def test_every_export_is_used_by_the_package():
 def test_allowlist_is_not_stale():
     assert set(ALLOWED_UNUSED) <= exported_names()
     assert not set(ALLOWED_UNUSED) & referenced_names()
+
+
+def unread_parameters() -> list:
+    """(function, parameter) pairs where no definition of that function name
+    in the package reads the parameter as a ``Name``.  Definitions sharing a
+    name form one interface: each implementation of ``indices`` may read a
+    different subset of the arguments, but every argument must be read by
+    one of them."""
+    params, reads = {}, {}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+                params.setdefault(node.name, set()).update(n for n in names if n not in ("self", "cls"))
+                reads.setdefault(node.name, set()).update(
+                    n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                )
+    return sorted((name, p) for name, ps in params.items() for p in ps - reads[name])
+
+
+def test_every_parameter_is_read():
+    unread = unread_parameters()
+    assert not unread, f"parameters that no definition of the function reads: {unread}"

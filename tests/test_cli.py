@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridopt import cli, config, dynamics, errors, rng
+from hybridopt import GridSpec, cli, config, dirac, dynamics, errors, rng, solve
 from hybridopt.dynamics import PathBatch, simulate_paths
 from hybridopt.measure_space import ActionSet, DiscreteMeasure
 
@@ -854,9 +854,38 @@ class TestSimulateHorizonFlag:
 _DIRAC = {"atoms": [[0.5]], "weights": [1.0]}
 _CONSTANT = {"kind": "constant", "mu": _DIRAC, "nu": _DIRAC}
 _POOL = {"candidates": [_DIRAC], "map": [0, 0]}
+_WINDOW_MAX = {"kind": "path_dependent", "window": 2, "statistic": "max", "buckets": [0.5], "mu": _POOL, "nu": _POOL}
+_THREE_REGIMES = {
+    "regime_count": 3,
+    "drift": [["0"]] * 3,
+    "diffusion": [[["0"]]] * 3,
+    "rates": [[None, "0.4*nu_m(1,0)", "0"], ["0", None, "0"], ["0", "0", None]],
+}
+_TWO_DIMS = {
+    "state_dim": 2,
+    "drift": [["0", "0"]] * 2,
+    "diffusion": [[["0", "0"], ["0", "0"]]] * 2,
+    "truncation": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+    "starts": [{"x": [0.0, 0.0], "i": 1}],
+}
 
-# (command, changes to the demo model, control spec, extra flags); the table
-# control's "ARTIFACT" becomes a value-grid artifact without its "grid" entry
+
+def _artifact_text(name: str) -> str:
+    """The value-grid artifact a table control case names: "NO_GRID" lacks
+    its "grid" entry, "DEMO" is the demo model solved on a 5-slice, 3-node
+    lattice, and "VALUES_CUT" is that one with its values a slice short."""
+    if name == "NO_GRID":
+        return json.dumps({"schema_version": 1})
+    model, _ = config.load_model(cli.DEMO_MODEL)
+    u = model.action_set
+    doc = solve(model, GridSpec(5, [3], 1), [dirac(u, [0.5])], [dirac(u, [0.0]), dirac(u, [1.0])]).to_dict()
+    if name == "VALUES_CUT":
+        doc["values"] = doc["values"][:-1]
+    return config.artifact_json(doc)
+
+
+# (command, changes to the demo model, control spec, extra flags); a table
+# control's artifact names one of ``_artifact_text``'s
 MALFORMED_INPUTS = {
     "control_without_mu": ("simulate", {}, {"kind": "constant", "nu": _DIRAC}, []),
     "markov_map_without_candidates": (
@@ -865,7 +894,17 @@ MALFORMED_INPUTS = {
     "path_dependent_without_window": (
         "simulate", {}, {"kind": "path_dependent", "statistic": "max", "buckets": [0.5], "mu": _POOL, "nu": _POOL}, []
     ),
-    "table_artifact_without_grid": ("simulate", {}, {"kind": "table", "artifact": "ARTIFACT"}, []),
+    "table_artifact_without_grid": ("simulate", {}, {"kind": "table", "artifact": "NO_GRID"}, []),
+    "table_artifact_values_cut": ("simulate", {}, {"kind": "table", "artifact": "VALUES_CUT"}, []),
+    "table_artifact_two_regimes_on_three": ("simulate", _THREE_REGIMES, {"kind": "table", "artifact": "DEMO"}, []),
+    "table_artifact_1d_on_2d": ("simulate", _TWO_DIMS, {"kind": "table", "artifact": "DEMO"}, []),
+    "path_dependent_coordinate_past_state_dim": ("simulate", {}, dict(_WINDOW_MAX, coordinate=3), []),
+    "path_dependent_coordinate_negative": ("simulate", {}, dict(_WINDOW_MAX, coordinate=-1), []),
+    # nu at 0 switches off the demo's one rate, so no path reaches regime 2
+    "per_regime_shorter_than_regime_count": (
+        "simulate", {}, {"kind": "markov", "mu": {"candidates": [_DIRAC], "per_regime": [0]},
+                         "nu": {"candidates": [{"atoms": [[0.0]], "weights": [1.0]}], "per_regime": [0]}}, []
+    ),
     "control_spec_a_list": ("simulate", {}, [_CONSTANT], []),
     "atoms_a_string": ("simulate", {}, {"kind": "constant", "mu": {"atoms": "x", "weights": [1.0]}, "nu": _DIRAC}, []),
     "rate_bound_a_string": ("simulate", {"rate_bound": "x"}, _CONSTANT, []),
@@ -883,8 +922,10 @@ class TestExitCodes:
         out.parent.mkdir()
         argv = [command, "--model", str(model), "--out", str(out)] + extra
         if control is not None:
-            if case == "table_artifact_without_grid":
-                control = dict(control, artifact=str(write_json(tmp_path / "vg.json", {"schema_version": 1})))
+            if isinstance(control, dict) and control.get("kind") == "table":
+                artifact = tmp_path / "vg.json"
+                artifact.write_text(_artifact_text(control["artifact"]))
+                control = dict(control, artifact=str(artifact))
             argv += ["--control", str(write_json(tmp_path / "control.json", control))]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -28,9 +29,7 @@ def measures_at(control, batch, k, states=None):
     """The (mu, nu) pair the control picks for path 0 at step k from its
     recorded history; where the engine stored indices, they must agree."""
     states = batch.states if states is None else states
-    mi, ni = control.indices(
-        float(batch.times[k]), states[:1, k], batch.regimes[:1, k], states[:1, : k + 1], batch.regimes[:1, : k + 1]
-    )
+    mi, ni = control.indices(float(batch.times[k]), states[:1, k], batch.regimes[:1, k], states[:1, : k + 1])
     if k < batch.mu_idx.shape[1] and states is batch.states:
         assert (int(mi[0]), int(ni[0])) == (batch.mu_idx[0, k], batch.nu_idx[0, k])
     return control.mu_pool[int(mi[0])], control.nu_pool[int(ni[0])]
@@ -94,20 +93,42 @@ class TestEvaluate:
 
 class TestTableLookup:
     def test_nearest_node_and_slice(self, unit_interval):
-        from hybridopt.control import TableControl
+        from hybridopt import GridSpec, TableControl, ValueGrid
 
         d0, d1 = dirac(unit_interval, [0.0]), dirac(unit_interval, [1.0])
-        axes = [np.array([-1.0, 0.0, 1.0])]
-        policy_mu = np.zeros((2, 3, 1), dtype=int)
+        policy_mu = np.zeros((2, 3, 1), dtype=np.intp)
         policy_mu[0, 2, 0] = 1  # slice 0, node x=1.0 picks candidate 1
-        policy_nu = np.zeros((2, 3, 1), dtype=int)
-        control = TableControl(0.0, 0.5, axes, policy_mu, policy_nu, [d0, d1], [d0, d1])
-        mi, ni = control.indices(0.0, np.array([[0.9]]), np.array([1]))
+        policy_mu[1, 0, 0] = 1  # slice 1, node x=-1.0 picks candidate 1
+        policy_nu = np.zeros((2, 3, 1), dtype=np.intp)
+        vg = ValueGrid(
+            GridSpec(2, [3]), [[-1.0, 0.0, 1.0]], [0.0, 0.5, 1.0], np.zeros((3, 3, 1)),
+            policy_mu, policy_nu, [d0, d1], [d0, d1],
+        )
+        control = TableControl(vg)
+        mi, ni = control.indices(0.0, np.array([[0.9]]), np.array([1]), np.array([[[0.9]]]))
         assert (int(mi[0]), int(ni[0])) == (1, 0)
-        mi, _ = control.indices(0.0, np.array([[0.4]]), np.array([1]))
+        mi, _ = control.indices(0.0, np.array([[0.4]]), np.array([1]), np.array([[[0.4]]]))
         assert int(mi[0]) == 0  # nearest node is x = 0
-        mi, _ = control.indices(0.6, np.array([[0.9]]), np.array([1]))
+        mi, _ = control.indices(0.6, np.array([[0.9]]), np.array([1]), np.array([[[0.9]]]))
         assert int(mi[0]) == 0  # slice 1
+        mi, _ = control.indices(1.0, np.array([[-0.9]]), np.array([1]), np.array([[[-0.9]]]))
+        assert int(mi[0]) == 1  # t = T has no policy slice of its own: the last one is read
+
+    def test_simulate_csv_same_across_workers(self, tmp_path):
+        from hybridopt import cli
+
+        model, control = tmp_path / "model.json", tmp_path / "control.json"
+        cli.write_demo_config(model, control)
+        grid = tmp_path / "vg.json"
+        assert cli.main(["solve", "--model", str(model), "--grid-nt", "4", "--grid-nx", "5", "--out", str(grid)]) == 0
+        control.write_text(json.dumps({"kind": "table", "artifact": str(grid)}))
+        outs = []
+        for workers in (1, 2):
+            outs.append(tmp_path / f"paths_w{workers}.csv")
+            argv = ["simulate", "--model", str(model), "--control", str(control), "--paths", "5000",
+                    "--dt", "0.25", "--seed", "3", "--workers", str(workers), "--out", str(outs[-1])]
+            assert cli.main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestCandidateSet:

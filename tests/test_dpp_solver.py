@@ -16,10 +16,10 @@ from hybridopt import (
     GridSpec,
     HybridModel,
     RateSpec,
+    TableControl,
     ValueGrid,
     dirac,
     dpp_residual,
-    extract_policy,
     gauss_hermite,
     monte_carlo_cost,
     mixture,
@@ -579,8 +579,8 @@ class TestExtractPolicy:
     def test_table_control_round_trip(self):
         model, grid, mu_c, nu_c = regime_cost_setup()
         vg = solve(model, grid, mu_c, nu_c)
-        policy = extract_policy(vg)
-        mi, ni = policy.indices(0.0, np.array([[0.0]]), np.array([1]))
+        policy = TableControl(vg)
+        mi, ni = policy.indices(0.0, np.array([[0.0]]), np.array([1]), np.array([[[0.0]]]))
         assert (int(mi[0]), int(ni[0])) == (
             int(vg.policy_mu[0, 4, 0]),
             int(vg.policy_nu[0, 4, 0]),
@@ -604,7 +604,7 @@ class TestExtractPolicy:
         mu_c = [dirac(u, [0.5])]
         nu_c = [dirac(u, [0.0]), dirac(u, [1.0])]
         vg = solve(model, grid, mu_c, nu_c)
-        policy = extract_policy(vg)
+        policy = TableControl(vg)
         tol = tol_disc(model, vg)
         v0 = vg.value_at(0.0, [0.0], 1)
         est = monte_carlo_cost(model, policy, 0.0, [0.0], 1, 1.0, vg.dt, 4000, 19)

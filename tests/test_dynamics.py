@@ -396,7 +396,7 @@ class TestWorkerPickling:
         assert np.array_equal(serial.mu_idx, fanned.mu_idx)
 
     def test_table_control_across_processes(self):
-        from hybridopt import GridSpec, dirac, extract_policy, solve
+        from hybridopt import GridSpec, TableControl, dirac, solve
 
         model = make_model(
             rate12="0.2*nu_m(1,0)", rate_bound=0.2, drift="0", diffusion="0.3",
@@ -404,7 +404,7 @@ class TestWorkerPickling:
         )
         u = model.action_set
         vg = solve(model, GridSpec(10, [11], 3), [dirac(u, [0.5])], [dirac(u, [0.0]), dirac(u, [1.0])])
-        policy = extract_policy(vg)
+        policy = TableControl(vg)
         serial = simulate_paths(model, policy, 0.0, [0.0], 1, 1.0, 0.1, 23, 40, workers=1)
         fanned = simulate_paths(model, policy, 0.0, [0.0], 1, 1.0, 0.1, 23, 40, workers=5)
         assert np.array_equal(serial.states, fanned.states)

@@ -213,10 +213,10 @@ class TestMinimizingSequence:
     def test_singleton_sequence(self):
         model, grid, mu_c, nu_c = _regime_cost_instance()
         vg = solve(model, grid, mu_c, nu_c)
-        from hybridopt import extract_policy
+        from hybridopt import TableControl
 
         rep = fold_minimizing_sequence(
-            model, grid, mu_c, nu_c, [extract_policy(vg)], [0.0], 1, path_count=500, seed=6
+            model, grid, mu_c, nu_c, [TableControl(vg)], [0.0], 1, path_count=500, seed=6
         )
         assert rep.passed
 
