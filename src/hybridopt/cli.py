@@ -390,6 +390,3 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, OSError, HybridOptError) as err:
         print(f"error: {err}", file=sys.stderr)
         return next((code for kinds, code in _EXIT_CODES if isinstance(err, kinds)), EXIT_PARSE)
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -24,6 +24,8 @@ verification module).  The argmin policy stays in the ``ValueGrid``;
 Within a time slice all node minimizations are independent (they are plain
 vectorized array ops here); slices are strictly sequential.  A solved grid
 is immutable.
+
+scipy is imported only by ``_csr``, the one place a CSR matrix is built.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy import sparse
 
 from . import expr as ex
 from .control import MeasureBatch
@@ -185,6 +186,8 @@ def _window_sums(shape, lo, vals, out) -> None:
 
 def _csr(blocks, n_cols: int) -> sparse.csr_matrix:
     """One CSR matrix from ``_interpolation_rows`` blocks, rows in order."""
+    from scipy import sparse
+
     if not blocks:
         return sparse.csr_matrix((0, n_cols))
     counts, cols, vals = (np.concatenate(part) for part in zip(*blocks))
@@ -438,6 +441,10 @@ class ValueGrid:
         got = [a.shape for a in vg.axes] + [vg.times.shape, vg.values.shape, vg.policy_mu.shape, vg.policy_nu.shape]
         if got != want:
             raise ValidationError("value-grid arrays do not have the shapes its grid spec implies")
+        for name, pool in (("policy_mu", vg.mu_candidates), ("policy_nu", vg.nu_candidates)):
+            policy = getattr(vg, name)
+            if policy.size and not 0 <= policy.min() <= policy.max() < len(pool):
+                raise ValidationError(f"{name} holds an index outside its {len(pool)} candidates")
         return vg
 
 

@@ -13,12 +13,12 @@ solver precision and are asserted as such in the test suite.
 
 All types are immutable after construction and every operation is a pure
 function; values can be shared freely across worker processes.
+
+scipy is imported only by ``w1_transport_lp``, so 1-D measures never load it.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import CapacityError, DomainError, NumericalError, ValidationError
 
@@ -269,6 +269,9 @@ def w1_transport_lp(mu, nu):
     the objective is separable, so each block's optimum is that pair's own,
     and its value is c_b . x_b clamped at 0.  Pairs with the same ordered
     canonical keys share one block, so w1(a, b) == w1(b, a) exactly."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     pairs, single = _pairs(mu, nu)
     blocks: dict = {}
     block_of = []

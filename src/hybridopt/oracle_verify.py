@@ -19,6 +19,8 @@ implied by the declared linear-growth constant (Doob/BDG plus Gronwall).
 ``run_battery`` executes the bundled demo suite; every check returns a
 machine-readable report {name, pass, margin, tolerance} and owns its random
 streams, so checks are independent and can run in any order.
+
+scipy's ``expm`` is imported only by ``transition_matrix``, the rows' reference.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ import math
 import time
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import config as cfg
 from . import expr as ex
@@ -442,6 +443,8 @@ def check_w1_metric(scale: float = 1.0) -> CheckReport:
 def transition_matrix(rates: RateSpec, x, nu, dt: float) -> np.ndarray:
     """Exact expm(Q(x, nu) * dt) at one state x (d,) by scipy: the reference
     for the uniformized rows of ``switching.transition_rows_batch``."""
+    from scipy.linalg import expm
+
     check_step(rates, dt)
     return np.clip(expm(rates.generator(np.reshape(x, (1, -1)), nu)[0] * dt), 0.0, None)
 

@@ -1,6 +1,15 @@
 import pytest
 
-from hybridopt import ActionSet, ConstantControl, HybridModel, RateSpec, dirac
+from hybridopt import ActionSet, ConstantControl, HybridModel, RateSpec, cli, dirac
+
+
+@pytest.fixture
+def demo_files(tmp_path):
+    """The bundled demo model and its constant control, written as JSON."""
+    model = tmp_path / "model.json"
+    control = tmp_path / "control.json"
+    cli.write_demo_config(model, control)
+    return model, control
 
 
 @pytest.fixture

@@ -18,14 +18,6 @@ from hybridopt.dynamics import PathBatch, simulate_paths
 from hybridopt.measure_space import ActionSet, DiscreteMeasure
 
 
-@pytest.fixture
-def demo_files(tmp_path):
-    model = tmp_path / "model.json"
-    control = tmp_path / "control.json"
-    cli.write_demo_config(model, control)
-    return model, control
-
-
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return path
@@ -873,7 +865,9 @@ _TWO_DIMS = {
 def _artifact_text(name: str) -> str:
     """The value-grid artifact a table control case names: "NO_GRID" lacks
     its "grid" entry, "DEMO" is the demo model solved on a 5-slice, 3-node
-    lattice, and "VALUES_CUT" is that one with its values a slice short."""
+    lattice, "VALUES_CUT" is that one with its values a slice short,
+    "NU_INDEX_5" has every nu index 5 against its 2 candidates, and
+    "MU_INDEX_NEG" has its last mu index -1 against its 1 candidate."""
     if name == "NO_GRID":
         return json.dumps({"schema_version": 1})
     model, _ = config.load_model(cli.DEMO_MODEL)
@@ -881,6 +875,10 @@ def _artifact_text(name: str) -> str:
     doc = solve(model, GridSpec(5, [3], 1), [dirac(u, [0.5])], [dirac(u, [0.0]), dirac(u, [1.0])]).to_dict()
     if name == "VALUES_CUT":
         doc["values"] = doc["values"][:-1]
+    if name == "NU_INDEX_5":
+        doc["policy_nu"][:] = 5
+    if name == "MU_INDEX_NEG":
+        doc["policy_mu"][-1, -1, -1] = -1
     return config.artifact_json(doc)
 
 
@@ -898,6 +896,8 @@ MALFORMED_INPUTS = {
     "table_artifact_values_cut": ("simulate", {}, {"kind": "table", "artifact": "VALUES_CUT"}, []),
     "table_artifact_two_regimes_on_three": ("simulate", _THREE_REGIMES, {"kind": "table", "artifact": "DEMO"}, []),
     "table_artifact_1d_on_2d": ("simulate", _TWO_DIMS, {"kind": "table", "artifact": "DEMO"}, []),
+    "table_artifact_nu_index_past_candidates": ("simulate", {}, {"kind": "table", "artifact": "NU_INDEX_5"}, []),
+    "table_artifact_mu_index_negative": ("simulate", {}, {"kind": "table", "artifact": "MU_INDEX_NEG"}, []),
     "path_dependent_coordinate_past_state_dim": ("simulate", {}, dict(_WINDOW_MAX, coordinate=3), []),
     "path_dependent_coordinate_negative": ("simulate", {}, dict(_WINDOW_MAX, coordinate=-1), []),
     # nu at 0 switches off the demo's one rate, so no path reaches regime 2

@@ -164,9 +164,12 @@ class TestSimulate:
         assert np.array_equal(small.regimes, large.regimes[:4])
 
     def test_workers_do_not_change_results(self, brownian_model):
+        # two chunks on a two-step horizon, so the pool starts and stays cheap
         c = const_control(brownian_model)
-        serial = simulate_paths(brownian_model, c, 0.0, [0.0], 1, 0.5, 0.05, 3, 64, workers=1)
-        fanned = simulate_paths(brownian_model, c, 0.0, [0.0], 1, 0.5, 0.05, 3, 64, workers=8)
+        n = rng.BLOCK_PATHS + 64
+        assert len(list(dynamics.path_chunks(n))) >= 2
+        serial = simulate_paths(brownian_model, c, 0.0, [0.0], 1, 0.1, 0.05, 3, n, workers=1)
+        fanned = simulate_paths(brownian_model, c, 0.0, [0.0], 1, 0.1, 0.05, 3, n, workers=8)
         assert np.array_equal(serial.states, fanned.states)
         assert np.array_equal(serial.regimes, fanned.regimes)
 
@@ -390,8 +393,10 @@ class TestWorkerPickling:
             CandidateMap([d0, d1], index_expr="max(0, min(1, 0.5 - x1 + 0.5))"),
             CandidateMap([d0, d1], index_expr="i - 1"),
         )
-        serial = simulate_paths(model, control, 0.0, [0.5], 1, 1.0, 0.05, 17, 48, workers=1)
-        fanned = simulate_paths(model, control, 0.0, [0.5], 1, 1.0, 0.05, 17, 48, workers=6)
+        n = rng.BLOCK_PATHS + 48
+        assert len(list(dynamics.path_chunks(n))) >= 2
+        serial = simulate_paths(model, control, 0.0, [0.5], 1, 0.1, 0.05, 17, n, workers=1)
+        fanned = simulate_paths(model, control, 0.0, [0.5], 1, 0.1, 0.05, 17, n, workers=6)
         assert np.array_equal(serial.states, fanned.states)
         assert np.array_equal(serial.mu_idx, fanned.mu_idx)
 
@@ -405,8 +410,10 @@ class TestWorkerPickling:
         u = model.action_set
         vg = solve(model, GridSpec(10, [11], 3), [dirac(u, [0.5])], [dirac(u, [0.0]), dirac(u, [1.0])])
         policy = TableControl(vg)
-        serial = simulate_paths(model, policy, 0.0, [0.0], 1, 1.0, 0.1, 23, 40, workers=1)
-        fanned = simulate_paths(model, policy, 0.0, [0.0], 1, 1.0, 0.1, 23, 40, workers=5)
+        n = rng.BLOCK_PATHS + 40
+        assert len(list(dynamics.path_chunks(n))) >= 2
+        serial = simulate_paths(model, policy, 0.0, [0.0], 1, 0.2, 0.1, 23, n, workers=1)
+        fanned = simulate_paths(model, policy, 0.0, [0.0], 1, 0.2, 0.1, 23, n, workers=5)
         assert np.array_equal(serial.states, fanned.states)
         assert np.array_equal(serial.regimes, fanned.regimes)
 

@@ -146,7 +146,7 @@ class TestIntervalLayout:
             jump_kernel(rates, X0, nu)
 
 
-class TestJumpDisplacement:
+class TestPickRegimeDraws:
     """A uniform draw picks the next regime through ``pick_regime`` over a
     kernel row: the stay mass comes first in index order for regime 1."""
 
