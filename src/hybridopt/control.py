@@ -93,6 +93,7 @@ class CandidateMap:
             }
             if bad:
                 raise ValidationError(f"index expression may depend on t, x, i only: {sorted(bad)}")
+            index_expr = ex.Compiled(index_expr)
         self.index_expr = index_expr
         if per_regime is not None:
             per_regime = np.array([int(v) for v in per_regime], dtype=np.intp)

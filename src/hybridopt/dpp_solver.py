@@ -298,7 +298,7 @@ class SolverKernels:
         ]
         # f dt per regime and pair, when it is the same on every slice
         self.cached_costs = (
-            None if "t" in ex.variables(model.running_cost)
+            None if "t" in ex.variables(model.running_cost.node)
             else [self.stage_costs(0.0, i) for i in range(1, n + 1)]
         )
 
@@ -424,13 +424,16 @@ class ValueGrid:
     def from_dict(cls, payload: dict, action_set) -> "ValueGrid":
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise ValidationError(f"unsupported value-grid schema {payload.get('schema_version')!r}")
+        # candidate indices: an entry that is not an integer (1.7, true) is rejected, not truncated
+        policies = [np.asarray(payload[name], dtype=object) for name in ("policy_mu", "policy_nu")]
+        if not all(type(v) is int for policy in policies for v in policy.flat):
+            raise ValidationError("a value-grid policy holds an entry that is not an integer")
         vg = cls(
             GridSpec.from_dict(payload["grid"]),
             [np.asarray(a, dtype=float) for a in payload["axes"]],
             payload["times"],
             np.asarray(payload["values"], dtype=float),
-            np.asarray(payload["policy_mu"], dtype=np.intp),
-            np.asarray(payload["policy_nu"], dtype=np.intp),
+            *(policy.astype(np.intp) for policy in policies),
             [DiscreteMeasure.from_dict(action_set, m) for m in payload["mu_candidates"]],
             [DiscreteMeasure.from_dict(action_set, m) for m in payload["nu_candidates"]],
             payload.get("clamp_count", 0),

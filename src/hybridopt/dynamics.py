@@ -45,19 +45,17 @@ from .switching import RateSpec, check_step, pick_regime, transition_rows_batch
 _GRID_ABS_TOL = 1e-12
 
 
-def _parse_field(raw, what):
+def _compiled(raw, allowed, what) -> ex.Compiled:
+    """``raw`` (text or an AST) parsed, checked to read only x and ``allowed``, and compiled."""
     if isinstance(raw, str):
         try:
-            return ex.parse(raw)
+            raw = ex.parse(raw)
         except Exception as err:
             raise ValidationError(f"{what}: {err}") from err
-    return raw
-
-
-def _check_vars(node, allowed, what):
-    bad = {v for v in ex.variables(node) if v not in allowed and not v.startswith("x")}
+    bad = {v for v in ex.variables(raw) if v not in allowed and not v.startswith("x")}
     if bad:
         raise ValidationError(f"{what} may depend on {sorted(allowed) + ['x*']} only, found {sorted(bad)}")
+    return ex.Compiled(raw)
 
 
 class HybridModel:
@@ -115,29 +113,19 @@ class HybridModel:
         self.action_set = action_set
         self.rates = rates
 
-        drift = tuple(tuple(_parse_field(e, f"drift[{i}][{c}]") for c, e in enumerate(row)) for i, row in enumerate(drift))
-        if len(drift) != n or any(len(row) != d for row in drift):
+        self.drift = tuple(
+            tuple(_compiled(e, {"i", "mu"}, f"drift[{i}][{c}]") for c, e in enumerate(row)) for i, row in enumerate(drift)
+        )
+        if len(self.drift) != n or any(len(row) != d for row in self.drift):
             raise ValidationError(f"drift must be {n} regimes x {d} coordinates")
-        diffusion = tuple(
-            tuple(tuple(_parse_field(e, f"diffusion[{i}][{r}][{c}]") for c, e in enumerate(row)) for r, row in enumerate(mat))
+        self.diffusion = tuple(
+            tuple(tuple(_compiled(e, {"i", "mu"}, f"diffusion[{i}][{r}][{c}]") for c, e in enumerate(row)) for r, row in enumerate(mat))
             for i, mat in enumerate(diffusion)
         )
-        if len(diffusion) != n or any(len(mat) != d or any(len(row) != d for row in mat) for mat in diffusion):
+        if len(self.diffusion) != n or any(len(mat) != d or any(len(row) != d for row in mat) for mat in self.diffusion):
             raise ValidationError(f"diffusion must be {n} regimes x {d}x{d} matrices")
-        for row in drift:
-            for e in row:
-                _check_vars(e, {"i", "mu"}, "drift")
-        for mat in diffusion:
-            for row in mat:
-                for e in row:
-                    _check_vars(e, {"i", "mu"}, "diffusion")
-        self.drift = drift
-        self.diffusion = diffusion
-
-        self.running_cost = _parse_field(running_cost, "running_cost")
-        _check_vars(self.running_cost, {"t", "i", "mu", "nu"}, "running_cost")
-        self.terminal_cost = _parse_field(terminal_cost, "terminal_cost")
-        _check_vars(self.terminal_cost, set(), "terminal_cost")
+        self.running_cost = _compiled(running_cost, {"t", "i", "mu", "nu"}, "running_cost")
+        self.terminal_cost = _compiled(terminal_cost, set(), "terminal_cost")
 
         if horizon <= 0:
             raise ValidationError("horizon must be positive")
@@ -192,11 +180,9 @@ class HybridModel:
         env = {"t": 0.0, "x": mid, "i": 1.0, "mu": probe, "nu": probe}
         for i in range(self.regime_count):
             env["i"] = float(i + 1)
-            for e in self.drift[i]:
-                _finite_or_raise(ex.evaluate(e, env), "drift")
-            for row in self.diffusion[i]:
-                for e in row:
-                    _finite_or_raise(ex.evaluate(e, env), "diffusion")
+            for what, table in (("drift", self.drift[i]), ("diffusion", self.diffusion[i])):
+                for e in np.ravel(table):
+                    _finite_or_raise(ex.evaluate(e, env), what)
         _finite_or_raise(ex.evaluate(self.running_cost, env), "running_cost")
         _finite_or_raise(ex.evaluate(self.terminal_cost, env), "terminal_cost")
         self.rates.generator(mid[None], probe)
@@ -210,34 +196,39 @@ class HybridModel:
     def clip_state(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.truncation_lower, self.truncation_upper)
 
-    def drift_at(self, x: np.ndarray, regimes: np.ndarray, mu: MeasureBatch) -> np.ndarray:
-        """b(x, i, mu) for a path batch; rows are selected per regime."""
+    def partition(self, x: np.ndarray, regimes: np.ndarray, mu: MeasureBatch) -> list:
+        """(regime, rows, env) per regime present in a path batch: ``rows`` are its
+        paths (``slice(None)`` for all, with no copy), ``env`` their x and mu.
+        ``drift_at`` and ``diffusion_at`` can share one partition."""
+        x = np.atleast_2d(x)
+        regimes = np.asarray(regimes)
+        parts = []
+        for regime in range(1, self.regime_count + 1):
+            rows = np.flatnonzero(regimes == regime)
+            if len(rows) == len(x):
+                parts.append((regime, slice(None), {"x": x, "i": float(regime), "mu": mu}))
+            elif len(rows):
+                parts.append((regime, rows, {"x": x[rows], "i": float(regime), "mu": mu.take(rows)}))
+        return parts
+
+    def drift_at(self, x: np.ndarray, regimes: np.ndarray, mu: MeasureBatch, parts=None) -> np.ndarray:
+        """b(x, i, mu) for a path batch, shape (n, d), per regime of ``parts``
+        (by default ``partition(x, regimes, mu)``)."""
         x = np.atleast_2d(x)
         out = np.zeros_like(x)
-        for regime in range(1, self.regime_count + 1):
-            mask = np.asarray(regimes) == regime
-            if not np.any(mask):
-                continue
-            env = {"x": x[mask], "i": float(regime), "mu": mu.take(mask)}
-            cnt = int(np.count_nonzero(mask))
+        for regime, rows, env in parts or self.partition(x, regimes, mu):
             for c, e in enumerate(self.drift[regime - 1]):
-                out[mask, c] = ex.eval_vector(e, env, cnt)
+                out[rows, c] = e(env)
         return out
 
-    def diffusion_at(self, x: np.ndarray, regimes: np.ndarray, mu: MeasureBatch) -> np.ndarray:
-        """sigma(x, i, mu) for a path batch, shape (n, d, d)."""
+    def diffusion_at(self, x: np.ndarray, regimes: np.ndarray, mu: MeasureBatch, parts=None) -> np.ndarray:
+        """sigma(x, i, mu) for a path batch, shape (n, d, d), likewise."""
         x = np.atleast_2d(x)
-        n, d = x.shape
-        out = np.zeros((n, d, d))
-        for regime in range(1, self.regime_count + 1):
-            mask = np.asarray(regimes) == regime
-            if not np.any(mask):
-                continue
-            env = {"x": x[mask], "i": float(regime), "mu": mu.take(mask)}
-            cnt = int(np.count_nonzero(mask))
-            for r in range(d):
-                for c in range(d):
-                    out[mask, r, c] = ex.eval_vector(self.diffusion[regime - 1][r][c], env, cnt)
+        out = np.zeros((len(x), self.state_dim, self.state_dim))
+        for regime, rows, env in parts or self.partition(x, regimes, mu):
+            for r, row in enumerate(self.diffusion[regime - 1]):
+                for c, e in enumerate(row):
+                    out[rows, r, c] = e(env)
         return out
 
     def running_cost_at(self, t, x, regimes, mu: MeasureBatch, nu: MeasureBatch) -> np.ndarray:
@@ -375,8 +366,9 @@ def _simulate_block(
         mu_b = MeasureBatch(mu_pool, mi, mu_moments)
         nu_b = MeasureBatch(nu_pool, ni, nu_moments)
 
-        b = model.drift_at(x_k, lam_k, mu_b)
-        sig = model.diffusion_at(x_k, lam_k, mu_b)
+        parts = model.partition(x_k, lam_k, mu_b)
+        b = model.drift_at(x_k, lam_k, mu_b, parts)
+        sig = model.diffusion_at(x_k, lam_k, mu_b, parts)
         with np.errstate(over="ignore", invalid="ignore"):
             x_next = x_k + b * dt + np.einsum("nrc,nc->nr", sig, brownian[:, k, :])
         if not np.all(np.isfinite(x_next)):
@@ -612,67 +604,24 @@ def validate_model(model: HybridModel, sample_count: int = 1000, seed: int = 0) 
         f_min = _fold(np.fmin, f_min, model.running_cost_at(t, x, lam, ba, bb))
         g_min = _fold(np.fmin, g_min, model.terminal_cost_at(x))
 
-    def detail(text, constant):
+    def check(name, observed, bound, upper, text, constant=None):
+        passed = observed <= bound + 1e-9 if upper else observed >= bound - 1e-12
         if constant in model.undeclared:
-            return f"{text}; constants.{constant} undeclared, judged against the default 1.0"
-        return text
+            text = f"{text}; constants.{constant} undeclared, judged against the default 1.0"
+        return HypothesisCheck(name, passed, observed, bound, text)
 
+    diameter = model.action_set.diameter
     checks = [
-        HypothesisCheck(
-            "drift_diffusion_lipschitz",
-            worst_c1 <= model.lipschitz_drift_diffusion + 1e-9,
-            worst_c1,
-            model.lipschitz_drift_diffusion,
-            detail("max (|db|^2 + |dsigma|^2) / (|dx|^2 + W1^2) over sampled pairs", "lipschitz_drift_diffusion"),
-        ),
-        HypothesisCheck(
-            "growth_bound",
-            worst_growth <= model.growth_bound + 1e-9,
-            worst_growth,
-            model.growth_bound,
-            detail("max (|b| + |sigma|_F) / (1 + |x|) over sampled points", "growth"),
-        ),
-        HypothesisCheck(
-            "rate_nonnegative",
-            worst_rate_min >= -1e-12,
-            worst_rate_min,
-            0.0,
-            "min off-diagonal rate over samples",
-        ),
-        HypothesisCheck(
-            "rate_bound",
-            worst_exit <= model.rates.rate_bound + 1e-9,
-            worst_exit,
-            model.rates.rate_bound,
-            "max exit rate over samples",
-        ),
-        HypothesisCheck(
-            "rate_lipschitz",
-            worst_c2 <= model.lipschitz_rates + 1e-9,
-            worst_c2,
-            model.lipschitz_rates,
-            detail("max |dq| / (|dx| + W1) over sampled pairs", "lipschitz_rates"),
-        ),
-        HypothesisCheck(
-            "running_cost_floor",
-            f_min >= model.running_cost_floor - 1e-12,
-            f_min,
-            model.running_cost_floor,
-            "min running cost over samples",
-        ),
-        HypothesisCheck(
-            "terminal_cost_floor",
-            g_min >= model.terminal_cost_floor - 1e-12,
-            g_min,
-            model.terminal_cost_floor,
-            "min terminal cost over samples",
-        ),
-        HypothesisCheck(
-            "action_set_compact",
-            np.isfinite(model.action_set.diameter) and model.action_set.diameter > 0,
-            model.action_set.diameter,
-            np.inf,
-            "action set box diameter",
-        ),
+        check("drift_diffusion_lipschitz", worst_c1, model.lipschitz_drift_diffusion, True,
+              "max (|db|^2 + |dsigma|^2) / (|dx|^2 + W1^2) over sampled pairs", "lipschitz_drift_diffusion"),
+        check("growth_bound", worst_growth, model.growth_bound, True,
+              "max (|b| + |sigma|_F) / (1 + |x|) over sampled points", "growth"),
+        check("rate_nonnegative", worst_rate_min, 0.0, False, "min off-diagonal rate over samples"),
+        check("rate_bound", worst_exit, model.rates.rate_bound, True, "max exit rate over samples"),
+        check("rate_lipschitz", worst_c2, model.lipschitz_rates, True,
+              "max |dq| / (|dx| + W1) over sampled pairs", "lipschitz_rates"),
+        check("running_cost_floor", f_min, model.running_cost_floor, False, "min running cost over samples"),
+        check("terminal_cost_floor", g_min, model.terminal_cost_floor, False, "min terminal cost over samples"),
+        HypothesisCheck("action_set_compact", np.isfinite(diameter) and diameter > 0, diameter, np.inf, "action set box diameter"),
     ]
     return ModelValidationReport(checks, sample_count)

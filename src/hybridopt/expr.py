@@ -19,8 +19,10 @@ of the two control measures (integer-literal exponent p >= 0 and coordinate c).
 
 Evaluation is numpy-vectorized: environment entries may be scalars or arrays
 and broadcast elementwise, which is what lets the simulator and solver run
-whole path batches / node slabs through one evaluation.  ASTs are immutable
-and evaluation is pure and reentrant.
+whole path batches / node slabs through one evaluation.  Each model, rate and
+control expression is compiled once, when its owner is built, into a
+``Compiled`` chain of closures; there is no tree walk at evaluation time.
+ASTs are immutable and evaluation is pure and reentrant.
 """
 from __future__ import annotations
 
@@ -32,8 +34,16 @@ import numpy as np
 
 from .errors import ExprError, NumericalError, UsageError
 
-_UNARY_FUNCS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "abs": np.abs}
+_UNARY_FUNCS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "abs": np.abs, "log": np.log, "sqrt": np.sqrt}
 _BINARY_FUNCS = {"min": np.minimum, "max": np.maximum}
+_UFUNCS = {**_UNARY_FUNCS, **_BINARY_FUNCS, "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+# the operations with a domain: (test of the argument values and the result, error)
+_DOMAIN = {
+    "/": (lambda args, out: np.any(np.asarray(args[1]) == 0), "division by zero"),
+    "log": (lambda args, out: np.any(np.asarray(args[0]) <= 0), "log of a nonpositive value"),
+    "sqrt": (lambda args, out: np.any(np.asarray(args[0]) < 0), "sqrt of a negative value"),
+    "^": (lambda args, out: np.any(np.isnan(out)) and not any(np.any(np.isnan(a)) for a in args), "undefined power"),
+}
 _VAR_RE = re.compile(r"x([1-9]\d*)$")
 _NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -207,13 +217,10 @@ class _Parser:
             args.append(self.expression())
         self.expect(")")
         pos = (tok.line, tok.col)
-        if name in _UNARY_FUNCS or name in ("log", "sqrt"):
-            if len(args) != 1:
-                raise ExprError(f"{name} takes exactly 1 argument, got {len(args)}", *pos)
-            return Call(name, tuple(args), pos=pos)
-        if name in _BINARY_FUNCS:
-            if len(args) != 2:
-                raise ExprError(f"{name} takes exactly 2 arguments, got {len(args)}", *pos)
+        if name in _UNARY_FUNCS or name in _BINARY_FUNCS:
+            arity = 1 if name in _UNARY_FUNCS else 2
+            if len(args) != arity:
+                raise ExprError(f"{name} takes exactly {arity} argument{'s' * (arity > 1)}, got {len(args)}", *pos)
             return Call(name, tuple(args), pos=pos)
         if name in ("mu_m", "nu_m"):
             if len(args) != 2:
@@ -314,18 +321,32 @@ def _loc(node: Expr) -> str:
     return f"line {node.pos[0]}, column {node.pos[1]}"
 
 
-def evaluate(node: Expr, env: dict):
-    """Evaluate under an environment with keys among t, x, i, mu, nu.
+class Compiled:
+    """An expression compiled once into one closure per AST node, each passing
+    its children's values, left to right, through the ufunc its node names.
+    A call evaluates under an environment with keys among t, x, i, mu, nu:
+    ``env["x"]`` is a vector (d,) or a batch (n, d); t and i may be scalars or
+    arrays; mu / nu must expose ``.moment(p, coord)``.  Unpickling recompiles."""
 
-    ``env["x"]`` is a vector (d,) or a batch (n, d); t and i may be scalars
-    or arrays; mu / nu must expose ``.moment(p, coord)``.  Returns a float
-    for scalar environments and an ndarray for batched ones.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        result = _eval(node, env)
-    if np.ndim(result) == 0:
-        return float(result)
-    return result
+    __slots__ = ("node", "_fn")
+
+    def __init__(self, node: Expr):
+        self.node = node
+        self._fn = _compile(node)
+
+    def __call__(self, env: dict):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return self._fn(env)
+
+    def __reduce__(self):
+        return Compiled, (self.node,)
+
+
+def evaluate(expr, env: dict):
+    """Evaluate a ``Compiled`` expression, or an AST compiled for this one call.
+    Returns a float for scalar environments and an ndarray for batched ones."""
+    value = (expr if isinstance(expr, Compiled) else Compiled(expr))(env)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _require(env: dict, key: str, node: Expr):
@@ -334,61 +355,54 @@ def _require(env: dict, key: str, node: Expr):
     return env[key]
 
 
-def _eval(node: Expr, env: dict):
+def _compile(node: Expr):
     if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        if node.name in ("t", "i"):
-            return np.asarray(_require(env, node.name, node), dtype=float)
-        idx = int(_VAR_RE.match(node.name).group(1)) - 1
-        x = np.asarray(_require(env, "x", node), dtype=float)
-        if idx >= x.shape[-1]:
-            raise UsageError(
-                f"variable {node.name} exceeds state dimension {x.shape[-1]} at {_loc(node)}"
-            )
-        return x[..., idx]
+        value = node.value
+        return lambda env: value
     if isinstance(node, MomentOf):
-        provider = _require(env, node.which, node)
-        return provider.moment(node.exponent, node.coordinate)
+        which, exponent, coord = node.which, node.exponent, node.coordinate
+        return lambda env: _require(env, which, node).moment(exponent, coord)
+    if isinstance(node, Var) and node.name in ("t", "i"):
+        return lambda env: np.asarray(_require(env, node.name, node), dtype=float)
+    if isinstance(node, Var):
+        idx = int(node.name[1:]) - 1
+
+        def coordinate(env):
+            x = np.asarray(_require(env, "x", node), dtype=float)
+            if idx >= x.shape[-1]:
+                raise UsageError(f"variable {node.name} exceeds state dimension {x.shape[-1]} at {_loc(node)}")
+            return x[..., idx]
+
+        return coordinate
     if isinstance(node, Unary):
-        return -_eval(node.operand, env)
-    if isinstance(node, Call):
-        args = [_eval(a, env) for a in node.args]
-        if node.func == "log":
-            if np.any(np.asarray(args[0]) <= 0):
-                raise NumericalError(f"log of a nonpositive value at {_loc(node)}")
-            return np.log(args[0])
-        if node.func == "sqrt":
-            if np.any(np.asarray(args[0]) < 0):
-                raise NumericalError(f"sqrt of a negative value at {_loc(node)}")
-            return np.sqrt(args[0])
-        if node.func in _UNARY_FUNCS:
-            return _UNARY_FUNCS[node.func](args[0])
-        return _BINARY_FUNCS[node.func](args[0], args[1])
-    if isinstance(node, Binary):
-        left = _eval(node.left, env)
-        right = _eval(node.right, env)
-        if node.op == "+":
-            return np.add(left, right)
-        if node.op == "-":
-            return np.subtract(left, right)
-        if node.op == "*":
-            return np.multiply(left, right)
-        if node.op == "/":
-            if np.any(np.asarray(right) == 0):
-                raise NumericalError(f"division by zero at {_loc(node)}")
-            return np.divide(left, right)
-        out = np.power(left, right)
-        if np.any(np.isnan(out)) and not (np.any(np.isnan(left)) or np.any(np.isnan(right))):
-            raise NumericalError(f"undefined power at {_loc(node)}")
-        return out
-    raise TypeError(f"not an expression node: {node!r}")
+        operand = _compile(node.operand)
+        return lambda env: -operand(env)
+    if not isinstance(node, (Binary, Call)):
+        raise TypeError(f"not an expression node: {node!r}")
+    op, children = (node.op, (node.left, node.right)) if isinstance(node, Binary) else (node.func, node.args)
+    func, args = _UFUNCS[op], [_compile(c) for c in children]
+    # a nonzero literal divisor needs no zero check
+    if op in _DOMAIN and not (op == "/" and isinstance(node.right, Num) and node.right.value != 0):
+        test, error = _DOMAIN[op]
+
+        def checked(env):
+            values = [a(env) for a in args]
+            out = func(*values)
+            if test(values, out):
+                raise NumericalError(f"{error} at {_loc(node)}")
+            return out
+
+        return checked
+    if len(args) == 1:
+        (only,) = args
+        return lambda env: func(only(env))
+    first, second = args
+    return lambda env: func(first(env), second(env))
 
 
-def eval_vector(node: Expr, env: dict, count: int) -> np.ndarray:
-    """Evaluate and broadcast to a flat vector of length ``count``."""
-    value = evaluate(node, env)
-    arr = np.asarray(value, dtype=float)
+def eval_vector(expr: Compiled, env: dict, count: int) -> np.ndarray:
+    """Evaluate a compiled expression and broadcast to a flat vector of length ``count``."""
+    arr = np.asarray(expr(env), dtype=float)
     if arr.ndim == 0:
         return np.full(count, float(arr))
     return np.broadcast_to(arr, (count,)).astype(float, copy=True)

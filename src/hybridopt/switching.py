@@ -23,11 +23,18 @@ which evaluates exp(Q dt) = e^{-lambda} exp(lambda P), lambda = dt * Lambda,
 as a Poisson-weighted sum of kernel powers for a whole batch of
 (regime, x, nu) at once (uniformization; Jensen, Skand. Aktuarietidskr. 36,
 1953).  ``pick_regime`` turns rows and uniform draws into the next regimes.
+
+Batches are path-last: rates, kernel and rows are held as (N, N, n) and
+(N, n), so each numpy call runs over a contiguous path vector, and handed
+out as (n, N, N) and (n, N) views.  Exit rates are summed over the path
+vectors in numpy's order for one row of N terms (not left to right at
+N >= 8), so they match the (n, N, N) ``sum(axis=-1)`` bit for bit.
 Nothing here needs scipy: the ``expm`` reference the rows are checked
 against lives with the verification battery (``oracle_verify``).
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -97,58 +104,75 @@ class RateSpec:
                             raise ValidationError(
                                 f"rate q_{i + 1}{j + 1} may depend on x and nu only, found {name!r}"
                             )
+                    e = ex.Compiled(e)
                 row.append(e)
             table.append(tuple(row))
         self.regime_count = n
         self.rate_bound = bound
         self.exprs = tuple(table)
 
-    def off_diagonal(self, x, nu) -> np.ndarray:
-        """Evaluate q_ij at a batch of states x (n, d) and a batched moment
-        provider nu (or one measure for all); returns (n, N, N) with a zero
-        diagonal."""
+    def path_last(self, x, nu) -> np.ndarray:
+        """q_ij at a batch of states x (n, d) and a batched moment provider nu
+        (or one measure for all) as (N, N, n), with a zero diagonal."""
         n = self.regime_count
         x = np.asarray(x, dtype=float)
         env = {"x": x, "nu": nu}
-        q = np.zeros((x.shape[0], n, n))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    q[:, i, j] = ex.evaluate(self.exprs[i][j], env)
+        q = np.zeros((n, n, x.shape[0]))
+        for i, j in itertools.permutations(range(n), 2):
+            q[i, j] = self.exprs[i][j](env)
         return q
 
+    def off_diagonal(self, x, nu) -> np.ndarray:
+        """``path_last`` copied to a C-ordered (n, N, N) array, whose row sums run in numpy's order."""
+        return np.ascontiguousarray(self.path_last(x, nu).transpose(2, 0, 1))
+
     def generator(self, x, nu) -> np.ndarray:
-        """Conservative generator Q(x, nu) as (n, N, N): off-diagonal rates,
-        diagonal -q_i.  Negative or NaN rates and exit rates above the
+        """Conservative generator Q(x, nu) as an (n, N, N) view: off-diagonal
+        rates, diagonal -q_i.  Negative or NaN rates and exit rates above the
         declared bound are rejected."""
-        q = self.off_diagonal(x, nu)
+        q = self.path_last(x, nu)
         idx = np.arange(self.regime_count)
-        q[:, idx, idx] = -_exit_rates(q, self.rate_bound)
-        return q
+        q[idx, idx] = -_exit_rates(q, self.rate_bound)
+        return q.transpose(2, 0, 1)
 
 
 def _exit_rates(q: np.ndarray, bound: float) -> np.ndarray:
-    """Row sums of the off-diagonal rates q; rejects rates not >= 0 (negative or NaN) and sums above bound."""
+    """Exit rates sum_j q_ij of a path-last (N, N, n) table as (N, n); rejects
+    rates not >= 0 (negative or NaN) and sums above bound.  The terms are added
+    in the order of numpy's pairwise sum over a contiguous row of N: left to
+    right for N < 8, else eight running sums over j mod 8 combined as a tree,
+    then the last N mod 8 terms."""
     if not np.all(q >= 0):
         raise ModelError(f"negative or NaN transition rate encountered (min {float(np.min(q))!r})")
-    exit_rates = q.sum(axis=-1)
+    n = q.shape[1]
+    if n < 8:
+        exit_rates, tail = q[:, 0].copy(), 1
+    else:
+        r, tail = q[:, :8].copy(), n - n % 8
+        for j in range(8, tail, 8):
+            r += q[:, j : j + 8]
+        exit_rates = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+    for j in range(tail, n):
+        exit_rates += q[:, j]
     if np.any(exit_rates > bound + _RATE_TOL):
         raise BoundViolationError(f"exit rate {float(np.max(exit_rates))!r} exceeds declared bound {bound}")
     return exit_rates
 
 
 def jump_kernel(rates: RateSpec, x, nu) -> np.ndarray:
-    """The uniformized jump kernel P = I + Q(x, nu) / Lambda as (n, N, N), with
-    Lambda = M + ``_RATE_TOL`` so that every exit rate the generator accepts
-    leaves a stay entry 1 - q_i / Lambda >= 0.  ``x`` is one state (d,) or a
-    batch (n, d); ``nu`` a measure or a batched moment provider."""
-    q = rates.off_diagonal(np.atleast_2d(x), nu)
+    """The uniformized jump kernel P = I + Q(x, nu) / Lambda, with Lambda = M +
+    ``_RATE_TOL`` so that every exit rate the generator accepts leaves a stay
+    entry 1 - q_i / Lambda >= 0.  ``x`` is one state (d,) or a batch (n, d);
+    ``nu`` a measure or a batched moment provider.  The kernel is built
+    path-last, (N, N, n), and returned as its (n, N, N) view, whose
+    ``.transpose(1, 2, 0)`` is the path-last array again, without a copy."""
+    q = rates.path_last(np.atleast_2d(x), nu)
     big_lam = rates.rate_bound + _RATE_TOL
     stay = 1.0 - _exit_rates(q, rates.rate_bound) / big_lam
     q /= big_lam
     idx = np.arange(rates.regime_count)
-    q[:, idx, idx] = stay
-    return q
+    q[idx, idx] = stay
+    return q.transpose(2, 0, 1)
 
 
 def check_step(rates: RateSpec, dt: float) -> None:
@@ -175,25 +199,27 @@ def transition_rows_batch(rates: RateSpec, regimes: np.ndarray, x: np.ndarray, n
     Agreement with scipy's ``expm`` (``oracle_verify.transition_matrix``) is
     tested at 1e-15.
 
-    The recurrence runs path-last: a block of rows holds lambda P as
-    (N, N, rows) and the terms as (N, rows), so each step's einsum loops over
-    contiguous rows, not over the N regimes.  A block holds at most
-    ``_ROW_BLOCK`` coefficients (1 MiB) to stay in cache at large N; a
-    4096-row batch is one block for N <= 5.  Every entry sums over j in the
-    order of the (n, N, N) form ``einsum("nj,njk->nk")``, so the rows are
-    bit-identical to it.
+    The recurrence runs path-last on ``jump_kernel``'s (N, N, n) array: a
+    block of rows holds lambda P as (N, N, rows) and the terms as (N, rows), so
+    each einsum loops over contiguous rows, not over the N regimes.  A block
+    holds at most ``_ROW_BLOCK`` coefficients (1 MiB) to stay in cache at large
+    N; a 4096-row batch is one block for N <= 5.  Each entry sums over j in the
+    order of the (n, N, N) form ``einsum("nj,njk->nk")``, and the kernel's exit
+    rates in the order of its ``sum(axis=-1)`` also at N >= 8, so the rows are
+    bit-identical to that form.  They are returned as the (n, N) view of an
+    (N, n) array, whose columns ``pick_regime`` reads contiguously.
     """
     check_step(rates, dt)
-    p = jump_kernel(rates, x, nu)
+    p = jump_kernel(rates, x, nu).transpose(1, 2, 0)
     lam = dt * (rates.rate_bound + _RATE_TOL)
     degree = _poisson_degree(lam)
-    n_paths, n = p.shape[0], rates.regime_count
+    n, n_paths = p.shape[0], p.shape[2]
     # (N, n) mask of each row's own regime
     own = np.asarray(regimes, dtype=int) - 1 == np.arange(n)[:, None]
-    out = np.empty((n_paths, n))
+    out = np.empty((n, n_paths))
     block = max(1, _ROW_BLOCK // n**2)
     for s in range(0, n_paths, block):
-        a = (p[s : s + block] * lam).transpose(1, 2, 0).copy()
+        a = p[..., s : s + block] * lam
         stay = own[:, s : s + block]
         term = np.where(stay, math.exp(-lam), 0.0)
         acc = term.copy()
@@ -202,12 +228,18 @@ def transition_rows_batch(rates: RateSpec, regimes: np.ndarray, x: np.ndarray, n
             term /= k
             acc += term
         acc = np.where(stay, 0.0, acc)
-        out[s : s + block] = np.where(stay, 1.0 - acc.sum(axis=0), acc).T
-    return out
+        out[:, s : s + block] = np.where(stay, 1.0 - acc.sum(axis=0), acc)
+    return out.T
 
 
 def pick_regime(probs: np.ndarray, u) -> np.ndarray:
-    """Inverse-CDF draw over regimes in index order, one draw per row."""
-    cdf = np.cumsum(probs, axis=-1)
-    idx = np.sum(np.asarray(u)[..., None] >= cdf, axis=-1)
-    return np.minimum(idx, probs.shape[-1] - 1) + 1
+    """Inverse-CDF draw over regimes in index order, one draw per row of probs
+    (..., N).  The CDF is accumulated one column at a time, in ``cumsum``'s
+    order, so the draws are those of the ``cumsum`` form."""
+    n, u = probs.shape[-1], np.asarray(u)
+    cdf = probs[..., 0].copy()
+    idx = (u >= cdf).astype(np.intp)
+    for j in range(1, n):
+        cdf += probs[..., j]
+        idx += u >= cdf
+    return np.minimum(idx, n - 1) + 1

@@ -866,8 +866,9 @@ def _artifact_text(name: str) -> str:
     """The value-grid artifact a table control case names: "NO_GRID" lacks
     its "grid" entry, "DEMO" is the demo model solved on a 5-slice, 3-node
     lattice, "VALUES_CUT" is that one with its values a slice short,
-    "NU_INDEX_5" has every nu index 5 against its 2 candidates, and
-    "MU_INDEX_NEG" has its last mu index -1 against its 1 candidate."""
+    "NU_INDEX_5" has every nu index 5 against its 2 candidates,
+    "MU_INDEX_NEG" has its last mu index -1 against its 1 candidate, and
+    "NU_INDEX_FLOAT" / "NU_INDEX_BOOL" have a nu index of 1.7 / true."""
     if name == "NO_GRID":
         return json.dumps({"schema_version": 1})
     model, _ = config.load_model(cli.DEMO_MODEL)
@@ -879,6 +880,9 @@ def _artifact_text(name: str) -> str:
         doc["policy_nu"][:] = 5
     if name == "MU_INDEX_NEG":
         doc["policy_mu"][-1, -1, -1] = -1
+    if name in ("NU_INDEX_FLOAT", "NU_INDEX_BOOL"):
+        doc["policy_nu"] = doc["policy_nu"].tolist()
+        doc["policy_nu"][0][0][0] = 1.7 if name == "NU_INDEX_FLOAT" else True
     return config.artifact_json(doc)
 
 
@@ -898,6 +902,8 @@ MALFORMED_INPUTS = {
     "table_artifact_1d_on_2d": ("simulate", _TWO_DIMS, {"kind": "table", "artifact": "DEMO"}, []),
     "table_artifact_nu_index_past_candidates": ("simulate", {}, {"kind": "table", "artifact": "NU_INDEX_5"}, []),
     "table_artifact_mu_index_negative": ("simulate", {}, {"kind": "table", "artifact": "MU_INDEX_NEG"}, []),
+    "table_artifact_nu_index_a_float": ("simulate", {}, {"kind": "table", "artifact": "NU_INDEX_FLOAT"}, []),
+    "table_artifact_nu_index_a_bool": ("simulate", {}, {"kind": "table", "artifact": "NU_INDEX_BOOL"}, []),
     "path_dependent_coordinate_past_state_dim": ("simulate", {}, dict(_WINDOW_MAX, coordinate=3), []),
     "path_dependent_coordinate_negative": ("simulate", {}, dict(_WINDOW_MAX, coordinate=-1), []),
     # nu at 0 switches off the demo's one rate, so no path reaches regime 2

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hybridopt import (
     to_source,
     variables,
 )
-from hybridopt.expr import Binary, Call, MomentOf, Num, Unary, Var
+from hybridopt.expr import Binary, Call, Compiled, MomentOf, Num, Unary, Var
 
 
 class TestGrammar:
@@ -87,6 +89,12 @@ class TestEvaluate:
         with pytest.raises(NumericalError, match="division by zero"):
             evaluate(parse("1/(x1 - 1)"), {"x": np.array([1.0])})
 
+    def test_literal_divisor(self):
+        # a nonzero literal divisor skips the zero check; a zero literal keeps it
+        assert evaluate(parse("x1/4"), {"x": np.array([2.0])}) == 0.5
+        with pytest.raises(NumericalError, match="division by zero"):
+            evaluate(parse("x1/0"), {"x": np.array([2.0])})
+
     def test_log_domain(self):
         with pytest.raises(NumericalError, match="log"):
             evaluate(parse("log(x1)"), {"x": np.array([-1.0])})
@@ -141,3 +149,51 @@ class TestRoundTrip:
     def test_examples(self):
         for src in ["-x1 + 0.5*mu_m(1, 0)", "2.0^3.0^2.0", "min(x1, max(t, i))", "-(x1 + 1.0)"]:
             assert to_source(parse(src)) == src
+
+
+def tree_walk(node, env):
+    """The recursive evaluation of a tree, with the ufuncs the grammar names."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var) and node.name in ("t", "i"):
+        return np.asarray(env[node.name], dtype=float)
+    if isinstance(node, Var):
+        return np.asarray(env["x"], dtype=float)[..., int(node.name[1:]) - 1]
+    if isinstance(node, MomentOf):
+        return env[node.which].moment(node.exponent, node.coordinate)
+    if isinstance(node, Unary):
+        return -tree_walk(node.operand, env)
+    if isinstance(node, Call):
+        funcs = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "abs": np.abs, "min": np.minimum, "max": np.maximum}
+        return funcs[node.func](*[tree_walk(a, env) for a in node.args])
+    ufuncs = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+    return ufuncs[node.op](tree_walk(node.left, env), tree_walk(node.right, env))
+
+
+class TestCompiled:
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(_leaf(), _node, max_leaves=20), st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_a_tree_walk(self, node, seed):
+        gen = np.random.default_rng(seed)
+        u = ActionSet([0.0, 0.0], [1.0, 1.0])
+        env = {
+            "x": gen.normal(size=(5, 2)) * 3,
+            "t": float(gen.random()),
+            "i": gen.integers(1, 4, 5).astype(float),
+            "mu": mixture([dirac(u, gen.random(2)), dirac(u, gen.random(2))], [0.25, 0.75]),
+            "nu": dirac(u, gen.random(2)),
+        }
+        try:
+            got = Compiled(node)(env)
+        except NumericalError:
+            return  # a zero divisor or an undefined power, which the walk would not reject
+        with np.errstate(all="ignore"):
+            want = tree_walk(node, env)
+        np.testing.assert_array_equal(got, want)
+
+    def test_survives_pickle(self, unit_interval):
+        compiled = Compiled(parse("x1*x1/4 - mu_m(2,0)"))
+        again = pickle.loads(pickle.dumps(compiled))
+        env = {"x": np.array([[1.0], [3.0]]), "mu": dirac(unit_interval, [0.5])}
+        assert again.node == compiled.node
+        assert np.array_equal(again(env), compiled(env))

@@ -35,10 +35,16 @@ X0 = np.zeros(1)
 
 
 def reference_rows(rates, regimes, x, dt):
-    """The (n, N, N) form of the uniformized rows: one einsum over the regimes
-    per term, then the stay entry as the complement."""
-    lam = dt * (rates.rate_bound + _RATE_TOL)
-    a = jump_kernel(rates, x, None) * lam
+    """The (n, N, N) form of the uniformized rows: the kernel from
+    ``off_diagonal`` and its (n, N, N) exit-rate sum, one einsum over the
+    regimes per term, then the stay entry as the complement."""
+    big_lam = rates.rate_bound + _RATE_TOL
+    lam = dt * big_lam
+    q = rates.off_diagonal(x, None)
+    diag = np.arange(q.shape[1])
+    p = q / big_lam
+    p[:, diag, diag] = 1.0 - q.sum(axis=-1) / big_lam
+    a = p * lam
     rows, stay = np.arange(a.shape[0]), np.asarray(regimes) - 1
     term = np.zeros(a.shape[:2])
     term[rows, stay] = math.exp(-lam)
@@ -79,7 +85,7 @@ def kernel_at(rates, nu, x=X0):
     return jump_kernel(rates, x, nu)[0]
 
 
-class TestIntervalLayout:
+class TestJumpKernel:
     """The paper's intervals Gamma_ij(x, nu) of length q_ij, scaled by the
     uniformization rate Lambda = M + _RATE_TOL, are the jump kernel's
     off-diagonal entries; the rest of each row is the stay mass."""
@@ -170,6 +176,43 @@ class TestPickRegimeDraws:
         assert pick_regime(row, draws).tolist() == [3, 3, 3]
         # regime 2 leaves only for regime 1, from the bottom of its row
         assert pick_regime(kernel_at(three_regime, nu)[1], 0.1) == 1
+
+    @staticmethod
+    def cumsum_pick(probs, u):
+        """The draw as ``np.cumsum`` and one comparison over the whole row."""
+        cdf = np.cumsum(probs, axis=-1)
+        idx = np.sum(np.asarray(u)[..., None] >= cdf, axis=-1)
+        return np.minimum(idx, probs.shape[-1] - 1) + 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_ties_match_the_cumsum_form(self, n):
+        gen = np.random.default_rng(n)
+        rows = gen.random((200, n))
+        rows /= rows.sum(axis=1, keepdims=True)
+        # 1/2, 1/4, ..., twice 2^-(N-1), less one ulp of 1: the CDF ends at nextafter(1, 0)
+        short = np.append(0.5 ** np.arange(1, n), 0.5 ** (n - 1)) - np.eye(n)[-1] * 2.0**-53
+        rows = np.vstack([rows, np.tile(short, (8, 1))])
+        cdf = np.cumsum(rows, axis=1)
+        assert np.all(cdf[-8:, -1] == np.nextafter(1.0, 0.0))
+        on_entry = cdf[np.arange(len(rows)), gen.integers(0, n, len(rows))]
+        for u in (
+            on_entry,
+            np.nextafter(on_entry, 0.0),
+            np.nextafter(on_entry, 2.0),
+            np.zeros(len(rows)),
+            np.full(len(rows), np.nextafter(1.0, 0.0)),
+        ):
+            want = self.cumsum_pick(rows, u)
+            # C order, and the column-major view that transition_rows_batch returns
+            for probs in (rows, np.asfortranarray(rows)):
+                got = pick_regime(probs, u)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+        for row, c in zip(rows[[0, 1, 2, -1]], cdf[[0, 1, 2, -1]]):
+            draws = np.concatenate([c, np.nextafter(c, 0.0), np.nextafter(c, 2.0), [0.0, np.nextafter(1.0, 0.0)]])
+            assert np.array_equal(pick_regime(row, draws), self.cumsum_pick(row, draws))
+            for u in draws:
+                assert pick_regime(row, u) == self.cumsum_pick(row, u)
 
     def test_uniform_draw_law(self, three_regime, nu):
         row = kernel_at(three_regime, nu)[0]
