@@ -163,9 +163,9 @@ def jump_kernel(rates: RateSpec, x, nu) -> np.ndarray:
     """The uniformized jump kernel P = I + Q(x, nu) / Lambda, with Lambda = M +
     ``_RATE_TOL`` so that every exit rate the generator accepts leaves a stay
     entry 1 - q_i / Lambda >= 0.  ``x`` is one state (d,) or a batch (n, d);
-    ``nu`` a measure or a batched moment provider.  The kernel is built
-    path-last, (N, N, n), and returned as its (n, N, N) view, whose
-    ``.transpose(1, 2, 0)`` is the path-last array again, without a copy."""
+    ``nu`` a measure or a batched moment provider.  Built path-last, (N, N, n),
+    with exit rates in the (n, N, N) ``sum(axis=-1)`` order also at N >= 8;
+    returned as its (n, N, N) view, whose ``.transpose(1, 2, 0)`` is that array."""
     q = rates.path_last(np.atleast_2d(x), nu)
     big_lam = rates.rate_bound + _RATE_TOL
     stay = 1.0 - _exit_rates(q, rates.rate_bound) / big_lam
