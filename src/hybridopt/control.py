@@ -35,30 +35,42 @@ import numpy as np
 
 from . import expr as ex
 from .errors import CapacityError, ValidationError
-from .measure_space import ActionSet, DiscreteMeasure
+from .measure_space import ActionSet, DiscreteMeasure, check_moment, segment_sums
 
 
 class MeasureBatch:
-    """Per-path measures drawn from a shared pool, with cached moments."""
+    """Per-path measures drawn from a shared pool, with cached moments: the
+    pool's tables (shared by ``take``) and their per-path gathers."""
 
-    __slots__ = ("pool", "index", "_moments")
+    __slots__ = ("pool", "index", "_moments", "_gathered")
 
     def __init__(self, pool, index, _moments=None):
         self.pool = tuple(pool)
         self.index = np.asarray(index, dtype=np.intp)
         self._moments = {} if _moments is None else _moments
+        self._gathered = {}
 
     @classmethod
     def constant(cls, measure: DiscreteMeasure, count: int) -> "MeasureBatch":
         return cls((measure,), np.zeros(count, dtype=np.intp))
 
     def moment(self, exponent: int, coordinate: int) -> np.ndarray:
+        """Per-path moments, read-only.  The pool's table is filled at once: each
+        measure's terms w_j * atom_j[coordinate] ** exponent summed as
+        ``DiscreteMeasure.moment`` sums them, bit for bit."""
         key = (exponent, coordinate)
-        table = self._moments.get(key)
-        if table is None:
-            table = np.array([m.moment(exponent, coordinate) for m in self.pool])
-            self._moments[key] = table
-        return table[self.index]
+        values = self._gathered.get(key)
+        if values is None:
+            table = self._moments.get(key)
+            if table is None:
+                check_moment(self.pool[0].action_set.dim, exponent, coordinate)
+                atoms = np.concatenate([m.atoms[:, coordinate] for m in self.pool])
+                weights = np.concatenate([m.weights for m in self.pool])
+                table = segment_sums(weights * atoms ** int(exponent), np.array([m.size for m in self.pool]))
+                self._moments[key] = table
+            values = self._gathered[key] = table[self.index]
+            values.setflags(write=False)
+        return values
 
     def take(self, selector) -> "MeasureBatch":
         return MeasureBatch(self.pool, self.index[selector], self._moments)

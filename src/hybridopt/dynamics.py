@@ -39,7 +39,7 @@ from . import expr as ex
 from . import rng
 from .control import FeedbackControl, MeasureBatch
 from .errors import NumericalError, SimulationError, ValidationError
-from .measure_space import ActionSet, DiscreteMeasure, random_measure, w1_distance
+from .measure_space import ActionSet, DiscreteMeasure, draw_measure, w1_distance
 from .switching import RateSpec, check_step, pick_regime, transition_rows_batch
 
 _GRID_ABS_TOL = 1e-12
@@ -528,27 +528,30 @@ def growth_ratio(x, b, sig) -> np.ndarray:
 
 
 def _validation_samples(model: HybridModel, gen, first: int, stop: int):
-    """Sample pairs first..stop-1 as columns (x, y, mu_a, mu_b, t, lam).  Each
-    sample draws x, mu_a, then y or mu_b by variant, then t and lam."""
+    """Sample pairs first..stop-1 as (x, y, pool, ia, ib, t, lam): sample k
+    pairs the measures pool[ia[k]] and pool[ib[k]].  Each sample draws x, mu_a,
+    then y or mu_b by variant, then t and lam; the pool is built in one batch."""
     d, lo = model.state_dim, model.truncation_lower
     span = model.truncation_upper - lo
     scale = float(np.max(span))
-    rows = []
+    rows, draws = [], []
     for trial in range(first, stop):
         # alternate state-only, measure-only, and joint perturbations so the
         # empirical sup is not diluted by the other term in the denominator;
         # state-only pairs alternate far and near ones to probe local slopes
         variant = trial % 3
         x = lo + gen.random(d) * span
-        mu_a = mu_b = random_measure(gen, model.action_set)
+        draws.append(draw_measure(gen, model.action_set))
+        a = len(draws) - 1
         if variant == 0:
             y = lo + gen.random(d) * span if trial % 6 == 0 else model.clip_state(x + gen.standard_normal(d) * 1e-3 * scale)
         else:
             y = x if variant == 1 else lo + gen.random(d) * span
-            mu_b = random_measure(gen, model.action_set)
-        rows.append((x, y, mu_a, mu_b, gen.random() * model.horizon, int(gen.integers(1, model.regime_count + 1))))
-    x, y, mu_a, mu_b, t, lam = zip(*rows)
-    return np.array(x), np.array(y), mu_a, mu_b, np.array(t), np.array(lam)
+            draws.append(draw_measure(gen, model.action_set))
+        rows.append((x, y, a, len(draws) - 1, gen.random() * model.horizon, int(gen.integers(1, model.regime_count + 1))))
+    x, y, ia, ib, t, lam = zip(*rows)
+    pool = DiscreteMeasure.batch(model.action_set, *zip(*draws))
+    return np.array(x), np.array(y), pool, np.array(ia), np.array(ib), np.array(t), np.array(lam)
 
 
 def _fold(op, current: float, values, mask=slice(None)) -> float:
@@ -565,8 +568,10 @@ def validate_model(model: HybridModel, sample_count: int = 1000, seed: int = 0) 
     the joint drift/diffusion squared-Lipschitz bound, the linear growth
     bound, rate nonnegativity, the exit-rate bound, the rate Lipschitz
     bound, and the cost floors.  Samples come one by one from the ``seed``
-    stream and are evaluated ``VALIDATE_CHUNK`` at a time: coefficients once
-    per regime, rates and costs once, and one W1 call per chunk.
+    stream and are evaluated ``VALIDATE_CHUNK`` at a time: the chunk's
+    measures built and checked as one batch (a single measure is a batch of
+    one), coefficients once per regime, rates and costs once, and one W1 call
+    per chunk.
     """
     if sample_count < 100:
         raise ValidationError("sample_count must be >= 100")
@@ -578,10 +583,10 @@ def validate_model(model: HybridModel, sample_count: int = 1000, seed: int = 0) 
     worst_rate_min = np.inf if model.regime_count > 1 else 0.0
 
     for first in range(0, sample_count, VALIDATE_CHUNK):
-        x, y, mu_a, mu_b, t, lam = _validation_samples(model, gen, first, min(first + VALIDATE_CHUNK, sample_count))
-        n = len(x)
-        ba, bb = MeasureBatch(mu_a, np.arange(n)), MeasureBatch(mu_b, np.arange(n))
-        w1 = w1_distance(mu_a, mu_b)
+        x, y, pool, ia, ib, t, lam = _validation_samples(model, gen, first, min(first + VALIDATE_CHUNK, sample_count))
+        n, moments = len(x), {}
+        ba, bb = MeasureBatch(pool, ia, moments), MeasureBatch(pool, ib, moments)
+        w1 = w1_distance([pool[k] for k in ia], [pool[k] for k in ib])
         dist2 = np.sum((x - y) ** 2, axis=1) + w1**2
         dist1 = _row_norms(x - y) + w1
         ratios, growth = [], []

@@ -3,7 +3,9 @@
 The action space is an axis-aligned box U in R^k.  Measures are stored as
 atoms + weights in a canonical form (coinciding atoms merged, support sorted),
 which makes equality, deduplication, and the exact symmetry of the metric
-cheap to guarantee.
+cheap to guarantee.  Measures are canonicalized as a batch, one pass of
+checks and one sort over all their atoms (``DiscreteMeasure.batch``); a
+single measure is a batch of one.
 
 Distances are exact optimal transport values: for k = 1 the sorted-CDF
 formula, for k > 1 the transport linear program solved with HiGHS, all
@@ -74,6 +76,88 @@ class ActionSet:
         return f"ActionSet(lower={self.lower.tolist()}, upper={self.upper.tolist()})"
 
 
+def check_moment(dim: int, exponent, coordinate) -> None:
+    if exponent < 0 or int(exponent) != exponent:
+        raise ValidationError("moment exponent must be a nonnegative integer")
+    if not 0 <= coordinate < dim:
+        raise ValidationError(f"coordinate {coordinate} out of range for dimension {dim}")
+
+
+def segment_sums(values, sizes) -> np.ndarray:
+    """np.sum of each consecutive run of ``values`` (run lengths ``sizes``, each
+    >= 1), bit for bit: the runs of one length are summed as the rows of one
+    array, which adds in np.sum's order.  Zero padding to a common width keeps
+    that order only up to 8 terms, and np.add.reduceat adds left to right."""
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty(len(sizes))
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        out[rows] = values[starts[rows, None] + np.arange(size)].sum(axis=1)
+    return out
+
+
+def _canonical(action_set: ActionSet, atoms_seq, weights_seq):
+    """Checked canonical (atoms, weights) of many measures at once.
+
+    Shapes are checked per input, then every value check runs once over the
+    concatenated arrays and the first failing input raises its own error.  A
+    stable lexsort by (input, rounded key) lines up coinciding atoms in input
+    order: the first one is kept, the weights are summed in input order
+    (``np.add.at``), and zero weights are dropped."""
+    k, atoms_list, weights_list = action_set.dim, [], []
+    for atoms, weights in zip(atoms_seq, weights_seq):
+        atoms = np.asarray(atoms, dtype=float)
+        if atoms.ndim < 2:
+            # one column per coordinate for k == 1 convenience, else a single point
+            atoms = atoms.reshape(-1, 1) if k == 1 or atoms.ndim == 0 else atoms.reshape(1, -1)
+        if atoms.ndim != 2 or atoms.shape[1] != k:
+            raise ValidationError(f"atoms must be points of dimension {k}, got shape {atoms.shape}")
+        weights = np.atleast_1d(np.asarray(weights, dtype=float))
+        if weights.shape != (atoms.shape[0],):
+            raise ValidationError("weights must match the number of atoms")
+        if atoms.shape[0] == 0:
+            raise ValidationError("a measure needs at least one atom")
+        atoms_list.append(atoms)
+        weights_list.append(weights)
+    if not atoms_list:
+        return []
+    sizes = np.array([len(w) for w in weights_list])
+    atoms, weights = np.concatenate(atoms_list), np.concatenate(weights_list)
+    owner, starts = np.repeat(np.arange(len(sizes)), sizes), np.cumsum(sizes) - sizes
+    keys = np.round(atoms, MERGE_DECIMALS)
+    order = np.lexsort((*keys.T[::-1], owner))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (owner[order[1:]] != owner[order[:-1]]) | np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
+    merged = weights[order[first]]
+    np.add.at(merged, np.cumsum(first)[~first] - 1, weights[order[~first]])
+    keep = merged > 0.0
+    kept_owner = owner[order[first]][keep]
+    total = segment_sums(weights, sizes)
+    inside = np.all((atoms >= action_set.lower) & (atoms <= action_set.upper), axis=1)
+    failed = np.stack([
+        np.logical_or.reduceat(~np.all(np.isfinite(atoms), axis=1), starts),
+        np.logical_or.reduceat(weights < 0, starts),
+        np.abs(total - 1.0) > WEIGHT_TOL,
+        np.logical_or.reduceat(~inside, starts),
+        np.bincount(kept_owner, minlength=len(sizes)) == 0,
+    ])
+    if failed.any():
+        b = int(np.argmax(failed.any(axis=0)))
+        raise [
+            ValidationError("atoms must be finite"),
+            ValidationError("weights must be nonnegative"),
+            ValidationError(f"weights must sum to 1 within {WEIGHT_TOL}, got {float(total[b])!r}"),
+            DomainError("atom outside the action set box"),
+            ValidationError("all atoms carry zero weight"),
+        ][int(np.argmax(failed[:, b]))]
+    out_atoms, out_weights = atoms[order[first][keep]], merged[keep]
+    out_atoms.setflags(write=False)
+    out_weights.setflags(write=False)
+    ends = np.cumsum(np.bincount(kept_owner, minlength=len(sizes))).tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
+    return [(out_atoms[s:e], out_weights[s:e]) for s, e in bounds]
+
+
 class DiscreteMeasure:
     """Probability measure with finite support inside an ActionSet box.
 
@@ -81,55 +165,24 @@ class DiscreteMeasure:
     merged by summing weights (the stored atom is the first occurrence),
     zero-weight atoms are dropped, and the support is sorted by its snapped
     coordinates.  Weights must be nonnegative and sum to 1 within 1e-12.
+    ``batch`` builds many measures in one call, exactly as one at a time.
     """
 
     __slots__ = ("action_set", "atoms", "weights")
 
     def __init__(self, action_set: ActionSet, atoms, weights):
-        atoms = np.asarray(atoms, dtype=float)
-        if atoms.ndim == 0:
-            atoms = atoms.reshape(1, 1)
-        elif atoms.ndim == 1:
-            # one column per coordinate for k == 1 convenience, else a single point
-            atoms = atoms.reshape(-1, 1) if action_set.dim == 1 else atoms.reshape(1, -1)
-        if atoms.ndim != 2 or atoms.shape[1] != action_set.dim:
-            raise ValidationError(
-                f"atoms must be points of dimension {action_set.dim}, got shape {atoms.shape}"
-            )
-        weights = np.atleast_1d(np.asarray(weights, dtype=float))
-        if weights.shape != (atoms.shape[0],):
-            raise ValidationError("weights must match the number of atoms")
-        if atoms.shape[0] == 0:
-            raise ValidationError("a measure needs at least one atom")
-        if not np.all(np.isfinite(atoms)):
-            raise ValidationError("atoms must be finite")
-        if np.any(weights < 0):
-            raise ValidationError("weights must be nonnegative")
-        total = float(np.sum(weights))
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValidationError(f"weights must sum to 1 within {WEIGHT_TOL}, got {total!r}")
-        if not action_set.contains(atoms):
-            raise DomainError("atom outside the action set box")
-
-        merged: dict[tuple, list] = {}
-        keys = np.round(atoms, MERGE_DECIMALS)
-        for row, key, w in zip(atoms, keys, weights):
-            k = tuple(key)
-            if k in merged:
-                merged[k][1] += w
-            else:
-                merged[k] = [row, w]
-        items = sorted(merged.items(), key=lambda kv: kv[0])
-        kept = [(a, w) for _, (a, w) in items if w > 0.0]
-        if not kept:
-            raise ValidationError("all atoms carry zero weight")
-        out_atoms = np.array([a for a, _ in kept], dtype=float)
-        out_weights = np.array([w for _, w in kept], dtype=float)
-        out_atoms.setflags(write=False)
-        out_weights.setflags(write=False)
+        ((self.atoms, self.weights),) = _canonical(action_set, [atoms], [weights])
         self.action_set = action_set
-        self.atoms = out_atoms
-        self.weights = out_weights
+
+    @classmethod
+    def batch(cls, action_set: ActionSet, atoms_seq, weights_seq) -> list["DiscreteMeasure"]:
+        """One measure per (atoms, weights) input, canonicalized together."""
+        out = []
+        for atoms, weights in _canonical(action_set, atoms_seq, weights_seq):
+            m = cls.__new__(cls)
+            m.action_set, m.atoms, m.weights = action_set, atoms, weights
+            out.append(m)
+        return out
 
     @property
     def size(self) -> int:
@@ -137,10 +190,7 @@ class DiscreteMeasure:
 
     def moment(self, exponent: int, coordinate: int = 0) -> float:
         """Raw moment of one coordinate: sum_j w_j * atom_j[coordinate] ** exponent."""
-        if exponent < 0 or int(exponent) != exponent:
-            raise ValidationError("moment exponent must be a nonnegative integer")
-        if not 0 <= coordinate < self.action_set.dim:
-            raise ValidationError(f"coordinate {coordinate} out of range for dimension {self.action_set.dim}")
+        check_moment(self.action_set.dim, exponent, coordinate)
         return float(np.sum(self.weights * self.atoms[:, coordinate] ** int(exponent)))
 
     def canonical_key(self) -> bytes:
@@ -205,14 +255,19 @@ def mixture(measures, coefficients) -> DiscreteMeasure:
     return DiscreteMeasure(base, atoms, weights)
 
 
-def random_measure(gen: np.random.Generator, action_set: ActionSet, max_atoms: int = 3) -> DiscreteMeasure:
-    """Uniform atoms in the box with random positive weights: one draw for the
-    atom count in 1..max_atoms, then the atoms, then the weights."""
+def draw_measure(gen: np.random.Generator, action_set: ActionSet, max_atoms: int = 3):
+    """The (atoms, weights) of ``random_measure``: one draw for the atom count
+    in 1..max_atoms, then uniform atoms in the box, then positive weights."""
     m = int(gen.integers(1, max_atoms + 1))
     span = action_set.upper - action_set.lower
     atoms = action_set.lower + gen.random((m, action_set.dim)) * span
     raw = gen.random(m) + 1e-3
-    return DiscreteMeasure(action_set, atoms, raw / raw.sum())
+    return atoms, raw / raw.sum()
+
+
+def random_measure(gen: np.random.Generator, action_set: ActionSet, max_atoms: int = 3) -> DiscreteMeasure:
+    """A measure from ``draw_measure``'s draws."""
+    return DiscreteMeasure(action_set, *draw_measure(gen, action_set, max_atoms))
 
 
 def euclidean(diff: np.ndarray) -> np.ndarray:
@@ -222,13 +277,17 @@ def euclidean(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
-def _ordered(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """The pair, checked, in a deterministic argument order: both call orders
-    run the identical computation, making the metric exactly symmetric."""
-    if mu.action_set != nu.action_set:
+def _checked(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+    if mu.action_set is not nu.action_set and mu.action_set != nu.action_set:
         raise ValidationError("W1 requires measures on the same action set")
     if mu.size + nu.size > W1_SUPPORT_CAP:
         raise CapacityError(f"combined support {mu.size + nu.size} exceeds the cap of {W1_SUPPORT_CAP}")
+
+
+def _ordered(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """The pair, checked, in a deterministic argument order: both call orders
+    run the identical computation, making the metric exactly symmetric."""
+    _checked(mu, nu)
     if nu.canonical_key() < mu.canonical_key():
         return nu, mu
     return mu, nu
@@ -299,25 +358,58 @@ def w1_transport_lp(mu, nu):
     return float(values[0]) if single else values
 
 
+def _stacked(measures):
+    """Sizes, first rows, and the rows (atom, weight) of many measures stacked."""
+    sizes = np.array([m.size for m in measures])
+    rows = np.column_stack([np.concatenate([m.atoms for m in measures]), np.concatenate([m.weights for m in measures])])
+    return sizes, np.cumsum(sizes) - sizes, rows
+
+
 def w1_distance(mu, nu):
     """Exact 1-Wasserstein distance between two discrete measures on the same
     box (a float), or between the pairs of two equal-length sequences (an
-    ndarray).  Equal pairs and pairs with a one-atom side have closed forms,
-    1-D pairs the sorted-CDF formula; the rest share one transport LP."""
+    ndarray).  Equal pairs and pairs with a one-atom side are found, and their
+    closed forms computed, over all pairs at once; 1-D pairs take the
+    sorted-CDF formula, the rest share one transport LP."""
     pairs, single = _pairs(mu, nu)
-    out, lp = np.zeros(len(pairs)), []
-    for k, p in enumerate(pairs):
-        a, b = _ordered(*p)
-        if a.canonical_key() == b.canonical_key():
-            continue
-        if a.size == 1 or b.size == 1:
-            # one-sided transport has the closed form sum_j w_j |x_j - y|
-            point, spread = (a, b) if a.size == 1 else (b, a)
-            out[k] = np.sum(spread.weights * euclidean(spread.atoms - point.atoms[0]))
-        elif a.action_set.dim == 1:
-            out[k] = w1_sorted_cdf(a, b)
-        else:
-            lp.append(k)
-    if lp:
-        out[lp] = w1_transport_lp([pairs[k][0] for k in lp], [pairs[k][1] for k in lp])
+    for p in pairs:
+        _checked(*p)
+    out = np.zeros(len(pairs))
+    dims = np.array([p[0].action_set.dim for p in pairs], dtype=int)
+    if len(set(dims.tolist())) > 1:
+        # the stacked rows need one dimension: one call per dimension
+        for d in np.unique(dims):
+            sel = np.flatnonzero(dims == d)
+            out[sel] = w1_distance([pairs[k][0] for k in sel], [pairs[k][1] for k in sel])
+        return out
+    if not pairs:
+        return out
+    (sa, fa, ra), (sb, fb, rb) = _stacked([p[0] for p in pairs]), _stacked([p[1] for p in pairs])
+    # equal canonical keys: equal sizes and the same bits in every row
+    equal = sa == sb
+    if equal.any():
+        differ = np.any(ra[np.repeat(equal, sa)].view(np.int64) != rb[np.repeat(equal, sb)].view(np.int64), axis=1)
+        equal[equal] = ~np.logical_or.reduceat(differ, np.cumsum(sa[equal]) - sa[equal])
+    one = ~equal & ((sa == 1) | (sb == 1))
+    # the spread side; of two single atoms the one with the larger canonical
+    # key, as ``_ordered`` would put it second
+    spread_b = sa == 1
+    both = np.flatnonzero(one & (sa == 1) & (sb == 1))
+    ka, kb = ra[fa[both]].view(np.uint8), rb[fb[both]].view(np.uint8)
+    first = np.argmax(ka != kb, axis=1)
+    spread_b[both] = ka[np.arange(len(both)), first] < kb[np.arange(len(both)), first]
+    for sel, (ss, rs), (fp, rp) in (
+        (one & spread_b, (sb, rb), (fa, ra)),
+        (one & ~spread_b, (sa, ra), (fb, rb)),
+    ):
+        # one-sided transport has the closed form sum_j w_j |x_j - y|
+        spread = rs[np.repeat(sel, ss)]
+        point = np.repeat(rp[fp[sel], :-1], ss[sel], axis=0)
+        out[sel] = segment_sums(spread[:, -1] * euclidean(spread[:, :-1] - point), ss[sel])
+    rest = np.flatnonzero(~equal & ~one)
+    if dims[0] == 1:
+        for k in rest:
+            out[k] = w1_sorted_cdf(*pairs[k])
+    elif len(rest):
+        out[rest] = w1_transport_lp([pairs[k][0] for k in rest], [pairs[k][1] for k in rest])
     return float(out[0]) if single else out

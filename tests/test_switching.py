@@ -225,7 +225,7 @@ class TestPickRegimeDraws:
             assert abs(float(np.mean(hits == target)) - p) <= 3 * se
 
 
-class TestStepTransitionProbs:
+class TestTransitionMatrixRows:
     """One-step rows of ``transition_matrix``, the scipy ``expm`` reference."""
 
     def test_two_state_exact_exponential(self, unit_interval, nu):
