@@ -39,7 +39,7 @@ from . import expr as ex
 from . import rng
 from .control import FeedbackControl, MeasureBatch
 from .errors import NumericalError, SimulationError, ValidationError
-from .measure_space import ActionSet, DiscreteMeasure, draw_measure, w1_distance
+from .measure_space import ActionSet, DiscreteMeasure, draw_measure, random_measures, w1_distance
 from .switching import RateSpec, check_step, pick_regime, transition_rows_batch
 
 _GRID_ABS_TOL = 1e-12
@@ -550,7 +550,7 @@ def _validation_samples(model: HybridModel, gen, first: int, stop: int):
             draws.append(draw_measure(gen, model.action_set))
         rows.append((x, y, a, len(draws) - 1, gen.random() * model.horizon, int(gen.integers(1, model.regime_count + 1))))
     x, y, ia, ib, t, lam = zip(*rows)
-    pool = DiscreteMeasure.batch(model.action_set, *zip(*draws))
+    pool = random_measures(model.action_set, draws)
     return np.array(x), np.array(y), pool, np.array(ia), np.array(ib), np.array(t), np.array(lam)
 
 

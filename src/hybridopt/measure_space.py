@@ -256,18 +256,28 @@ def mixture(measures, coefficients) -> DiscreteMeasure:
 
 
 def draw_measure(gen: np.random.Generator, action_set: ActionSet, max_atoms: int = 3):
-    """The (atoms, weights) of ``random_measure``: one draw for the atom count
-    in 1..max_atoms, then uniform atoms in the box, then positive weights."""
+    """The draws of one ``random_measure``: the atom count m in 1..max_atoms,
+    then m uniform points of the unit cube, then m uniforms for the weights."""
     m = int(gen.integers(1, max_atoms + 1))
-    span = action_set.upper - action_set.lower
-    atoms = action_set.lower + gen.random((m, action_set.dim)) * span
-    raw = gen.random(m) + 1e-3
-    return atoms, raw / raw.sum()
+    return gen.random((m, action_set.dim)), gen.random(m)
+
+
+def random_measures(action_set: ActionSet, draws) -> list[DiscreteMeasure]:
+    """Measures from ``draw_measure`` draws, built in one batch: the points
+    scaled into the box, the weights proportional to the uniforms + 1e-3."""
+    sizes = np.array([len(raw) for _, raw in draws])
+    cube, raw = (np.concatenate(part) for part in zip(*draws))
+    atoms = action_set.lower + cube * (action_set.upper - action_set.lower)
+    raw = raw + 1e-3
+    weights = raw / np.repeat(segment_sums(raw, sizes), sizes)
+    ends = np.cumsum(sizes).tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
+    return DiscreteMeasure.batch(action_set, [atoms[s:e] for s, e in bounds], [weights[s:e] for s, e in bounds])
 
 
 def random_measure(gen: np.random.Generator, action_set: ActionSet, max_atoms: int = 3) -> DiscreteMeasure:
-    """A measure from ``draw_measure``'s draws."""
-    return DiscreteMeasure(action_set, *draw_measure(gen, action_set, max_atoms))
+    """Uniform atoms in the box with random positive weights."""
+    return random_measures(action_set, [draw_measure(gen, action_set, max_atoms)])[0]
 
 
 def euclidean(diff: np.ndarray) -> np.ndarray:
