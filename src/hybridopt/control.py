@@ -263,13 +263,13 @@ def candidate_set(action_set: ActionSet, atom_grid_per_dim: int, weight_resoluti
         per_dim = [np.linspace(lo, hi, a) for lo, hi in zip(action_set.lower, action_set.upper)]
     atoms = np.array(list(itertools.product(*per_dim)))
 
+    weights = [
+        (np.diff(np.concatenate([[-1], dividers, [levels + n_atoms - 1]])) - 1) / levels
+        for dividers in itertools.combinations(range(levels + n_atoms - 1), n_atoms - 1)
+    ]
     out: list[DiscreteMeasure] = []
     seen: set[bytes] = set()
-    for dividers in itertools.combinations(range(levels + n_atoms - 1), n_atoms - 1):
-        counts = np.diff(np.concatenate([[-1], dividers, [levels + n_atoms - 1]])) - 1
-        weights = counts / levels
-        keep = weights > 0
-        measure = DiscreteMeasure(action_set, atoms[keep], weights[keep])
+    for measure in DiscreteMeasure.batch(action_set, [atoms[w > 0] for w in weights], [w[w > 0] for w in weights]):
         key = measure.canonical_key()
         if key not in seen:
             seen.add(key)

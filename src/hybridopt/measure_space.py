@@ -90,7 +90,7 @@ def segment_sums(values, sizes) -> np.ndarray:
     that order only up to 8 terms, and np.add.reduceat adds left to right."""
     starts = np.cumsum(sizes) - sizes
     out = np.empty(len(sizes))
-    for size in np.unique(sizes):
+    for size in np.flatnonzero(np.bincount(sizes)):
         rows = np.flatnonzero(sizes == size)
         out[rows] = values[starts[rows, None] + np.arange(size)].sum(axis=1)
     return out
@@ -385,11 +385,11 @@ def w1_distance(mu, nu):
     for p in pairs:
         _checked(*p)
     out = np.zeros(len(pairs))
-    dims = np.array([p[0].action_set.dim for p in pairs], dtype=int)
-    if len(set(dims.tolist())) > 1:
+    dims = [p[0].action_set.dim for p in pairs]
+    if len(set(dims)) > 1:
         # the stacked rows need one dimension: one call per dimension
-        for d in np.unique(dims):
-            sel = np.flatnonzero(dims == d)
+        for d in set(dims):
+            sel = [k for k, dim in enumerate(dims) if dim == d]
             out[sel] = w1_distance([pairs[k][0] for k in sel], [pairs[k][1] for k in sel])
         return out
     if not pairs:
