@@ -3,8 +3,9 @@
 Each case runs one CLI command on a fixed model and seed and compares the
 SHA-256 of the file it writes.  The estimate runs the benchmark's
 ``mc_estimate`` model on 4 096 + 16 paths, so it crosses a stream block; the
-two CSVs run a 3-regime and a 9-regime model whose rates read the state and
-nu.  At 9 regimes the exit rates sum over more than 8 terms, where the order
+CSVs run a 3-regime and a 9-regime model whose rates read the state and
+nu, and a 3-regime model with an absorbing regime at dt * M = 0.1, the cap,
+where the step's transition rows are furthest from their first-order terms.  At 9 regimes the exit rates sum over more than 8 terms, where the order
 of the sum is not the plain left-to-right one.  perfbench/ is only imported,
 never changed.
 """
@@ -46,13 +47,14 @@ def _dirac(point):
     return {"atoms": [[point]], "weights": [1.0]}
 
 
-def switching_model(n: int, scale: float, rate_bound: float) -> dict:
+def switching_model(n: int, scale: float, rate_bound: float, absorbing=()) -> dict:
     """1-D model with n regimes: every rate q_ij reads x1 and nu, and its
     coefficient differs from pair to pair; drift and diffusion read i and mu.
     Every path starts in regime 1; about a third of the rows lie in other
-    regimes."""
+    regimes.  The (1-based) regimes in ``absorbing`` have no exit rate."""
     rates = [
-        [None if i == j else f"{scale * (0.3 + 0.07 * ((3 * i + 5 * j) % 11))!r}*(1 + x1*x1)*(0.5 + 0.5*nu_m(1,0))"
+        [None if i == j else "0" if i + 1 in absorbing else
+         f"{scale * (0.3 + 0.07 * ((3 * i + 5 * j) % 11))!r}*(1 + x1*x1)*(0.5 + 0.5*nu_m(1,0))"
          for j in range(n)]
         for i in range(n)
     ]
@@ -106,4 +108,13 @@ def test_nine_regime_csv_pinned(tmp_path):
                      "--paths", "96", "--dt", "0.01", "--seed", "42")
     assert digest == (
         "f3e353fef61432a302a2d683685ba022d57832d74e4ebe994aaae137aa644fa3"
+    )
+
+
+def test_capped_step_with_an_absorbing_regime_csv_pinned(tmp_path):
+    # dt * M = 0.01 * 10 = 0.1; regime 3 never leaves
+    digest = _digest(tmp_path, "simulate", switching_model(3, 1.5, 10.0, absorbing=(3,)), switching_control(3),
+                     "--paths", "96", "--dt", "0.01", "--seed", "43")
+    assert digest == (
+        "be492ea8ee7cde020832fc60a9d0ff70f8f570a737097bdf7d41a15067a7b5e3"
     )
