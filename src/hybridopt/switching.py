@@ -22,7 +22,8 @@ The solver and the simulator take their rows from ``transition_rows_batch``,
 which evaluates exp(Q dt) = e^{-lambda} exp(lambda P), lambda = dt * Lambda,
 as a Poisson-weighted sum of kernel powers for a whole batch of
 (regime, x, nu) at once (uniformization; Jensen, Skand. Aktuarietidskr. 36,
-1953).  ``pick_regime`` turns rows and uniform draws into the next regimes.
+1953).  ``pick_regime`` turns rows and uniform draws into the next regimes;
+``interval_draw`` decides most draws from the rows' first-order terms alone.
 
 Batches are path-last: rates, kernel and rows are held as (N, N, n) and
 (N, n), so each numpy call runs over a contiguous path vector, and handed
@@ -230,6 +231,34 @@ def transition_rows_batch(rates: RateSpec, regimes: np.ndarray, x: np.ndarray, n
         acc = np.where(stay, 0.0, acc)
         out[:, s : s + block] = np.where(stay, 1.0 - acc.sum(axis=0), acc)
     return out.T
+
+
+def _draw_band(lam: float) -> float:
+    """tau = 1 - e^{-lam}(1 + lam), the Poisson mass of the degree >= 2 terms, plus 1e-12 for rounding."""
+    return 1.0 - math.exp(-lam) * (1.0 + lam) + 1e-12
+
+
+def interval_draw(rates: RateSpec, regimes: np.ndarray, x: np.ndarray, nu, dt: float, u):
+    """``pick_regime(transition_rows_batch(...), u)`` from the rows' degree-1 terms
+    a_j = e^{-lam} dt q_ij (j != i), the Gamma_ij scaled, as (next regimes, the
+    straddlers, whose entries only full rows decide).  The other terms add at most
+    tau (``_draw_band``) to a row in all, so CDF boundary c_m lies within tau of
+    b_m = A_m + [m >= i - 1](1 - S), A and S the prefix sums and sum of a.  Rates
+    are read and checked as ``jump_kernel`` does."""
+    check_step(rates, dt)
+    q = rates.path_last(x, nu)
+    _exit_rates(q, rates.rate_bound)
+    lam = dt * (rates.rate_bound + _RATE_TOL)
+    n, own = rates.regime_count, np.asarray(regimes) - 1
+    cdf = q[0]
+    for i in range(1, n):
+        cdf = np.where(own == i, q[i], cdf)
+    cdf = cdf * (math.exp(-lam) * dt)
+    for j in range(1, n):
+        cdf[j] += cdf[j - 1]
+    b = cdf[:-1] + (np.arange(n - 1)[:, None] >= own) * (1.0 - cdf[-1])
+    straddlers = np.flatnonzero(np.any(np.abs(u - b) <= _draw_band(lam), axis=0))
+    return np.count_nonzero(u > b, axis=0) + 1, straddlers
 
 
 def pick_regime(probs: np.ndarray, u) -> np.ndarray:

@@ -16,7 +16,10 @@ import io
 import json
 from pathlib import Path
 
-from hybridopt import cli
+import pytest
+
+from hybridopt import cli, dynamics
+from hybridopt import config as cfg
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -118,3 +121,30 @@ def test_capped_step_with_an_absorbing_regime_csv_pinned(tmp_path):
     assert digest == (
         "be492ea8ee7cde020832fc60a9d0ff70f8f570a737097bdf7d41a15067a7b5e3"
     )
+
+
+def _rows_computed(monkeypatch, model, control, dt, seed, paths):
+    """Path-steps whose full transition row the engine computes."""
+    rows, counted = dynamics.transition_rows_batch, []
+
+    def counting(rates, regimes, x, nu, dt):
+        counted.append(len(regimes))
+        return rows(rates, regimes, x, nu, dt)
+
+    monkeypatch.setattr(dynamics, "transition_rows_batch", counting)
+    model, _ = cfg.load_model(model)
+    control, _ = cfg.load_control(control, model)
+    dynamics.simulate_paths(model, control, 0.0, model.default_start()[0], 1, model.horizon, dt, seed, paths)
+    return sum(counted)
+
+
+def test_mc_estimate_computes_few_rows(monkeypatch):
+    # dt * M = 0.004: the first-order draw decides all but about 1.6e-5 of the draws
+    wl = _workloads()
+    assert _rows_computed(monkeypatch, wl.MC_MODEL, wl.MC_CONTROL, 0.01, 42, 4096) <= 0.001 * 4096 * 100
+
+
+@pytest.mark.parametrize("n,scale,seed", [(3, 1.0, 41), (9, 0.25, 42)])
+def test_switching_pins_reach_the_full_rows(monkeypatch, n, scale, seed):
+    # dt * M = 0.07: the pins above cover both the decided and the straddling draws
+    assert _rows_computed(monkeypatch, switching_model(n, scale, 7.0), switching_control(n), 0.01, seed, 96) > 0

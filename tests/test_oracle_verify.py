@@ -396,20 +396,15 @@ class TestIntervalsCheck:
 
 class TestSwitchingLawLayout:
     def test_transposed_rows_fail_the_occupation_check(self, monkeypatch):
-        from hybridopt import dynamics, oracle_verify
+        from hybridopt import oracle_verify, switching
 
-        rows = dynamics.transition_rows_batch
+        rates = switching.RateSpec.path_last
 
-        def column_rows(rates, regimes, x, nu, dt):
-            # row r of exp(Q^T dt), i.e. column r of exp(Q dt)
-            regimes = np.asarray(regimes)
-            full = np.stack(
-                [rows(rates, np.full(regimes.shape, k), x, nu, dt) for k in range(1, rates.regime_count + 1)],
-                axis=1,
-            )
-            return full[np.arange(regimes.shape[0]), :, regimes - 1]
+        def transposed(self, x, nu):
+            # q_ji where q_ij belongs: every regime draw, first-order or full row, reads it
+            return rates(self, x, nu).transpose(1, 0, 2)
 
-        monkeypatch.setattr(dynamics, "transition_rows_batch", column_rows)
+        monkeypatch.setattr(switching.RateSpec, "path_last", transposed)
         rep = oracle_verify.check_switching_law()
         assert not rep.passed
         assert rep.details["failed"] == ["occupation_at_T"]

@@ -25,6 +25,7 @@ from hybridopt.switching import (
     _RATE_TOL,
     DT_RATE_CAP,
     _poisson_degree,
+    interval_draw,
     jump_kernel,
     pick_regime,
     transition_rows_batch,
@@ -344,6 +345,107 @@ class TestPathLastRows:
         assert "clip" not in inspect.getsource(transition_rows_batch)
 
 
+def absorbing_case(n, rows, dt_m, seed):
+    """``random_rows_case`` with regime 2 absorbing (no exit rate), and every
+    regime, the absorbing one included, among the rows' regimes."""
+    rates, regimes, x, dt = random_rows_case(n, rows, dt_m, seed)
+    x[:, n : 2 * n] = 0.0
+    regimes[:n] = np.arange(1, n + 1)
+    return rates, regimes, x, dt
+
+
+def drawn(rates, regimes, x, dt, u):
+    """``interval_draw``, its straddlers resolved by their full rows."""
+    regimes_next, straddlers = interval_draw(rates, regimes, x, None, dt, u)
+    rows = transition_rows_batch(rates, regimes[straddlers], x[straddlers], None, dt)
+    regimes_next[straddlers] = pick_regime(rows, u[straddlers])
+    return regimes_next
+
+
+def edge_uniforms(rows):
+    """Per row: its CDF values and their float neighbours, 0.0 and
+    nextafter(1, 0), kept in [0, 1), as (draws, rows)."""
+    cdf = np.cumsum(rows, axis=1)
+    top = np.nextafter(1.0, 0.0)
+    u = np.hstack([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), np.zeros((len(rows), 1)), np.full((len(rows), 1), top)])
+    return np.minimum(u, top).T
+
+
+class TestIntervalDraw:
+    """The first-order draw with its straddlers resolved picks what
+    ``pick_regime`` picks on the full rows, for every uniform."""
+
+    @pytest.mark.parametrize("dt_m", [0.004, 0.02, DT_RATE_CAP])
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_equals_the_full_row_draw(self, n, dt_m):
+        rates, regimes, x, dt = absorbing_case(n, 300, dt_m, seed=n)
+        rows = transition_rows_batch(rates, regimes, x, None, dt)
+        gen = np.random.default_rng(n)
+        for u in [*edge_uniforms(rows), *gen.random((20, len(rows)))]:
+            assert np.array_equal(drawn(rates, regimes, x, dt, u), pick_regime(rows, u))
+
+    @pytest.mark.parametrize("dt_m", [0.004, DT_RATE_CAP])
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_fails_with_the_band_forced_to_zero(self, n, dt_m, monkeypatch):
+        from hybridopt import switching
+
+        monkeypatch.setattr(switching, "_draw_band", lambda lam: 0.0)
+        rates, regimes, x, dt = absorbing_case(n, 300, dt_m, seed=n)
+        rows = transition_rows_batch(rates, regimes, x, None, dt)
+        assert any(not np.array_equal(drawn(rates, regimes, x, dt, u), pick_regime(rows, u)) for u in edge_uniforms(rows))
+
+    @pytest.mark.parametrize("shrink", [0.0, 1e-9])
+    def test_the_band_is_tight(self, shrink, monkeypatch, nu):
+        # regime 1 leaves at the bound for absorbing regime 2: P = [[0, 1], [0, 1]],
+        # so all of tau lands on the one off-diagonal entry and c_0 = b_0 - tau
+        from hybridopt import switching
+
+        band = switching._draw_band
+        monkeypatch.setattr(switching, "_draw_band", lambda lam: band(lam) - shrink)
+        rates = RateSpec(2, [[None, "1"], ["0", None]], 1.0)
+        regimes, x, dt = np.ones(1, dtype=int), np.zeros((1, 1)), DT_RATE_CAP
+        rows = transition_rows_batch(rates, regimes, x, nu, dt)
+        agree = [np.array_equal(drawn(rates, regimes, x, dt, u), pick_regime(rows, u)) for u in edge_uniforms(rows)]
+        assert all(agree) == (shrink == 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_absorbing_regime_stays(self, n):
+        rates, regimes, x, dt = absorbing_case(n, 300, DT_RATE_CAP, seed=n)
+        regimes[:] = 2
+        u = np.linspace(0.0, np.nextafter(1.0, 0.0), 300)
+        regimes_next, straddlers = interval_draw(rates, regimes, x, None, dt, u)
+        # the absorbing row's boundaries sit at 0 and 1: u = 0.0 is in a band
+        assert straddlers[0] == 0 and len(straddlers) < 10
+        assert np.all(np.delete(regimes_next, straddlers) == 2)
+        assert drawn(rates, regimes, x, dt, u).tolist() == [2] * 300
+
+    @pytest.mark.parametrize("dt_m", [0.004, DT_RATE_CAP])
+    def test_straddlers_are_rare(self, dt_m):
+        # about 2 tau per CDF boundary; tau = dt_m^2 / 2 to first order
+        rates, regimes, x, dt = random_rows_case(3, 20_000, dt_m, seed=5)
+        u = np.random.default_rng(5).random(20_000)
+        _, straddlers = interval_draw(rates, regimes, x, None, dt, u)
+        assert len(straddlers) <= 20_000 * 4 * dt_m**2 + 5
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 16])
+    def test_rows_of_a_subset_are_the_full_call_s_rows(self, n):
+        # the engine computes only the straddlers' rows; each row is computed per path
+        rates, regimes, x, dt = absorbing_case(n, 1100, DT_RATE_CAP, seed=n)
+        full = transition_rows_batch(rates, regimes, x, None, dt)
+        gen = np.random.default_rng(n)
+        for subset in ([0], [1099], [3, 4], np.flatnonzero(gen.random(1100) < 0.05), gen.permutation(1100)[:700]):
+            assert np.array_equal(transition_rows_batch(rates, regimes[subset], x[subset], None, dt), full[subset])
+
+    def test_rates_are_checked_as_the_kernel_checks_them(self, nu):
+        u = np.array([0.5])
+        with pytest.raises(ModelError):
+            interval_draw(RateSpec(2, [[None, "-1"], ["0", None]], 1.0), np.array([1]), X0[None], nu, 0.01, u)
+        with pytest.raises(BoundViolationError):
+            interval_draw(RateSpec(2, [[None, "3"], ["0", None]], 1.0), np.array([2]), X0[None], nu, 0.01, u)
+        with pytest.raises(StepSizeError):
+            interval_draw(RateSpec(2, [[None, "1"], ["0", None]], 1.0), np.array([1]), X0[None], nu, 0.2, u)
+
+
 class TestNanRateRejected:
     """A rate that evaluates to NaN fails every check written as ``q < 0`` or
     ``exit > M``; it must raise, not yield NaN rows that pick regime 1."""
@@ -360,6 +462,10 @@ class TestNanRateRejected:
     def test_jump_kernel(self, model):
         with pytest.raises(ModelError, match="NaN"):
             jump_kernel(model.rates, np.array([2.0]), dirac(model.action_set, [0.5]))
+
+    def test_interval_draw(self, model):
+        with pytest.raises(ModelError, match="NaN"):
+            interval_draw(model.rates, np.array([1]), np.array([[2.0]]), dirac(model.action_set, [0.5]), 0.01, np.array([0.5]))
 
     def test_simulate_paths(self, model):
         with pytest.raises(ModelError, match="NaN"):
