@@ -206,10 +206,6 @@ def load_model(source) -> tuple[HybridModel, dict]:
     return model, payload
 
 
-def _measures(action_set: ActionSet, items) -> list[DiscreteMeasure]:
-    return [DiscreteMeasure.from_dict(action_set, m) for m in items]
-
-
 def load_control(source, model: HybridModel) -> tuple[FeedbackControl, dict]:
     """Build a FeedbackControl from a spec dict or JSON file path.
 
@@ -222,14 +218,11 @@ def load_control(source, model: HybridModel) -> tuple[FeedbackControl, dict]:
         kind = payload.get("kind")
         a = model.action_set
         if kind == "constant":
-            control = ConstantControl(
-                DiscreteMeasure.from_dict(a, payload["mu"]),
-                DiscreteMeasure.from_dict(a, payload["nu"]),
-            )
+            control = ConstantControl(*DiscreteMeasure.from_dicts(a, [payload["mu"], payload["nu"]]))
         elif kind == "markov":
             def build(spec):
                 cmap = CandidateMap(
-                    _measures(a, spec["candidates"]),
+                    DiscreteMeasure.from_dicts(a, spec["candidates"]),
                     index_expr=spec.get("index_expr"),
                     per_regime=spec.get("per_regime"),
                 )
@@ -251,9 +244,9 @@ def load_control(source, model: HybridModel) -> tuple[FeedbackControl, dict]:
                 statistic=payload["statistic"],
                 coordinate=payload.get("coordinate", 0),
                 bucket_edges=payload["buckets"],
-                mu_candidates=_measures(a, payload["mu"]["candidates"]),
+                mu_candidates=DiscreteMeasure.from_dicts(a, payload["mu"]["candidates"]),
                 mu_map=payload["mu"]["map"],
-                nu_candidates=_measures(a, payload["nu"]["candidates"]),
+                nu_candidates=DiscreteMeasure.from_dicts(a, payload["nu"]["candidates"]),
                 nu_map=payload["nu"]["map"],
             )
             if not 0 <= control.coordinate < model.state_dim:

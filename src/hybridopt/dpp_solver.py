@@ -434,8 +434,8 @@ class ValueGrid:
             payload["times"],
             np.asarray(payload["values"], dtype=float),
             *(policy.astype(np.intp) for policy in policies),
-            [DiscreteMeasure.from_dict(action_set, m) for m in payload["mu_candidates"]],
-            [DiscreteMeasure.from_dict(action_set, m) for m in payload["nu_candidates"]],
+            DiscreteMeasure.from_dicts(action_set, payload["mu_candidates"]),
+            DiscreteMeasure.from_dicts(action_set, payload["nu_candidates"]),
             payload.get("clamp_count", 0),
         )
         n_t, nodes = vg.grid.time_steps, vg.grid.space_nodes

@@ -200,10 +200,12 @@ class DiscreteMeasure:
         return {"atoms": self.atoms.tolist(), "weights": self.weights.tolist()}
 
     @classmethod
-    def from_dict(cls, action_set: ActionSet, payload: dict) -> "DiscreteMeasure":
-        if not isinstance(payload, dict) or "atoms" not in payload or "weights" not in payload:
+    def from_dicts(cls, action_set: ActionSet, payloads) -> list["DiscreteMeasure"]:
+        """One measure per {"atoms": [...], "weights": [...]} payload, built as one ``batch``."""
+        payloads = list(payloads)
+        if not all(isinstance(p, dict) and "atoms" in p and "weights" in p for p in payloads):
             raise ValidationError('measure JSON must be {"atoms": [...], "weights": [...]}')
-        return cls(action_set, payload["atoms"], payload["weights"])
+        return cls.batch(action_set, [p["atoms"] for p in payloads], [p["weights"] for p in payloads])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteMeasure):

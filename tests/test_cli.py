@@ -868,7 +868,8 @@ def _artifact_text(name: str) -> str:
     lattice, "VALUES_CUT" is that one with its values a slice short,
     "NU_INDEX_5" has every nu index 5 against its 2 candidates,
     "MU_INDEX_NEG" has its last mu index -1 against its 1 candidate, and
-    "NU_INDEX_FLOAT" / "NU_INDEX_BOOL" have a nu index of 1.7 / true."""
+    "NU_INDEX_FLOAT" / "NU_INDEX_BOOL" have a nu index of 1.7 / true, and
+    "NU_CANDIDATE_NO_WEIGHTS" has no weights in its second nu candidate."""
     if name == "NO_GRID":
         return json.dumps({"schema_version": 1})
     model, _ = config.load_model(cli.DEMO_MODEL)
@@ -883,6 +884,8 @@ def _artifact_text(name: str) -> str:
     if name in ("NU_INDEX_FLOAT", "NU_INDEX_BOOL"):
         doc["policy_nu"] = doc["policy_nu"].tolist()
         doc["policy_nu"][0][0][0] = 1.7 if name == "NU_INDEX_FLOAT" else True
+    if name == "NU_CANDIDATE_NO_WEIGHTS":
+        del doc["nu_candidates"][1]["weights"]
     return config.artifact_json(doc)
 
 
@@ -911,6 +914,11 @@ MALFORMED_INPUTS = {
         "simulate", {}, {"kind": "markov", "mu": {"candidates": [_DIRAC], "per_regime": [0]},
                          "nu": {"candidates": [{"atoms": [[0.0]], "weights": [1.0]}], "per_regime": [0]}}, []
     ),
+    "markov_candidate_without_weights": (
+        "simulate", {}, {"kind": "markov", "mu": {"candidates": [_DIRAC, {"atoms": [[0.5]]}], "per_regime": [0, 1]},
+                         "nu": {"candidates": [_DIRAC], "per_regime": [0, 0]}}, []
+    ),
+    "table_artifact_candidate_without_weights": ("simulate", {}, {"kind": "table", "artifact": "NU_CANDIDATE_NO_WEIGHTS"}, []),
     "control_spec_a_list": ("simulate", {}, [_CONSTANT], []),
     "atoms_a_string": ("simulate", {}, {"kind": "constant", "mu": {"atoms": "x", "weights": [1.0]}, "nu": _DIRAC}, []),
     "rate_bound_a_string": ("simulate", {"rate_bound": "x"}, _CONSTANT, []),
@@ -934,7 +942,11 @@ class TestExitCodes:
                 control = dict(control, artifact=str(artifact))
             argv += ["--control", str(write_json(tmp_path / "control.json", control))]
         assert cli.main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if "without_weights" in case:
+            # the candidate list is built in one batch, with the one-measure message
+            assert 'measure JSON must be {"atoms": [...], "weights": [...]}' in err
         assert list(out.parent.iterdir()) == []
 
     @pytest.mark.parametrize(

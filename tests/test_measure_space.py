@@ -267,8 +267,16 @@ class TestCanonicalization:
     def test_json_round_trip(self, unit_square):
         gen = np.random.default_rng(5)
         m = random_measure(gen, unit_square)
-        again = DiscreteMeasure.from_dict(unit_square, m.to_dict())
+        (again,) = DiscreteMeasure.from_dicts(unit_square, [m.to_dict()])
         assert again == m
+
+    def test_from_dicts_is_one_at_a_time(self, unit_square):
+        gen = np.random.default_rng(6)
+        measures = [random_measure(gen, unit_square) for _ in range(12)]
+        assert DiscreteMeasure.from_dicts(unit_square, [m.to_dict() for m in measures]) == measures
+        assert DiscreteMeasure.from_dicts(unit_square, []) == []
+        with pytest.raises(ValidationError, match="measure JSON must be"):
+            DiscreteMeasure.from_dicts(unit_square, [measures[0].to_dict(), {"atoms": [[0.5, 0.5]]}])
 
     def test_euclidean_helper_matches_formula(self):
         v = np.array([0.3, 0.4])
