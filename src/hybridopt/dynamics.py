@@ -320,10 +320,9 @@ def _simulate_block(
     flip_brownian: bool = False,
 ) -> PathBatch:
     """The first n_paths paths of stream block ``block`` (one chunk of
-    ``path_chunks``); ``flip_brownian`` mirrors their increments.  State and
-    regimes are carried as contiguous arrays; regimes come from
-    ``interval_draw``, and only its straddlers (1.6e-5 of the draws at
-    dt * M = 0.004, N = 2) get full rows, computed per path: the same bits."""
+    ``path_chunks``); ``flip_brownian`` mirrors their increments.  Regimes
+    come from ``interval_draw``, and only its straddlers (1.6e-5 of the draws
+    at dt * M = 0.004, N = 2) get full rows, computed per path: the same bits."""
     n_steps = grid_steps(s, t_end, dt)
     check_step(model.rates, dt)
     d = model.state_dim
@@ -358,10 +357,11 @@ def _simulate_block(
     mu_moments: dict = {}
     nu_moments: dict = {}
     clamp_count = 0
-    x_k, lam_k = states[:, 0, :].copy(), regimes[:, 0].copy()
 
     for k in range(n_steps):
         t_k = float(times[k])
+        x_k = states[:, k, :]
+        lam_k = regimes[:, k]
         mi, ni = control.indices(t_k, x_k, lam_k, states[:, : k + 1, :])
         mu_idx[:, k] = mi
         nu_idx[:, k] = ni
@@ -383,14 +383,14 @@ def _simulate_block(
             raise SimulationError(f"state escaped the truncation box at step {k} (clamping disabled)")
         states[:, k + 1, :] = x_next
 
-        if model.regime_count > 1:
-            lam_next, straddle = interval_draw(model.rates, lam_k, x_k, nu_b, dt, uniforms[:, k])
-            if len(straddle):
-                rows = transition_rows_batch(model.rates, lam_k[straddle], x_k[straddle], nu_b.take(straddle), dt)
-                lam_next[straddle] = pick_regime(rows, uniforms[straddle, k])
-            lam_k = lam_next
-        regimes[:, k + 1] = lam_k
-        x_k = x_next
+        if model.regime_count == 1:
+            regimes[:, k + 1] = 1
+            continue
+        lam_next, straddle = interval_draw(model.rates, lam_k, x_k, nu_b, dt, uniforms[:, k])
+        if len(straddle):
+            rows = transition_rows_batch(model.rates, lam_k[straddle], x_k[straddle], nu_b.take(straddle), dt)
+            lam_next[straddle] = pick_regime(rows, uniforms[straddle, k])
+        regimes[:, k + 1] = lam_next
 
     paths = np.arange(n_paths) + block * rng.BLOCK_PATHS
     return PathBatch(dt, times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, paths, clamp_count)
