@@ -3,11 +3,12 @@
 Each case runs one CLI command on a fixed model and seed and compares the
 SHA-256 of the file it writes.  The estimate runs the benchmark's
 ``mc_estimate`` model on 4 096 + 16 paths, so it crosses a stream block; the
-CSVs run a 3-regime and a 9-regime model whose rates read the state and
-nu, and a 3-regime model with an absorbing regime at dt * M = 0.1, the cap,
-where the step's transition rows are furthest from their first-order terms.  At 9 regimes the exit rates sum over more than 8 terms, where the order
-of the sum is not the plain left-to-right one.  perfbench/ is only imported,
-never changed.
+CSVs run a 3-regime and a 9-regime model whose rates read the state and nu,
+and a 3-regime model with an absorbing regime at dt * M = 0.1, the cap, where
+the step's transition rows are furthest from their first-order terms.  At 9
+regimes the exit rates sum over more than 8 terms, where the order of the sum
+is not the plain left-to-right one.  perfbench/ is only imported, never
+changed.
 """
 import contextlib
 import hashlib

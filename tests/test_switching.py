@@ -428,7 +428,7 @@ class TestIntervalDraw:
         assert len(straddlers) <= 20_000 * 4 * dt_m**2 + 5
 
     @pytest.mark.parametrize("n", [2, 3, 9, 16])
-    def test_rows_of_a_subset_are_the_full_call_s_rows(self, n):
+    def test_subset_rows_match_the_full_call(self, n):
         # the engine computes only the straddlers' rows; each row is computed per path
         rates, regimes, x, dt = absorbing_case(n, 1100, DT_RATE_CAP, seed=n)
         full = transition_rows_batch(rates, regimes, x, None, dt)
