@@ -7,7 +7,10 @@ CSVs run a 3-regime and a 9-regime model whose rates read the state and nu,
 and a 3-regime model with an absorbing regime at dt * M = 0.1, the cap, where
 the step's transition rows are furthest from their first-order terms.  At 9
 regimes the exit rates sum over more than 8 terms, where the order of the sum
-is not the plain left-to-right one.  perfbench/ is only imported, never
+is not the plain left-to-right one.  Three more estimates cover the costing
+branches the benchmark model misses: a path-dependent control whose ``mean``
+reads a window of the recorded states, the antithetic mirrored pass, and a
+one-regime model, which draws no regimes.  perfbench/ is only imported, never
 changed.
 """
 import contextlib
@@ -96,6 +99,46 @@ def test_mc_estimate_json_pinned(tmp_path):
                      "--paths", "4112", "--dt", "0.01", "--seed", "42")
     assert digest == (
         "1650cbc68a6c2093359867301babe73856499a99d496db9e3792f810882dd5e3"
+    )
+
+
+# the window of 10 steps is shorter than the 100-step horizon, so the mean
+# runs over a moving slice of the recorded states
+MEAN_CONTROL = {
+    "kind": "path_dependent",
+    "window": 10,
+    "statistic": "mean",
+    "coordinate": 0,
+    "buckets": [-0.1, 0.1],
+    "mu": {"candidates": [_dirac(0.0), _dirac(0.5), _dirac(1.0)], "map": [0, 1, 2]},
+    "nu": {"candidates": [_dirac(0.2), _dirac(0.8)], "map": [1, 0, 1]},
+}
+
+
+def test_path_dependent_mean_estimate_json_pinned(tmp_path):
+    wl = _workloads()
+    digest = _digest(tmp_path, "estimate", wl.MC_MODEL, MEAN_CONTROL,
+                     "--paths", "4112", "--dt", "0.01", "--seed", "43")
+    assert digest == (
+        "24b3e24f2f5f5d5533d6ee295965b569c4c8c1eb991ef6fcf4abee3ab925e602"
+    )
+
+
+def test_antithetic_estimate_json_pinned(tmp_path):
+    # 4 104 mirrored pairs: both passes cross a stream block
+    wl = _workloads()
+    digest = _digest(tmp_path, "estimate", wl.MC_MODEL, wl.MC_CONTROL,
+                     "--paths", "8208", "--dt", "0.01", "--seed", "44", "--antithetic")
+    assert digest == (
+        "78fe910c62c533e356e71460b28def866961585cf406345cf8a52cbfb4a4ecd5"
+    )
+
+
+def test_one_regime_estimate_json_pinned(tmp_path):
+    digest = _digest(tmp_path, "estimate", switching_model(1, 1.0, 1.0), switching_control(1),
+                     "--paths", "4112", "--dt", "0.01", "--seed", "45")
+    assert digest == (
+        "79870f49ec45c40cd46e8c5ede3d52c3644f2ede1cf147e5cf4b5032de5ad20e"
     )
 
 
