@@ -132,6 +132,8 @@ class CandidateMap:
 class FeedbackControl:
     """A mu pool, a nu pool and an index map; subclasses implement the map."""
 
+    reads_history = False  #: True for a map that reads ``hist_x``; the estimator passes the others None
+
     def __init__(self, mu_pool, nu_pool):
         self.mu_pool = _as_pool(mu_pool)
         self.nu_pool = _as_pool(nu_pool)
@@ -203,6 +205,8 @@ class PathDependentControl(FeedbackControl):
     current one; bucket edges are strictly increasing and map to candidate
     indices via searchsorted, so len(index map) == len(edges) + 1.
     """
+
+    reads_history = True
 
     def __init__(self, window, statistic, coordinate, bucket_edges, mu_candidates, mu_map, nu_candidates, nu_map):
         if int(window) < 1:

@@ -6,11 +6,12 @@ running cost plus the terminal cost,
     sum_k f(t_k, X_k, Lam_k, mu_k, nu_k) * dt + g(X_n),
 
 evaluated at step-start values so the integrand is adapted, matching the
-Euler scheme's filtration.  The Monte Carlo estimator simulates and costs one
-stream block of paths at a time (``dynamics.path_chunks``), keeps only the
-(paths,) cost vector, and averages it; the paths read block-keyed counter
-streams, so with a fixed seed the estimate is deterministic and independent
-of the worker count.
+Euler scheme's filtration.  The Monte Carlo estimator has the engine add up
+the same sum, in the same order, while it steps one stream block of paths at
+a time (``dynamics.path_chunks``): no path is stored, only the (paths,) cost
+vector, which it averages.  The paths read block-keyed counter streams, so
+with a fixed seed the estimate is deterministic and independent of the
+worker count.
 """
 from __future__ import annotations
 
@@ -67,15 +68,14 @@ def batch_costs(model: HybridModel, batch: PathBatch, include_terminal: bool = T
 
 
 def _chunk_costs(args) -> np.ndarray:
-    """Pathwise costs of one chunk; an antithetic chunk averages a plain and a
-    Brownian-mirrored pass over the same paths.  Each pass's ``PathBatch`` is
-    dropped once it is costed."""
+    """Pathwise costs of one chunk, summed by the engine as it steps; an
+    antithetic chunk averages a plain and a Brownian-mirrored pass over the
+    same paths."""
     sim, antithetic = args
-    model = sim[0]
     # looked up on the module, where the benchmark tracer wraps the engine
-    costs = batch_costs(model, dynamics._simulate_block(*sim))
+    costs = dynamics._simulate_block(*sim, costing=True).costs
     if antithetic:
-        costs = 0.5 * (costs + batch_costs(model, dynamics._simulate_block(*sim, flip_brownian=True)))
+        costs = 0.5 * (costs + dynamics._simulate_block(*sim, flip_brownian=True, costing=True).costs)
     return costs
 
 
@@ -97,8 +97,8 @@ def monte_carlo_cost(
     With ``antithetic=True`` (off by default) each even path is paired with a
     Brownian-mirrored partner sharing its stream, and the stderr is computed
     over the pair averages; the baseline estimator stays plain and unbiased.
-    Paths are simulated and costed one chunk at a time, so memory holds one
-    chunk's states plus the cost vector.
+    Paths are costed one chunk at a time, so memory holds one chunk's draws
+    (and states, for a control that reads history) plus the cost vector.
     """
     if path_count < 2:
         raise ValidationError("path_count must be >= 2")

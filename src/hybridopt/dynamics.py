@@ -27,10 +27,12 @@ work on one chunk: it yields one ``PathBatch`` per chunk, so a caller that
 consumes each chunk holds one at a time.  ``simulate_paths`` only
 concatenates them; a single path is a batch of one.  A ``PathBatch`` keeps
 states, regimes and per-step control pool indices, not the Brownian draws.
+In its costing mode, which ``cost`` uses, the same step loop sums each path's
+cost as it goes and keeps no path.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -297,6 +299,10 @@ class PathBatch:
         )
 
 
+# a chunk costed by ``_simulate_block``: each path's cost, and the clamp count
+CostedChunk = namedtuple("CostedChunk", "costs clamp_count")
+
+
 def grid_steps(s: float, t_end: float, dt: float) -> int:
     if dt <= 0 or t_end <= s:
         raise ValidationError("need dt > 0 and t_end > s")
@@ -318,11 +324,16 @@ def _simulate_block(
     block: int,
     n_paths: int,
     flip_brownian: bool = False,
-) -> PathBatch:
+    costing: bool = False,
+):
     """The first n_paths paths of stream block ``block`` (one chunk of
-    ``path_chunks``); ``flip_brownian`` mirrors their increments.  Regimes
-    come from ``interval_draw``, and only its straddlers (1.6e-5 of the draws
-    at dt * M = 0.004, N = 2) get full rows, computed per path: the same bits."""
+    ``path_chunks``) as a ``PathBatch``; ``flip_brownian`` mirrors their
+    increments.  Regimes come from ``interval_draw``, and only its straddlers
+    (1.6e-5 of the draws at dt * M = 0.004, N = 2) get full rows, computed per
+    path: the same bits.  With ``costing`` no path is recorded: each step adds
+    f * dt at its own measure batches, in ``batch_costs``' order, to a
+    ``CostedChunk`` that ends with g(x_n); state and regimes are carried as
+    contiguous arrays, states kept only for a control that ``reads_history``."""
     n_steps = grid_steps(s, t_end, dt)
     check_step(model.rates, dt)
     d = model.state_dim
@@ -333,15 +344,20 @@ def _simulate_block(
         raise ValidationError(f"start regime {i0} out of range")
     times = s + dt * np.arange(n_steps + 1)
 
-    states = np.empty((n_paths, n_steps + 1, d))
-    regimes = np.empty((n_paths, n_steps + 1), dtype=np.int64)
+    history = not costing or control.reads_history
+    states = np.empty((n_paths, n_steps + 1, d)) if history else None
+    regimes = None if costing else np.empty((n_paths, n_steps + 1), dtype=np.int64)
     start = x0.copy()
     if model.clamp:
         start = model.clip_state(start)
-    states[:, 0, :] = start
-    regimes[:, 0] = int(i0)
-    mu_idx = np.empty((n_paths, n_steps), dtype=np.intp)
-    nu_idx = np.empty((n_paths, n_steps), dtype=np.intp)
+    if history:
+        states[:, 0, :] = start
+    if costing:
+        x_k, lam_k, totals = np.repeat(start[None], n_paths, axis=0), np.full(n_paths, int(i0)), np.zeros(n_paths)
+    else:
+        regimes[:, 0] = int(i0)
+        mu_idx = np.empty((n_paths, n_steps), dtype=np.intp)
+        nu_idx = np.empty((n_paths, n_steps), dtype=np.intp)
 
     # the draws are allocated after the outputs: they are freed when the block
     # returns, and freeing the newest allocations leaves no hole in the heap
@@ -360,13 +376,15 @@ def _simulate_block(
 
     for k in range(n_steps):
         t_k = float(times[k])
-        x_k = states[:, k, :]
-        lam_k = regimes[:, k]
-        mi, ni = control.indices(t_k, x_k, lam_k, states[:, : k + 1, :])
-        mu_idx[:, k] = mi
-        nu_idx[:, k] = ni
+        if not costing:
+            x_k, lam_k = states[:, k, :], regimes[:, k]
+        mi, ni = control.indices(t_k, x_k, lam_k, states[:, : k + 1, :] if history else None)
         mu_b = MeasureBatch(mu_pool, mi, mu_moments)
         nu_b = MeasureBatch(nu_pool, ni, nu_moments)
+        if costing:
+            totals += model.running_cost_at(t_k, x_k, lam_k, mu_b, nu_b) * dt
+        else:
+            mu_idx[:, k], nu_idx[:, k] = mi, ni
 
         parts = model.partition(x_k, lam_k, mu_b)
         b = model.drift_at(x_k, lam_k, mu_b, parts)
@@ -381,17 +399,25 @@ def _simulate_block(
             x_next = clipped
         elif np.any(x_next < model.truncation_lower) or np.any(x_next > model.truncation_upper):
             raise SimulationError(f"state escaped the truncation box at step {k} (clamping disabled)")
-        states[:, k + 1, :] = x_next
+        if history:
+            states[:, k + 1, :] = x_next
 
-        if model.regime_count == 1:
-            regimes[:, k + 1] = 1
-            continue
-        lam_next, straddle = interval_draw(model.rates, lam_k, x_k, nu_b, dt, uniforms[:, k])
-        if len(straddle):
-            rows = transition_rows_batch(model.rates, lam_k[straddle], x_k[straddle], nu_b.take(straddle), dt)
-            lam_next[straddle] = pick_regime(rows, uniforms[straddle, k])
-        regimes[:, k + 1] = lam_next
+        lam_next = lam_k
+        if model.regime_count > 1:
+            lam_next, straddle = interval_draw(model.rates, lam_k, x_k, nu_b, dt, uniforms[:, k])
+            if len(straddle):
+                rows = transition_rows_batch(model.rates, lam_k[straddle], x_k[straddle], nu_b.take(straddle), dt)
+                lam_next[straddle] = pick_regime(rows, uniforms[straddle, k])
+        if costing:
+            x_k, lam_k = x_next, lam_next
+        else:
+            regimes[:, k + 1] = lam_next
 
+    if costing:
+        totals += model.terminal_cost_at(x_k)
+        if not np.all(np.isfinite(totals)):
+            raise NumericalError("a pathwise cost is not finite")
+        return CostedChunk(totals, clamp_count)
     paths = np.arange(n_paths) + block * rng.BLOCK_PATHS
     return PathBatch(dt, times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, paths, clamp_count)
 

@@ -473,6 +473,17 @@ class TestOutputTargets:
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{target}'\n"
         assert list(target.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_valid_out_reaches_the_patched_engine(self, command, demo_files, tmp_path, monkeypatch):
+        # the patch above guards something only if the command calls this engine
+        model, control = demo_files
+        monkeypatch.setattr(dynamics, "_simulate_block", never_simulate)
+        with pytest.raises(AssertionError, match="simulated before the output was checked"):
+            cli.main(
+                [command, "--model", str(model), "--control", str(control), "--out", str(tmp_path / "out"),
+                 "--paths", "2", "--dt", "0.25", "--workers", "1"]
+            )
+
     def test_missing_out_directory_exits_2(self, demo_files, tmp_path, monkeypatch, capsys):
         model, control = demo_files
         monkeypatch.setattr(dynamics, "_simulate_block", never_simulate)

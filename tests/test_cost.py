@@ -4,12 +4,22 @@ import numpy as np
 import pytest
 
 from hybridopt import (
+    ActionSet,
     CandidateMap,
     ConstantControl,
+    GridSpec,
+    HybridModel,
     MarkovControl,
+    NumericalError,
+    PathDependentControl,
+    RateSpec,
+    TableControl,
+    SimulationError,
     ValidationError,
+    ValueGrid,
     batch_costs,
     dirac,
+    dynamics,
     monte_carlo_cost,
     rng,
     simulate_paths,
@@ -144,3 +154,83 @@ class TestMonteCarloCost:
     def test_path_count_minimum(self, chain_model):
         with pytest.raises(ValidationError):
             monte_carlo_cost(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.01, 1, 0)
+
+
+def regime_model(n: int, clamp: bool) -> HybridModel:
+    """1-D model with n regimes whose rates read x and nu, and whose
+    coefficients and running cost read t, i, mu and nu.  With ``clamp`` the
+    box is narrow enough that paths hit it; without, wide enough that none
+    leaves it."""
+    u = ActionSet([0.0], [1.0])
+    q = "0.3*(1 + x1*x1/4)*(0.5 + 0.5*nu_m(1,0))"
+    rates = RateSpec(n, [[None if i == j else q for j in range(n)] for i in range(n)], 2.0 if n > 1 else 0.0)
+    box = 0.5 if clamp else 3.0
+    return HybridModel(
+        state_dim=1, action_set=u, rates=rates,
+        drift=[[f"-x1 + {0.2 * i!r}*mu_m(1,0)"] for i in range(n)],
+        diffusion=[[["0.3 + 0.1*mu_m(2,0)"]]] * n,
+        running_cost="x1*x1 + i + t*mu_m(1,0) + 0.5*nu_m(1,0)", terminal_cost="x1*x1",
+        horizon=1.0, truncation_lower=[-box], truncation_upper=[box], clamp=clamp,
+    )
+
+
+def control_of(kind: str, n: int, box: float):
+    u = ActionSet([0.0], [1.0])
+    mus = [dirac(u, [0.0]), dirac(u, [0.5]), dirac(u, [1.0])]
+    nus = [dirac(u, [0.2]), dirac(u, [0.8])]
+    if kind == "constant":
+        return ConstantControl(mus[1], nus[0])
+    if kind == "markov":
+        return MarkovControl(CandidateMap(mus, index_expr="min(max(2*x1 + 1, 0), 2)"),
+                             CandidateMap(nus, per_regime=[r % 2 for r in range(n)]))
+    if kind == "table":
+        gen = np.random.default_rng(5)
+        policy_mu = gen.integers(0, 3, size=(2, 5, n)).astype(np.intp)
+        policy_nu = gen.integers(0, 2, size=(2, 5, n)).astype(np.intp)
+        return TableControl(ValueGrid(GridSpec(2, [5]), [np.linspace(-box, box, 5)], [0.0, 0.5, 1.0],
+                                      np.zeros((3, 5, n)), policy_mu, policy_nu, mus, nus))
+    return PathDependentControl(3, "mean", 0, [-0.1, 0.1], mus, [0, 1, 2], nus, [1, 0, 1])
+
+
+class TestStreamedCosts:
+    @pytest.mark.parametrize("clamp", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["constant", "markov", "table", "path_dependent"])
+    def test_equal_to_costs_of_recorded_paths(self, kind, n, clamp):
+        # BLOCK_PATHS + 8 paths are two chunks
+        model = regime_model(n, clamp)
+        control = control_of(kind, n, model.truncation_upper[0])
+        sim = (model, control, 0.0, [0.1], 1, 1.0, 0.04, 11)
+        recorded = simulate_paths(*sim, rng.BLOCK_PATHS + 8)
+        costed = [dynamics._simulate_block(*a, costing=True) for a in dynamics.chunk_args(*sim, rng.BLOCK_PATHS + 8)]
+        assert np.array_equal(np.concatenate([c.costs for c in costed]), batch_costs(model, recorded))
+        assert sum(c.clamp_count for c in costed) == recorded.clamp_count
+        assert (recorded.clamp_count > 0) == clamp
+        if n > 1:
+            assert np.any(recorded.regimes > 1)
+
+    def test_chunk_memory_per_path_step(self):
+        # the draws alone take 16 B a path-step at d = 1; a recorded path
+        # (states, regimes and both pool indices) would take 32 B more
+        model = regime_model(2, True)
+        control = control_of("markov", 2, 0.5)
+
+        def peak(steps):
+            (sim,) = dynamics.chunk_args(model, control, 0.0, [0.1], 1, 1.0, 1.0 / steps, 3, rng.BLOCK_PATHS)
+            tracemalloc.start()
+            try:
+                dynamics._simulate_block(*sim, costing=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(400) - peak(100)) / (rng.BLOCK_PATHS * 300) <= 20
+
+    def test_running_cost_error_comes_at_its_own_step(self):
+        # the running cost fails from t = 0.4 (step 4) on; the unclamped state
+        # x = 2t leaves the box at step 5.  The error of the earlier step wins.
+        model = make_model(regimes=1, drift="2", diffusion="0", running="sqrt(0.3 - t)", box=1.0, clamp=False)
+        with pytest.raises(NumericalError, match="sqrt of a negative value"):
+            monte_carlo_cost(model, const_control(model), 0.0, [0.0], 1, 1.0, 0.1, 4, 0)
+        with pytest.raises(SimulationError, match="at step 5"):
+            simulate_paths(model, const_control(model), 0.0, [0.0], 1, 1.0, 0.1, 0, 4)
