@@ -8,10 +8,10 @@ running cost plus the terminal cost,
 evaluated at step-start values so the integrand is adapted, matching the
 Euler scheme's filtration.  The Monte Carlo estimator has the engine add up
 the same sum, in the same order, while it steps one stream block of paths at
-a time (``dynamics.path_chunks``): no path is stored, only the (paths,) cost
-vector, which it averages.  The paths read block-keyed counter streams, so
-with a fixed seed the estimate is deterministic and independent of the
-worker count.
+a time (``dynamics.path_chunks``), records no path (only the states a
+history-reading control needs), and averages the (paths,) cost vector.  The
+paths read block-keyed counter streams, so with a fixed seed the estimate is
+deterministic and independent of the worker count.
 """
 from __future__ import annotations
 

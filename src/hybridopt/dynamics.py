@@ -28,7 +28,7 @@ consumes each chunk holds one at a time.  ``simulate_paths`` only
 concatenates them; a single path is a batch of one.  A ``PathBatch`` keeps
 states, regimes and per-step control pool indices, not the Brownian draws.
 In its costing mode, which ``cost`` uses, the same step loop sums each path's
-cost as it goes and keeps no path.
+cost as it goes and keeps only the states a history-reading control needs.
 """
 from __future__ import annotations
 

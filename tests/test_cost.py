@@ -124,7 +124,7 @@ class TestMonteCarloCost:
         assert a.mean == b.mean and a.stderr == b.stderr
 
     def test_memory_does_not_grow_with_paths(self, chain_model):
-        # chunked estimation keeps one chunk's states plus the cost vector
+        # chunked estimation keeps one chunk's draws plus the cost vector
         def peak(paths):
             tracemalloc.start()
             try:
