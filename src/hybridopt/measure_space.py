@@ -8,17 +8,20 @@ checks and one sort over all their atoms (``DiscreteMeasure.batch``); a
 single measure is a batch of one.
 
 Distances are exact optimal transport values: for k = 1 the sorted-CDF
-formula, for k > 1 the transport linear program solved with HiGHS, all
-pairs of one call in one block-diagonal program.  No
-entropic regularization is used anywhere, so the metric axioms hold to
-solver precision and are asserted as such in the test suite.
+formula, for k > 1 the cheapest basic solution of the transport problem if
+it has at most ``W1_TREE_CAP``, else its linear program solved with HiGHS,
+all pairs of one call in one block-diagonal program.  No entropic
+regularization is used, so the metric axioms hold to solver precision.
 
 All types are immutable after construction and every operation is a pure
 function; values can be shared freely across worker processes.
 
-scipy is imported only by ``w1_transport_lp``, so 1-D measures never load it.
+scipy is imported only by ``w1_transport_lp``; 1-D and small pairs never load it.
 """
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 
@@ -30,6 +33,8 @@ MERGE_DECIMALS = 12
 WEIGHT_TOL = 1e-12
 #: Cap on combined support size for the exact transport solve.
 W1_SUPPORT_CAP = 4096
+#: Cap on the basic solutions m^(n-1) n^(m-1) of an m x n pair for the closed-form W1 (3 x 3).
+W1_TREE_CAP = 81
 
 
 class ActionSet:
@@ -311,14 +316,8 @@ def w1_sorted_cdf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         raise ValidationError("the sorted-CDF formula applies to 1-D action sets only")
     mu, nu = _ordered(mu, nu)
     grid = np.sort(np.concatenate([mu.atoms[:, 0], nu.atoms[:, 0]]))
-    fmu = np.cumsum(mu.weights)[
-        np.clip(np.searchsorted(mu.atoms[:, 0], grid, side="right") - 1, 0, mu.size - 1)
-    ]
-    fmu = np.where(np.searchsorted(mu.atoms[:, 0], grid, side="right") == 0, 0.0, fmu)
-    fnu = np.cumsum(nu.weights)[
-        np.clip(np.searchsorted(nu.atoms[:, 0], grid, side="right") - 1, 0, nu.size - 1)
-    ]
-    fnu = np.where(np.searchsorted(nu.atoms[:, 0], grid, side="right") == 0, 0.0, fnu)
+    # each CDF on the grid: 0 left of the first atom, then the running sums
+    fmu, fnu = (np.append(0.0, np.cumsum(m.weights))[np.searchsorted(m.atoms[:, 0], grid, side="right")] for m in (mu, nu))
     return float(np.sum(np.abs(fmu - fnu)[:-1] * np.diff(grid)))
 
 
@@ -370,6 +369,45 @@ def w1_transport_lp(mu, nu):
     return float(values[0]) if single else values
 
 
+def within_tree_cap(m: int, n: int) -> bool:
+    """Whether an m x n pair takes the closed-form W1 (Python ints: the count cannot overflow)."""
+    return 1 < min(m, n) and m ** (n - 1) * n ** (m - 1) <= W1_TREE_CAP
+
+
+@functools.cache
+def _tree_table(m: int, n: int) -> np.ndarray:
+    """(trees, m*n, m+n): per spanning tree of K_{m,n}, each cell's flow in its
+    basic solution as +-1 coefficients of the weights (a, b).  Leaves are
+    eliminated towards the last column, each passing its supply on."""
+    table, root = [], m + n - 1
+    for tree in itertools.combinations(range(m * n), m + n - 1):
+        edges = {e: (e // n, m + e % n) for e in tree}  # nodes: rows, then columns
+        supply, flows = np.diag(np.repeat([1.0, -1.0], [m, n])), np.zeros((m * n, m + n))
+        # edges holding a cycle are left with no leaf but the root
+        while leaves := [v for v in range(root) if sum(v in uv for uv in edges.values()) == 1]:
+            leaf, e = leaves[0], next(e for e, uv in edges.items() if leaves[0] in uv)
+            i, j = edges.pop(e)
+            flows[e] = supply[leaf] if leaf == i else -supply[leaf]
+            supply[i + j - leaf] += supply[leaf]
+        if not edges:
+            table.append(flows)
+    table = np.array(table)
+    table.setflags(write=False)
+    return table
+
+
+def _w1_trees(ordered, m: int, n: int) -> np.ndarray:
+    """Exact W1 of ordered m x n pairs, the cheapest feasible basic solution clamped at 0;
+    products summed over a trailing axis give a pair the same bits alone or in any batch."""
+    table, (i, j) = _tree_table(m, n), np.divmod(np.arange(m * n), n)
+    cost = euclidean(np.array([a.atoms[i] - b.atoms[j] for a, b in ordered]))
+    flows = np.sum(table * np.array([np.concatenate([a.weights, b.weights]) for a, b in ordered])[:, None, None], axis=-1)
+    feasible = np.all(flows >= -(m + n) * WEIGHT_TOL, axis=-1)
+    if not feasible.any(axis=1).all():
+        raise NumericalError(f"no feasible basic solution of a {m} x {n} transport problem")
+    return np.maximum(np.where(feasible, np.sum(flows * cost[:, None], axis=-1), np.inf).min(axis=1), 0.0)
+
+
 def _stacked(measures):
     """Sizes, first rows, and the rows (atom, weight) of many measures stacked."""
     sizes = np.array([m.size for m in measures])
@@ -382,7 +420,7 @@ def w1_distance(mu, nu):
     box (a float), or between the pairs of two equal-length sequences (an
     ndarray).  Equal pairs and pairs with a one-atom side are found, and their
     closed forms computed, over all pairs at once; 1-D pairs take the
-    sorted-CDF formula, the rest share one transport LP."""
+    sorted-CDF formula, pairs within ``W1_TREE_CAP`` their basic solutions, the rest one LP."""
     pairs, single = _pairs(mu, nu)
     for p in pairs:
         _checked(*p)
@@ -423,5 +461,11 @@ def w1_distance(mu, nu):
         for k in rest:
             out[k] = w1_sorted_cdf(*pairs[k])
     elif len(rest):
-        out[rest] = w1_transport_lp([pairs[k][0] for k in rest], [pairs[k][1] for k in rest])
+        ordered = [_ordered(*pairs[k]) for k in rest]
+        shapes = [(a.size, b.size) if within_tree_cap(a.size, b.size) else None for a, b in ordered]
+        for shape in dict.fromkeys(shapes):
+            sel = np.flatnonzero([s == shape for s in shapes])
+            for part in np.split(sel, range(256, len(sel), 256)) if shape else [sel]:  # <= 9 MB of products
+                group = [ordered[s] for s in part]
+                out[rest[part]] = _w1_trees(group, *shape) if shape else w1_transport_lp(*zip(*group))
     return float(out[0]) if single else out

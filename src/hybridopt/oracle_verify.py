@@ -47,6 +47,7 @@ from .measure_space import (
     w1_distance,
     w1_sorted_cdf,
     w1_transport_lp,
+    within_tree_cap,
 )
 from .switching import (
     DT_RATE_CAP,
@@ -401,13 +402,13 @@ def _model_1d(rates, rate_bound, drift, diffusion, running, terminal="0", horizo
 
 
 def check_w1_metric(scale: float = 1.0) -> CheckReport:
-    """Metric axioms, Dirac distances, diameter bound, and CDF-vs-LP agreement
-    on 500 random measure pairs/triples split over [0,1] and [0,1]^2.  Each
-    space draws its triples, then its Dirac points, and takes all its
-    distances in one batched W1 call."""
+    """Metric axioms, Dirac distances, diameter bound, and LP agreement of the
+    CDF ([0,1]) and small-pair ([0,1]^2) closed forms on 500 random measure
+    pairs/triples.  Each space draws its triples, then its Dirac points, and
+    takes all its distances in one batched W1 call."""
     t0 = time.perf_counter()
     gen = rng.stream(101, 0, rng.ROLE_VALIDATE)
-    sym_worst = tri_worst = neg_worst = ident_worst = diam_worst = dirac_worst = cdf_lp_worst = 0.0
+    sym_worst = tri_worst = neg_worst = ident_worst = diam_worst = dirac_worst = cdf_lp_worst = tree_lp_worst = 0.0
 
     for action_set in (ActionSet([0.0], [1.0]), ActionSet([0.0, 0.0], [1.0, 1.0])):
         span = action_set.upper - action_set.lower
@@ -427,6 +428,10 @@ def check_w1_metric(scale: float = 1.0) -> CheckReport:
         if action_set.dim == 1:
             cdf = np.array([w1_sorted_cdf(p, q) for p, q in zip(a, b)])
             cdf_lp_worst = max(cdf_lp_worst, float(np.max(np.abs(cdf - w1_transport_lp(a, b)))))
+        else:
+            p, q, d = zip(*[(p, q, d) for p, q, d in zip(a + b + a, b + c + c, np.concatenate([dab, dbc, dac]))
+                            if within_tree_cap(p.size, q.size)])
+            tree_lp_worst = float(np.max(np.abs(np.array(d) - w1_transport_lp(p, q))))
 
     triples = [
         ("symmetry_exact", sym_worst, 0.0),
@@ -436,6 +441,7 @@ def check_w1_metric(scale: float = 1.0) -> CheckReport:
         ("diameter_bound", diam_worst, 1e-9),
         ("dirac_euclidean_exact", dirac_worst, 0.0),
         ("cdf_vs_lp", cdf_lp_worst, 1e-9),
+        ("trees_vs_lp", tree_lp_worst, 1e-9),
     ]
     return _finish("w1_metric", t0, scale, triples)
 

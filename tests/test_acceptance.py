@@ -14,7 +14,7 @@ CRITERIA = [
     # (number, check name, runtime limit in seconds, subcheck labels in report order)
     (1, "w1_metric", 30.0, [
         "symmetry_exact", "nonnegativity", "triangle_inequality", "identity", "diameter_bound",
-        "dirac_euclidean_exact", "cdf_vs_lp",
+        "dirac_euclidean_exact", "cdf_vs_lp", "trees_vs_lp",
     ]),
     (2, "intervals", 30.0, [
         "kernel_nonnegative", "kernel_rows_sum_to_one", "rows_match_expm", "jump_law_within_3se",

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.test_validate_pins import validate_2d_model
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # run one command in-process, then print its exit code and the scipy modules loaded
@@ -19,12 +21,14 @@ _PROBE = (
     "print(json.dumps([code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))]))\n"
 )
 
-# argv templates over the demo files; the demo's action set is 1-D
+# argv templates over the demo files, whose action set is 1-D, and a model on
+# a 2-D action box, whose multi-atom W1 pairs take the closed form
 _NO_SCIPY = {
     "estimate": ["estimate", "--model", "{model}", "--control", "{control}", "--paths", "100", "--dt", "0.05"],
     "simulate_csv": ["simulate", "--model", "{model}", "--control", "{control}", "--paths", "100", "--dt", "0.05",
                      "--out", "{dir}/paths.csv"],
     "validate_1d_actions": ["validate", "--model", "{model}", "--samples", "100"],
+    "validate_2d_actions": ["validate", "--model", "{model_2d}", "--samples", "200"],
 }
 _SOLVE = ["solve", "--model", "{model}", "--out", "{dir}/vg.json", "--grid-nt", "4", "--grid-nx", "9",
           "--quad-order", "3"]
@@ -37,7 +41,9 @@ def run_fresh(*args, cwd):
 
 def scipy_modules(template, demo_files, tmp_path) -> list:
     model, control = demo_files
-    argv = [a.format(model=model, control=control, dir=tmp_path) for a in template]
+    model_2d = tmp_path / "model_2d.json"
+    model_2d.write_text(json.dumps(validate_2d_model(42)))
+    argv = [a.format(model=model, control=control, model_2d=model_2d, dir=tmp_path) for a in template]
     done = run_fresh("-c", _PROBE, *argv, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     code, modules = json.loads(done.stdout.strip().splitlines()[-1])

@@ -11,6 +11,7 @@ from hybridopt import (
     CapacityError,
     DiscreteMeasure,
     DomainError,
+    NumericalError,
     ValidationError,
     dirac,
     euclidean,
@@ -19,6 +20,7 @@ from hybridopt import (
     w1_sorted_cdf,
     w1_transport_lp,
 )
+from hybridopt import measure_space
 
 
 def transport_vertex_oracle(mu, nu):
@@ -225,6 +227,104 @@ class TestBatchedW1:
         big = DiscreteMeasure(unit_interval, np.linspace(0, 1, 4096).reshape(-1, 1), np.full(4096, 1 / 4096))
         with pytest.raises(CapacityError):
             w1_transport_lp([dirac(unit_interval, [0.5]), big], [dirac(unit_interval, [0.1]), big])
+
+
+class TestTreeW1:
+    """The closed form of pairs within ``W1_TREE_CAP``: every basic solution
+    of the transport problem, the cheapest feasible one kept."""
+
+    SHAPES = [(m, n) for m in range(2, 6) for n in range(2, 6) if measure_space.within_tree_cap(m, n)]
+
+    @staticmethod
+    def measure(gen, action_set, size):
+        w = gen.random(size) + 1e-3
+        return DiscreteMeasure(action_set, gen.random((size, action_set.dim)), w / w.sum())
+
+    def test_shapes_within_the_cap(self):
+        assert self.SHAPES == [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2), (5, 2)]
+        assert not measure_space.within_tree_cap(1, 3) and not measure_space.within_tree_cap(3, 4)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_one_row_per_spanning_tree_each_reproducing_both_marginals(self, shape):
+        m, n = shape
+        table = measure_space._tree_table(m, n)
+        assert table.shape == (m ** (n - 1) * n ** (m - 1), m * n, m + n)
+        assert set(np.unique(table)) <= {-1.0, 0.0, 1.0}
+        trees = np.any(table != 0, axis=-1)
+        assert np.all(trees.sum(axis=1) == m + n - 1)
+        assert len(np.unique(trees, axis=0)) == len(table)
+        gen = np.random.default_rng(m * 10 + n)
+        a, b = gen.random(m), gen.random(n)
+        a, b = a / a.sum(), b / b.sum()
+        flows = (table @ np.concatenate([a, b])).reshape(-1, m, n)
+        assert np.allclose(flows.sum(axis=2), a, rtol=0.0, atol=1e-15)
+        assert np.allclose(flows.sum(axis=1), b, rtol=0.0, atol=1e-15)
+
+    def test_degenerate_weights_give_zero_flows(self, unit_square):
+        # a row weight equal to a column weight: some basic solutions carry a zero flow
+        gen = np.random.default_rng(4)
+        a = DiscreteMeasure(unit_square, gen.random((2, 2)), [0.25, 0.75])
+        b = DiscreteMeasure(unit_square, gen.random((3, 2)), [0.25, 0.25, 0.5])
+        first, second = measure_space._ordered(a, b)
+        table = measure_space._tree_table(first.size, second.size)
+        flows = np.sum(table * np.concatenate([first.weights, second.weights]), axis=-1)
+        feasible = np.all(flows >= 0.0, axis=1)
+        assert np.any(feasible & np.any((flows == 0.0) & np.any(table != 0, axis=-1), axis=1))
+        assert w1_distance(a, b) == pytest.approx(transport_vertex_oracle(a, b), abs=1e-12)
+
+    def test_two_by_three_pairs_are_bit_symmetric(self, unit_square):
+        gen = np.random.default_rng(9)
+        twos = [self.measure(gen, unit_square, 2) for _ in range(20)]
+        threes = [self.measure(gen, unit_square, 3) for _ in range(20)]
+        forward, backward = w1_distance(twos, threes), w1_distance(threes, twos)
+        assert np.array_equal(forward, backward)
+        assert all(w1_distance(p, q) == v for p, q, v in zip(threes, twos, forward))
+
+    def test_value_alone_equals_value_in_a_mixed_batch(self):
+        u = ActionSet([0.0] * 3, [1.0] * 3)
+        gen = np.random.default_rng(21)
+        sizes = [(2, 2), (3, 3), (2, 5), (4, 2), (1, 3), (3, 4), (2, 3)] * 5
+        a = [self.measure(gen, u, m) for m, _ in sizes]
+        b = [self.measure(gen, u, n) for _, n in sizes]
+        batch = w1_distance(a + a[:3], b + a[:3])
+        assert np.array_equal(batch[-3:], np.zeros(3))
+        assert [w1_distance(p, q) for p, q in zip(a, b)] == batch[: len(a)].tolist()
+        assert np.allclose(batch[: len(a)], w1_transport_lp(a, b), rtol=0.0, atol=1e-12)
+
+    def test_pairs_over_the_cap_reach_the_lp(self, monkeypatch, unit_square):
+        gen = np.random.default_rng(13)
+        lp, calls = measure_space.w1_transport_lp, []
+
+        def counting(mu, nu):
+            calls.append(len(mu))
+            return lp(mu, nu)
+
+        monkeypatch.setattr(measure_space, "w1_transport_lp", counting)
+        small = [self.measure(gen, unit_square, 3) for _ in range(2)]
+        # 3 x 4 has 432 basic solutions; 2 x 70 has 70 * 2^69, past int64
+        big = [self.measure(gen, unit_square, n) for n in (3, 4, 2, 70)]
+        w1_distance([small[0], big[0], big[2]], [small[1], big[1], big[3]])
+        assert calls == [2]
+        w1_distance(small[0], small[1])
+        assert calls == [2]
+
+    def test_no_feasible_basic_solution_raises(self, monkeypatch, unit_square):
+        table = measure_space._tree_table
+        monkeypatch.setattr(measure_space, "_tree_table", lambda m, n: -table(m, n))
+        gen = np.random.default_rng(5)
+        with pytest.raises(NumericalError, match="no feasible basic solution"):
+            w1_distance(self.measure(gen, unit_square, 2), self.measure(gen, unit_square, 2))
+
+    def test_errors_as_before(self, unit_square):
+        gen = np.random.default_rng(6)
+        u3 = ActionSet([0.0] * 3, [1.0] * 3)
+        with pytest.raises(ValidationError):
+            w1_distance(self.measure(gen, unit_square, 2), self.measure(gen, u3, 3))
+        with pytest.raises(ValidationError):
+            w1_distance([self.measure(gen, unit_square, 2)], [])
+        big = DiscreteMeasure(unit_square, gen.random((4095, 2)), np.full(4095, 1 / 4095))
+        with pytest.raises(CapacityError):
+            w1_distance([self.measure(gen, unit_square, 2), big], [self.measure(gen, unit_square, 2)] * 2)
 
 
 class TestMetricAxioms:

@@ -424,3 +424,19 @@ class TestDeterminismWorkers:
         rep = oracle_verify.check_determinism()
         assert not rep.passed
         assert rep.details["failed"] == ["simulate_workers_1_vs_8"]
+
+
+class TestW1MetricCheck:
+    def test_mis_indexed_tree_cells_fail_trees_vs_lp(self, monkeypatch):
+        from hybridopt import measure_space, oracle_verify
+
+        table = measure_space._tree_table
+
+        def reversed_cells(m, n):
+            # each flow lands on the cell (m-1-i, n-1-j): as feasible, wrongly costed
+            return table(m, n)[:, ::-1]
+
+        monkeypatch.setattr(measure_space, "_tree_table", reversed_cells)
+        rep = oracle_verify.check_w1_metric()
+        assert not rep.passed
+        assert "trees_vs_lp" in rep.details["failed"]

@@ -1,11 +1,14 @@
 """SHA-256 pins of ``validate --out`` bytes.
 
 Each case runs ``hybridopt validate`` on a fixed model and sampler seed and
-compares the SHA-256 of the report it writes.  The models cover the three
-W1 paths: the benchmark's ``validate_2d`` model (2-D action box, closed forms
-and the transport LP) at two of its generator seeds, the bundled demo model
-(1-D action set, sorted-CDF formula), and a model on a 3-D action box whose
-multi-atom pairs go to the LP.  600 samples cross one chunk boundary.
+compares the SHA-256 of the report it writes.  The models cover the W1
+paths ``validate`` reaches: the benchmark's ``validate_2d`` model (2-D action
+box: the equal-pair and one-atom closed forms, and the basic-solution closed
+form of multi-atom pairs) at two of its generator seeds, the bundled demo
+model (1-D action set, sorted-CDF formula), and a model on a 3-D action box
+whose multi-atom pairs take the basic-solution closed form.  The digests were
+recorded when those pairs took the transport LP, and hold for the closed
+form.  600 samples cross one chunk boundary.
 perfbench/ is only imported, never changed.
 """
 import contextlib
@@ -50,7 +53,8 @@ def validate_2d_model(generator_seed: int) -> dict:
 
 def three_d_action_model() -> dict:
     """1-D state, 2 regimes, actions in [0, 1]^3; every coefficient reads a
-    different action coordinate, so W1 of two multi-atom measures is an LP."""
+    different action coordinate, so W1 of two multi-atom measures is a
+    transport problem in 3-D."""
     return {
         "state_dim": 1,
         "regime_count": 2,
