@@ -12,7 +12,8 @@ normalized to unit sum), the regime factor reuses the batched
 frozen-generator transition rows of the switching module, and next-slice values
 are read off by multilinear interpolation with edge clamping, which keeps
 every one-step operator a convex combination and hence preserves lower
-bounds of V.  Ties in the minimization break to the lowest candidate-pair
+bounds of V.  Quadrature and interpolation are folded into one sparse
+movement operator per regime and mu candidate.  Ties in the minimization break to the lowest candidate-pair
 index, so solved grids are bit-reproducible.
 
 The search runs over step-constant Markov policies; that family is exactly
@@ -207,8 +208,8 @@ def interpolation_matrix(axes: list[np.ndarray], points: np.ndarray) -> tuple[sp
     return _csr(blocks, int(np.prod([len(a) for a in axes]))), clamped
 
 
-#: Cap on ``move_entry_bound``.  The 21^3, q = 5 build peaks at about 20 bytes
-#: of RSS per stored entry, so a build at the cap stays near 2 GB.
+#: Cap on ``move_entry_bound``.  A 21^3, q = 5 solve peaks at about 16 bytes
+#: of RSS per stored entry, so a build at the cap stays near 1.6 GB.
 MOVE_ENTRY_BUDGET = 100_000_000
 
 
@@ -223,16 +224,18 @@ def move_entry_bound(model: HybridModel, grid: GridSpec, n_mu: int) -> int:
 class SolverKernels:
     """Precomputed per-regime one-step operators for one grid.
 
-    ``move[i-1]`` is one CSR matrix of shape (n_mu * n_nodes, n_nodes): rows
-    ``mi * n_nodes`` to ``(mi + 1) * n_nodes`` are the state-transport kernel
-    for drift/diffusion under mu candidate mi: the Gauss-Hermite sum
+    ``move[i-1][mi]`` is one CSR matrix of shape (n_nodes, n_nodes), the
+    state-transport kernel for drift/diffusion in regime i under mu
+    candidate mi: the Gauss-Hermite sum
     sum_q w_q * I(x + b dt + sigma sqrt(dt) W_q) of the interpolation rows
     of the moved points.  ``_interpolation_rows`` builds it in blocks of
     nodes, one ``np.bincount`` per block adding each entry's terms in
     quadrature-index order, as adding the matrices I_q one by one would, so
-    rows are convex and sorted.  Besides the operators and the moved points
-    the build holds one block: at most ``_BLOCK`` (node, q, corner) triples
-    and 4 ``_BLOCK`` window slots.  ``clamp_count`` counts the clamped moved
+    rows are convex and sorted.  Each matrix is finished before the next
+    candidate's points are moved, so beyond the finished operators the build
+    holds one candidate's moved points and blocks, and while a block is made
+    at most ``_BLOCK`` (node, q, corner) triples and 4 ``_BLOCK`` window
+    slots.  ``clamp_count`` counts the clamped moved
     points; a drift or diffusion that is not finite at a node raises
     ``NumericalError``, and a grid whose ``move_entry_bound`` is above
     ``MOVE_ENTRY_BUDGET`` raises ``CapacityError`` before the build.
@@ -274,14 +277,14 @@ class SolverKernels:
         gh_pts, gh_wts = gauss_hermite(grid.quad_order, model.state_dim)
 
         n = model.regime_count
-        self.move: list[sparse.csr_matrix] = []
+        self.move: list[list[sparse.csr_matrix]] = []
         for i in range(1, n + 1):
-            blocks = []
+            self.move.append([])
             for mu in self.mu_candidates:
-                mu_blocks, clamped = _interpolation_rows(self.axes, self._moved_points(i, mu, gh_pts), gh_wts)
-                blocks += mu_blocks
+                blocks, clamped = _interpolation_rows(self.axes, self._moved_points(i, mu, gh_pts), gh_wts)
+                self.move[-1].append(_csr(blocks, self.n_nodes))
                 self.clamp_count += clamped
-            self.move.append(_csr(blocks, self.n_nodes))
+                del blocks
 
         self.regime_rows: list[np.ndarray] = [
             np.stack([
@@ -335,17 +338,17 @@ class SolverKernels:
 
         ``v_next`` is the (n_nodes, N) next-slice table shared by all pairs,
         or an (n_pairs, n_nodes, N) stack with one table per pair.  Returns
-        the (n_pairs, n_nodes) stage values: one sparse product per call, and
-        per element the same operations as a per-pair evaluation, so the
+        the (n_pairs, n_nodes) stage values: one sparse product per mu
+        candidate, and per element the same operations as a per-pair evaluation, so the
         solver, the residual check and per-pair references agree bit for bit.
         """
-        n, n_mu = self.n_nodes, len(self.mu_candidates)
+        move, n = self.move[i - 1], self.n_nodes
         if v_next.ndim == 2:
-            ev = (self.move[i - 1] @ v_next).reshape(n_mu, n, -1)[self.pair_mu]
+            ev = np.stack([m @ v_next for m in move])[self.pair_mu]
         else:
             n_pairs = v_next.shape[0]
             cols = v_next.transpose(1, 0, 2).reshape(n, -1)
-            ev = (self.move[i - 1] @ cols).reshape(n_mu, n, n_pairs, -1)
+            ev = np.stack([m @ cols for m in move]).reshape(len(move), n, n_pairs, -1)
             ev = ev[self.pair_mu, :, np.arange(n_pairs)]
         cont = np.einsum("pnj,pnj->pn", self.regime_rows[i - 1][self.pair_nu], ev)
         if self.cached_costs is not None:

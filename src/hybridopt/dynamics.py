@@ -40,7 +40,7 @@ import numpy as np
 from . import expr as ex
 from . import rng
 from .control import FeedbackControl, MeasureBatch
-from .errors import NumericalError, SimulationError, ValidationError
+from .errors import CapacityError, NumericalError, SimulationError, ValidationError
 from .measure_space import ActionSet, DiscreteMeasure, draw_measure, random_measures, w1_distance
 from .switching import RateSpec, check_step, interval_draw, pick_regime, transition_rows_batch
 
@@ -433,10 +433,20 @@ def path_chunks(count: int):
         yield block, min(count - first, rng.BLOCK_PATHS)
 
 
+#: Cap on one chunk's memory, counted as a recorded chunk holds it: draws,
+#: states, regimes and pool indices, 16 d + 32 bytes per path-step.  At
+#: d = 1 a chunk of 4 096 paths may take up to 10 922 steps.
+CHUNK_BYTES = 2**31
+
+
 def chunk_args(model, control, s, x0, i0, t_end, dt, seed, path_count) -> list[tuple]:
-    """The ``_simulate_block`` arguments of each chunk of path_count paths, in order."""
+    """The ``_simulate_block`` arguments of each chunk of path_count paths, in
+    order; ``CapacityError`` when a chunk would hold over ``CHUNK_BYTES``."""
     if path_count < 1:
         raise ValidationError("path_count must be >= 1")
+    paths, steps = min(path_count, rng.BLOCK_PATHS), grid_steps(s, t_end, dt)
+    if paths * steps * (16 * model.state_dim + 32) > CHUNK_BYTES:
+        raise CapacityError(f"a chunk of {paths} paths x {steps} steps would hold over {CHUNK_BYTES} bytes; use a larger dt")
     return [(model, control, s, x0, i0, t_end, dt, seed, block, n) for block, n in path_chunks(path_count)]
 
 

@@ -200,7 +200,7 @@ class LatticeProblem:
             k_pair = np.zeros((self.n_cells, self.n_cells))
             # cell (node, i) -> cell (node', j): regime factor times state transport
             for i in range(1, n_reg + 1):
-                move_i = kern.move[i - 1][mi * n_nodes:(mi + 1) * n_nodes].toarray()
+                move_i = kern.move[i - 1][mi].toarray()
                 rows_i = kern.regime_rows[i - 1][ni]
                 src = np.arange(n_nodes) * n_reg + (i - 1)
                 for j in range(1, n_reg + 1):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import stat
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -570,6 +571,19 @@ class TestEstimate:
         # the demo control suppresses switching: cost is exactly 1
         assert doc["mean"] == pytest.approx(1.0, abs=1e-12)
         assert doc["paths"] == 64
+
+    def test_chunk_over_the_memory_cap_exits_5_at_once(self, demo_files, tmp_path, monkeypatch):
+        # 4 096 paths x 10^6 steps would draw about 65 GB, so the engine must not run
+        model, control = demo_files
+        monkeypatch.setattr(dynamics, "_simulate_block", never_simulate)
+        start = time.perf_counter()
+        code = cli.main(
+            ["estimate", "--model", str(model), "--control", str(control), "--out", str(tmp_path / "est.json"),
+             "--paths", "4096", "--dt", "1e-6", "--seed", "2", "--workers", "1"]
+        )
+        assert code == 5
+        assert time.perf_counter() - start < 1.0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["control.json", "model.json"]
 
 
 class TestRunHash:

@@ -55,3 +55,20 @@ def test_traced_commands_count_clamps(command, demo_files, tmp_path):
         tracer.uninstall()
     assert code == 0
     assert tracer.counts["dynamics.clamp_events"] > 0
+
+
+def test_traced_solve_writes_its_artifact(demo_files, tmp_path):
+    # the tracer's byte counter encodes the text handed to atomic_write_text;
+    # the artifact's pieces must not reach it, or every traced solve job fails
+    tracer = _tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["solve", "--model", str(demo_files[0]), "--out", str(tmp_path / "vg.json"),
+                             "--grid-nt", "4", "--grid-nx", "5", "--quad-order", "3", "--workers", "1"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.counts["dpp_solver.stage_values_calls"] > 0
+    assert tracer.times["config.write_s"] > 0
+    assert json.loads((tmp_path / "vg.json").read_text())["grid"]["time_steps"] == 4
