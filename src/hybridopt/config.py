@@ -93,8 +93,7 @@ def _float_str(x: float) -> str:
 def _array_json(arr: np.ndarray, level: int) -> str:
     """A numeric array as ``json.dumps(arr.tolist(), indent=1)`` writes it
     ``level`` deep: one repr map over the flat values, interleaved with the
-    separator each gap between neighbouring values needs.  Integers spanning
-    fewer values than the array holds are looked up in a table of their texts."""
+    separator each gap between neighbouring values needs."""
     if arr.ndim == 0 or arr.size == 0 or arr.dtype.kind not in "biuf":
         return artifact_json(arr.tolist(), level)
     flat = arr.ravel()
@@ -103,10 +102,9 @@ def _array_json(arr: np.ndarray, level: int) -> str:
     elif arr.dtype.kind == "f":
         texts = map(float.__repr__ if np.isfinite(arr).all() else _float_str, flat.tolist())
     elif int(flat.max()) - int(flat.min()) < flat.size:
-        lo = flat.min()
-        table = np.array([int.__repr__(v) for v in range(int(lo), int(flat.max()) + 1)], dtype=object)
-        # offsets from the least value; int64 wraps alike on both sides, so they are exact
-        texts = table[np.subtract(flat, lo, dtype=np.int64)].tolist()
+        # a table of texts, indexed by offset from the least value (exact in wrapping int64)
+        table = np.array([int.__repr__(v) for v in range(int(flat.min()), int(flat.max()) + 1)], dtype=object)
+        texts = table[np.subtract(flat, flat.min(), dtype=np.int64)].tolist()
     else:
         texts = map(int.__repr__, flat.tolist())
     d = arr.ndim
@@ -125,50 +123,28 @@ def _array_json(arr: np.ndarray, level: int) -> str:
     return "".join(opens) + "".join(parts) + "".join(closes[::-1])
 
 
-def _in_pieces(o) -> bool:
-    """Whether ``artifact_pieces`` writes ``o`` in more than one piece."""
-    return isinstance(o, dict) or (
-        isinstance(o, np.ndarray) and o.ndim > 1 and o.size > 0 and o.dtype.kind in "biuf"
-    )
-
-
 def artifact_pieces(o, level: int = 0):
-    """Exactly ``json.dumps(o, sort_keys=True, indent=1)``, nested ``level``
-    deep, as a sequence of text pieces, with NumPy arrays written as their
-    ``tolist()`` but from one flat pass over the values (byte contract in the
-    README, "Value-grid artifact").  A dict gives the pieces of its values
-    key by key, and an array of two or more dimensions one piece per
-    outermost index; anything else is one piece.  Object keys must be
-    strings; anything JSON cannot hold raises TypeError."""
-    if not _in_pieces(o):
-        yield artifact_json(o, level)
-        return
+    """The text of ``artifact_json(o, level)`` in pieces: a dict gives its
+    values' pieces key by key, an array of two or more dimensions one piece
+    per outermost index, and anything else one piece."""
     inner = "\n" + " " * (level + 1)
-    if isinstance(o, dict):
-        if not o:
-            yield "{}"
-            return
-        sep = "{" + inner
-        for k, v in sorted(o.items()):
-            yield sep + encode_basestring_ascii(k) + ": "
+    if isinstance(o, dict) and o:
+        for n, (k, v) in enumerate(sorted(o.items())):
+            yield ("," if n else "{") + inner + encode_basestring_ascii(k) + ": "
             yield from artifact_pieces(v, level + 1)
-            sep = "," + inner
         yield "\n" + " " * level + "}"
-    else:
-        for n, row in enumerate(o):
-            yield ("[" if n == 0 else ",") + inner + _array_json(row, level + 1)
+    elif isinstance(o, np.ndarray) and o.ndim > 1 and o.size and o.dtype.kind in "biuf":
+        yield from (("," if n else "[") + inner + _array_json(row, level + 1) for n, row in enumerate(o))
         yield "\n" + " " * level + "]"
-
-
-def _in_pieces(o) -> bool:
-    """Whether ``artifact_pieces`` writes ``o`` in more than one piece."""
-    return isinstance(o, dict) or (
-        isinstance(o, np.ndarray) and o.ndim > 1 and o.size > 0 and o.dtype.kind in "biuf"
-    )
+    else:
+        yield artifact_json(o, level)
 
 
 def artifact_json(o, level: int = 0) -> str:
-    """The pieces of ``artifact_pieces(o, level)`` as one string."""
+    """Exactly ``json.dumps(o, sort_keys=True, indent=1)``, nested ``level``
+    deep, with NumPy arrays written as their ``tolist()`` but from one flat
+    pass over the values (byte contract in the README, "Value-grid artifact").
+    Object keys must be strings; anything JSON cannot hold raises TypeError."""
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None or isinstance(o, bool):
@@ -177,22 +153,20 @@ def artifact_json(o, level: int = 0) -> str:
         return int.__repr__(o)
     if isinstance(o, float):
         return _float_str(o)
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        inner = "\n" + " " * (level + 1)
-        items = [artifact_json(v, level + 1) for v in o]
-        return "[" + inner + ("," + inner).join(items) + "\n" + " " * level + "]"
-    if _in_pieces(o):
-        return "".join(artifact_pieces(o, level))
     if isinstance(o, np.ndarray):
         return _array_json(o, level)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if isinstance(o, dict):
+        return "".join(artifact_pieces(o, level)) if o else "{}"
+    if not isinstance(o, (list, tuple)):
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not o:
+        return "[]"
+    inner = "\n" + " " * (level + 1)
+    return "[" + inner + ("," + inner).join([artifact_json(v, level + 1) for v in o]) + "\n" + " " * level + "]"
 
 
 def atomic_write_json(path, payload) -> None:
-    """Write ``artifact_json(payload)`` and a newline to ``path`` through
-    ``atomic_open``, piece by piece, so the document is never held whole."""
+    """``artifact_json(payload)`` and a newline, written piece by piece."""
     with atomic_open(path) as fh:
         fh.writelines(artifact_pieces(payload))
         fh.write("\n")

@@ -12,9 +12,9 @@ normalized to unit sum), the regime factor reuses the batched
 frozen-generator transition rows of the switching module, and next-slice values
 are read off by multilinear interpolation with edge clamping, which keeps
 every one-step operator a convex combination and hence preserves lower
-bounds of V.  Quadrature and interpolation are folded into one sparse
-movement operator per regime and mu candidate.  Ties in the minimization break to the lowest candidate-pair
-index, so solved grids are bit-reproducible.
+bounds of V.  Quadrature and interpolation fold into one sparse movement
+operator per regime and mu candidate.  Ties in the minimization break to
+the lowest candidate-pair index, so solved grids are bit-reproducible.
 
 The search runs over step-constant Markov policies; that family is exactly
 optimal for the discretized problem, while richer path-dependent controls
@@ -224,18 +224,16 @@ def move_entry_bound(model: HybridModel, grid: GridSpec, n_mu: int) -> int:
 class SolverKernels:
     """Precomputed per-regime one-step operators for one grid.
 
-    ``move[i-1][mi]`` is one CSR matrix of shape (n_nodes, n_nodes), the
-    state-transport kernel for drift/diffusion in regime i under mu
-    candidate mi: the Gauss-Hermite sum
+    ``move[i-1][mi]`` is the (n_nodes, n_nodes) CSR state-transport kernel of
+    regime i under mu candidate mi: the Gauss-Hermite sum
     sum_q w_q * I(x + b dt + sigma sqrt(dt) W_q) of the interpolation rows
     of the moved points.  ``_interpolation_rows`` builds it in blocks of
     nodes, one ``np.bincount`` per block adding each entry's terms in
     quadrature-index order, as adding the matrices I_q one by one would, so
-    rows are convex and sorted.  Each matrix is finished before the next
-    candidate's points are moved, so beyond the finished operators the build
-    holds one candidate's moved points and blocks, and while a block is made
-    at most ``_BLOCK`` (node, q, corner) triples and 4 ``_BLOCK`` window
-    slots.  ``clamp_count`` counts the clamped moved
+    rows are convex and sorted.  Beyond the finished operators the build
+    holds one candidate's moved points and blocks, and one block in the
+    making: at most ``_BLOCK`` (node, q, corner) triples and 4 ``_BLOCK``
+    window slots.  ``clamp_count`` counts the clamped moved
     points; a drift or diffusion that is not finite at a node raises
     ``NumericalError``, and a grid whose ``move_entry_bound`` is above
     ``MOVE_ENTRY_BUDGET`` raises ``CapacityError`` before the build.
@@ -277,14 +275,13 @@ class SolverKernels:
         gh_pts, gh_wts = gauss_hermite(grid.quad_order, model.state_dim)
 
         n = model.regime_count
-        self.move: list[list[sparse.csr_matrix]] = []
+        self.move: list[list[sparse.csr_matrix]] = [[] for _ in range(n)]
         for i in range(1, n + 1):
-            self.move.append([])
             for mu in self.mu_candidates:
                 blocks, clamped = _interpolation_rows(self.axes, self._moved_points(i, mu, gh_pts), gh_wts)
-                self.move[-1].append(_csr(blocks, self.n_nodes))
+                self.move[i - 1].append(_csr(blocks, self.n_nodes))
                 self.clamp_count += clamped
-                del blocks
+                del blocks  # before the next candidate's points are moved
 
         self.regime_rows: list[np.ndarray] = [
             np.stack([
@@ -338,8 +335,8 @@ class SolverKernels:
 
         ``v_next`` is the (n_nodes, N) next-slice table shared by all pairs,
         or an (n_pairs, n_nodes, N) stack with one table per pair.  Returns
-        the (n_pairs, n_nodes) stage values: one sparse product per mu
-        candidate, and per element the same operations as a per-pair evaluation, so the
+        the (n_pairs, n_nodes) stage values: one sparse product per mu, and
+        per element the same operations as a per-pair evaluation, so the
         solver, the residual check and per-pair references agree bit for bit.
         """
         move, n = self.move[i - 1], self.n_nodes

@@ -433,15 +433,13 @@ def path_chunks(count: int):
         yield block, min(count - first, rng.BLOCK_PATHS)
 
 
-#: Cap on one chunk's memory, counted as a recorded chunk holds it: draws,
-#: states, regimes and pool indices, 16 d + 32 bytes per path-step.  At
-#: d = 1 a chunk of 4 096 paths may take up to 10 922 steps.
+#: Cap on a chunk's memory at a recorded chunk's 16 d + 32 bytes per path-step
+#: (draws, states, regimes, pool indices): 4 096 paths x 10 922 steps at d = 1.
 CHUNK_BYTES = 2**31
 
 
 def chunk_args(model, control, s, x0, i0, t_end, dt, seed, path_count) -> list[tuple]:
-    """The ``_simulate_block`` arguments of each chunk of path_count paths, in
-    order; ``CapacityError`` when a chunk would hold over ``CHUNK_BYTES``."""
+    """The ``_simulate_block`` arguments of each chunk of path_count paths, in order."""
     if path_count < 1:
         raise ValidationError("path_count must be >= 1")
     paths, steps = min(path_count, rng.BLOCK_PATHS), grid_steps(s, t_end, dt)
