@@ -419,7 +419,7 @@ class TestMovementOperator:
 
     def test_build_peak_is_a_small_multiple_of_the_operators(self):
         # the Kronecker fold peaked at about 18x the operators here, the
-        # per-quadrature-point sum at 1.8x; the node blocks measure 1.52x
+        # per-quadrature-point sum at 1.8x; the node blocks measure 1.47x
         model = three_d_model()
         u = model.action_set
         tracemalloc.start()
