@@ -192,6 +192,28 @@ class TestCheckDpp:
         assert "multi_step_residual" in rep.details
         assert rep.details["multi_step_residual"] >= 0.0
 
+    # the details of the battery's dpp instances, bit for bit: the Monte Carlo
+    # restatement is costed by the engine, and the held side of the residual
+    # is one stage_values call per pair
+    PINNED = {
+        "regime_cost": ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0",
+                        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+1"),
+        "drift_steering": ("0x1.3333333333333p-2", "0x1.1eb851eb851eep-2", "0x1.03160f7b10997p-60",
+                           "0x0.0p+0", "0x1.47ae147ae147cp-8", "0x1.23d70a3d70a40p+1"),
+        "coupled": ("0x1.e571b5257250bp-1", "0x1.e5b4292c55b37p-1", "0x1.2b84032ab44c1p-9",
+                    "0x0.0p+0", "0x0.0p+0", "0x1.3333333333336p+1"),
+    }
+
+    @pytest.mark.parametrize("label", list(PINNED))
+    def test_battery_instances_pinned(self, label):
+        from hybridopt.oracle_verify import _LATTICE_INSTANCES
+
+        model, grid, mu_c, nu_c = dict(_LATTICE_INSTANCES)[label]()
+        x0, i0 = model.default_start()
+        _, details = _dpp_subchecks(model, grid, mu_c, nu_c, grid.time_steps // 2, x0, i0, 4000, 606)
+        keys = ("value", "mc_restatement", "stderr", "one_step_residual", "multi_step_residual", "tol_disc")
+        assert tuple(float(details[k]).hex() for k in keys) == self.PINNED[label]
+
 
 class TestMinimizingSequence:
     def test_mixture_interpolation_costs_decrease(self):
