@@ -28,7 +28,7 @@ from .measure_space import (
     w1_sorted_cdf,
     w1_transport_lp,
 )
-from .expr import evaluate, parse, to_source, variables
+from .expr import parse, to_source, variables
 from .switching import RateSpec
 from .control import (
     CandidateMap,
@@ -46,7 +46,7 @@ from .dynamics import (
     simulate_paths,
     validate_model,
 )
-from .cost import CostEstimate, batch_costs, monte_carlo_cost
+from .cost import CostEstimate, monte_carlo_cost
 from .dpp_solver import (
     GridSpec,
     ValueGrid,

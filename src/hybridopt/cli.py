@@ -103,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle verification battery")
     p.add_argument("--check", nargs="*", default=None, help="check names (default: the full battery)")
-    p.add_argument("--tolerance-scale", type=float, default=1.0)
     p.add_argument("--out", default=None)
     p.add_argument("--list", action="store_true", help="list available checks and exit")
     return parser
@@ -318,17 +317,13 @@ def cmd_verify(args) -> int:
         if args.out:
             cfg.atomic_write_json(args.out, {"pass": True, "checks": []})
         return EXIT_OK
-    reports = oracle_verify.run_battery(names, args.tolerance_scale)
+    reports = oracle_verify.run_battery(names)
     all_pass = all(r.passed for r in reports)
     for r in reports:
         flag = "PASS" if r.passed else "FAIL"
         print(f"[{flag}] {r.name}: margin={r.margin:.3g} tolerance={r.tolerance:.3g} ({r.elapsed:.2f}s)")
     if args.out:
-        cfg.atomic_write_json(
-            args.out,
-            {"pass": all_pass, "tolerance_scale": args.tolerance_scale,
-             "checks": [r.to_dict() for r in reports]},
-        )
+        cfg.atomic_write_json(args.out, {"pass": all_pass, "checks": [r.to_dict() for r in reports]})
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 

@@ -1,25 +1,26 @@
-"""Batched pathwise and Monte Carlo evaluation of the expected finite-horizon cost.
+"""Monte Carlo evaluation of the expected finite-horizon cost.
 
-``batch_costs`` gives every path of a batch its left-point quadrature of the
-running cost plus the terminal cost,
+A path's cost is the left-point quadrature of the running cost plus the
+terminal cost,
 
     sum_k f(t_k, X_k, Lam_k, mu_k, nu_k) * dt + g(X_n),
 
 evaluated at step-start values so the integrand is adapted, matching the
-Euler scheme's filtration.  The Monte Carlo estimator has the engine add up
-the same sum, in the same order, while it steps one stream block of paths at
-a time (``dynamics.path_chunks``), records no path (only the states a
-history-reading control needs), and averages the (paths,) cost vector.  The
-paths read block-keyed counter streams, so with a fixed seed the estimate is
-deterministic and independent of the worker count.
+Euler scheme's filtration.  The engine adds up the running sum while it
+steps one stream block of paths at a time (``dynamics._simulate_block`` in
+its costing mode, over the chunks of ``dynamics.path_chunks``) and records
+no path (only the states a history-reading control needs); ``_chunk_costs``
+adds g at each path's end state, and the estimator averages the (paths,)
+cost vector.  The paths read block-keyed counter streams, so with a fixed
+seed the estimate is deterministic and independent of the worker count.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import dynamics
-from .control import FeedbackControl, MeasureBatch
-from .dynamics import HybridModel, PathBatch, chunk_args, fan_out
+from .control import FeedbackControl
+from .dynamics import HybridModel, chunk_args, fan_out
 from .errors import NumericalError, ValidationError
 
 
@@ -43,40 +44,21 @@ class CostEstimate:
         return f"CostEstimate(mean={self.mean:.6g}, stderr={self.stderr:.3g}, paths={self.path_count})"
 
 
-def batch_costs(model: HybridModel, batch: PathBatch, include_terminal: bool = True) -> np.ndarray:
-    """Pathwise costs for a whole batch, one step-slab evaluation at a time.
-
-    With ``include_terminal=False`` only the running-cost quadrature is
-    returned (used when chaining a partial horizon into a value-grid read).
-    """
-    n_paths = batch.n_paths
-    n_steps = batch.states.shape[1] - 1
-    totals = np.zeros(n_paths)
-    mu_moments: dict = {}
-    nu_moments: dict = {}
-    for k in range(n_steps):
-        mu_b = MeasureBatch(batch.mu_pool, batch.mu_idx[:, k], mu_moments)
-        nu_b = MeasureBatch(batch.nu_pool, batch.nu_idx[:, k], nu_moments)
-        totals += model.running_cost_at(
-            float(batch.times[k]), batch.states[:, k, :], batch.regimes[:, k], mu_b, nu_b
-        ) * batch.dt
-    if include_terminal:
-        totals += model.terminal_cost_at(batch.states[:, -1, :])
-    if not np.all(np.isfinite(totals)):
-        raise NumericalError("a pathwise cost is not finite")
-    return totals
-
-
 def _chunk_costs(args) -> np.ndarray:
-    """Pathwise costs of one chunk, summed by the engine as it steps; an
-    antithetic chunk averages a plain and a Brownian-mirrored pass over the
-    same paths."""
+    """Pathwise costs of one chunk: the engine's running sums plus g at each
+    path's end state; an antithetic chunk averages a plain and a
+    Brownian-mirrored pass over the same paths."""
     sim, antithetic = args
-    # looked up on the module, where the benchmark tracer wraps the engine
-    costs = dynamics._simulate_block(*sim, costing=True).costs
-    if antithetic:
-        costs = 0.5 * (costs + dynamics._simulate_block(*sim, flip_brownian=True, costing=True).costs)
-    return costs
+    model = sim[0]
+    passes = []
+    for flip in (False, True) if antithetic else (False,):
+        # looked up on the module, where the benchmark tracer wraps the engine
+        chunk = dynamics._simulate_block(*sim, flip_brownian=flip, costing=True)
+        costs = chunk.running + model.terminal_cost_at(chunk.x)
+        if not np.all(np.isfinite(costs)):
+            raise NumericalError("a pathwise cost is not finite")
+        passes.append(costs)
+    return passes[0] if len(passes) == 1 else 0.5 * (passes[0] + passes[1])
 
 
 def monte_carlo_cost(

@@ -333,20 +333,13 @@ class SolverKernels:
     def stage_values(self, k: int, i: int, v_next: np.ndarray) -> np.ndarray:
         """One-step operator at slice k, regime i, for every candidate pair.
 
-        ``v_next`` is the (n_nodes, N) next-slice table shared by all pairs,
-        or an (n_pairs, n_nodes, N) stack with one table per pair.  Returns
-        the (n_pairs, n_nodes) stage values: one sparse product per mu, and
-        per element the same operations as a per-pair evaluation, so the
-        solver, the residual check and per-pair references agree bit for bit.
+        ``v_next`` is the (n_nodes, N) next-slice table shared by all pairs.
+        Returns the (n_pairs, n_nodes) stage values: one sparse product per
+        mu, and per element the same operations as a per-pair evaluation, so
+        the solver, the residual check and per-pair references agree bit for
+        bit.
         """
-        move, n = self.move[i - 1], self.n_nodes
-        if v_next.ndim == 2:
-            ev = np.stack([m @ v_next for m in move])[self.pair_mu]
-        else:
-            n_pairs = v_next.shape[0]
-            cols = v_next.transpose(1, 0, 2).reshape(n, -1)
-            ev = np.stack([m @ cols for m in move]).reshape(len(move), n, n_pairs, -1)
-            ev = ev[self.pair_mu, :, np.arange(n_pairs)]
+        ev = np.stack([m @ v_next for m in self.move[i - 1]])[self.pair_mu]
         cont = np.einsum("pnj,pnj->pn", self.regime_rows[i - 1][self.pair_nu], ev)
         if self.cached_costs is not None:
             return self.cached_costs[i - 1] + cont
@@ -508,7 +501,8 @@ def dpp_residual(value_grid: ValueGrid, model: HybridModel, k_from: int, k_to: i
     nodes = np.arange(kern.n_nodes)
 
     # side A chains the one-step operator with the stored per-step minimizers;
-    # side B holds each candidate pair fixed on the whole window, one table per pair
+    # side B holds each candidate pair fixed on the whole window, one table per
+    # pair: pair p's next table is row p of the operator on its own table
     chained = value_grid.values[k_to].copy()
     held = np.repeat(chained[None], len(kern.pair_mu), axis=0)
     for k in range(k_to - 1, k_from - 1, -1):
@@ -517,7 +511,7 @@ def dpp_residual(value_grid: ValueGrid, model: HybridModel, k_from: int, k_to: i
             # pair (mi, ni) sits at mi * n_nu + ni
             stored = value_grid.policy_mu[k][:, i - 1] * n_nu + value_grid.policy_nu[k][:, i - 1]
             nxt[:, i - 1] = kern.stage_values(k, i, chained)[stored, nodes]
-            held_nxt[:, :, i - 1] = kern.stage_values(k, i, held)
+            held_nxt[:, :, i - 1] = [kern.stage_values(k, i, table)[p] for p, table in enumerate(held)]
         chained, held = nxt, held_nxt
 
     return float(np.max(np.abs(chained - np.min(held, axis=0))))

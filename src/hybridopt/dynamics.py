@@ -27,8 +27,10 @@ work on one chunk: it yields one ``PathBatch`` per chunk, so a caller that
 consumes each chunk holds one at a time.  ``simulate_paths`` only
 concatenates them; a single path is a batch of one.  A ``PathBatch`` keeps
 states, regimes and per-step control pool indices, not the Brownian draws.
-In its costing mode, which ``cost`` uses, the same step loop sums each path's
-cost as it goes and keeps only the states a history-reading control needs.
+In its costing mode the same step loop sums each path's running cost as it
+goes, keeps only the states a history-reading control needs, and returns the
+sums with each path's end state and regime: ``cost`` adds the terminal cost
+there, and the ``dpp`` check the value grid's next slice.
 """
 from __future__ import annotations
 
@@ -184,9 +186,9 @@ class HybridModel:
             env["i"] = float(i + 1)
             for what, table in (("drift", self.drift[i]), ("diffusion", self.diffusion[i])):
                 for e in np.ravel(table):
-                    _finite_or_raise(ex.evaluate(e, env), what)
-        _finite_or_raise(ex.evaluate(self.running_cost, env), "running_cost")
-        _finite_or_raise(ex.evaluate(self.terminal_cost, env), "terminal_cost")
+                    _finite_or_raise(e(env), what)
+        _finite_or_raise(self.running_cost(env), "running_cost")
+        _finite_or_raise(self.terminal_cost(env), "terminal_cost")
         self.rates.generator(mid[None], probe)
 
     def default_start(self) -> tuple[np.ndarray, int]:
@@ -252,7 +254,6 @@ class PathBatch:
     """Vectorized bundle of paths sharing the control's candidate pools."""
 
     __slots__ = (
-        "dt",
         "times",
         "states",
         "regimes",
@@ -264,8 +265,7 @@ class PathBatch:
         "clamp_count",
     )
 
-    def __init__(self, dt, times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, path_indices, clamp_count):
-        self.dt = dt
+    def __init__(self, times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, path_indices, clamp_count):
         self.times = times
         self.states = states
         self.regimes = regimes
@@ -276,17 +276,12 @@ class PathBatch:
         self.path_indices = path_indices
         self.clamp_count = clamp_count
 
-    @property
-    def n_paths(self) -> int:
-        return self.states.shape[0]
-
     @staticmethod
     def concatenate(blocks: list["PathBatch"]) -> "PathBatch":
         head = blocks[0]
         if len(blocks) == 1:
             return head
         return PathBatch(
-            head.dt,
             head.times,
             np.concatenate([b.states for b in blocks]),
             np.concatenate([b.regimes for b in blocks]),
@@ -299,8 +294,9 @@ class PathBatch:
         )
 
 
-# a chunk costed by ``_simulate_block``: each path's cost, and the clamp count
-CostedChunk = namedtuple("CostedChunk", "costs clamp_count")
+# a chunk costed by ``_simulate_block``: each path's running-cost sum, the
+# clamp count, and each path's end state (n, d) and regime (n,)
+CostedChunk = namedtuple("CostedChunk", "running clamp_count x regimes")
 
 
 def grid_steps(s: float, t_end: float, dt: float) -> int:
@@ -331,9 +327,10 @@ def _simulate_block(
     increments.  Regimes come from ``interval_draw``, and only its straddlers
     (1.6e-5 of the draws at dt * M = 0.004, N = 2) get full rows, computed per
     path: the same bits.  With ``costing`` no path is recorded: each step adds
-    f * dt at its own measure batches, in ``batch_costs``' order, to a
-    ``CostedChunk`` that ends with g(x_n); state and regimes are carried as
-    contiguous arrays, states kept only for a control that ``reads_history``."""
+    f * dt at its own measure batches to a running sum, left-point order from
+    zero, and the ``CostedChunk`` holds those sums with the end state and
+    regime; state and regimes are carried as contiguous arrays, states kept
+    only for a control that ``reads_history``."""
     n_steps = grid_steps(s, t_end, dt)
     check_step(model.rates, dt)
     d = model.state_dim
@@ -414,12 +411,9 @@ def _simulate_block(
             regimes[:, k + 1] = lam_next
 
     if costing:
-        totals += model.terminal_cost_at(x_k)
-        if not np.all(np.isfinite(totals)):
-            raise NumericalError("a pathwise cost is not finite")
-        return CostedChunk(totals, clamp_count)
+        return CostedChunk(totals, clamp_count, x_k, lam_k)
     paths = np.arange(n_paths) + block * rng.BLOCK_PATHS
-    return PathBatch(dt, times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, paths, clamp_count)
+    return PathBatch(times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, paths, clamp_count)
 
 
 def _block_args(args):

@@ -342,13 +342,6 @@ class Compiled:
         return Compiled, (self.node,)
 
 
-def evaluate(expr, env: dict):
-    """Evaluate a ``Compiled`` expression, or an AST compiled for this one call.
-    Returns a float for scalar environments and an ndarray for batched ones."""
-    value = (expr if isinstance(expr, Compiled) else Compiled(expr))(env)
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def _require(env: dict, key: str, node: Expr):
     if key not in env or env[key] is None:
         raise UsageError(f"expression references {key!r} but the environment lacks it at {_loc(node)}")

@@ -32,11 +32,11 @@ import numpy as np
 
 from . import config as cfg
 from . import expr as ex
-from . import rng
+from . import dynamics, rng
 from .control import ConstantControl, MeasureBatch, TableControl
-from .cost import batch_costs, monte_carlo_cost
+from .cost import monte_carlo_cost
 from .dpp_solver import GridSpec, SolverKernels, ValueGrid, dpp_residual, solve
-from .dynamics import HybridModel, growth_ratio, simulate_paths
+from .dynamics import HybridModel, chunk_args, growth_ratio, simulate_paths
 from .errors import CapacityError, NumericalError, ValidationError
 from .measure_space import (
     ActionSet,
@@ -65,7 +65,7 @@ class CheckReport:
     """Outcome of one verification check.
 
     ``margin`` is the binding slack: min over sub-checks of
-    scaled tolerance - observed deviation (nonnegative iff the check passed).
+    tolerance - observed deviation (nonnegative iff the check passed).
     """
 
     __slots__ = ("name", "passed", "margin", "tolerance", "details", "elapsed")
@@ -89,16 +89,15 @@ class CheckReport:
         }
 
 
-def _finish(name, t0, scale, triples, details=None) -> CheckReport:
-    """Fold (label, observed, tolerance) sub-checks into one report, each
-    tolerance multiplied by ``scale``.  A non-finite observed value fails
-    its subcheck with slack -inf."""
+def _finish(name, t0, triples, details=None) -> CheckReport:
+    """Fold (label, observed, tolerance) sub-checks into one report.  A
+    non-finite observed value fails its subcheck with slack -inf."""
     details = {} if details is None else details
     margin = math.inf
     binding_tol = 0.0
     passed = True
     for label, observed, tol in triples:
-        slack = tol * scale - observed if math.isfinite(observed) else -math.inf
+        slack = tol - observed if math.isfinite(observed) else -math.inf
         if slack < margin:
             margin = slack
             binding_tol = tol
@@ -280,10 +279,12 @@ def _dpp_subchecks(model, grid, mu_candidates, nu_candidates, intermediate_k, x0
     policy = TableControl(vg)
     t_mid = float(vg.times[intermediate_k])
     start_x, start_i = np.atleast_1d(np.asarray(x0, dtype=float)), int(i0)
-    batch = simulate_paths(model, policy, 0.0, start_x, start_i, t_mid, vg.dt, seed, path_count)
-    running = batch_costs(model, batch, include_terminal=False)
-    tails = vg.values_at(t_mid, batch.states[:, -1, :], batch.regimes[:, -1])
-    samples = running + tails
+    # the engine's running sums, costed as ``cost`` costs them, with V(t_mid) in place of g
+    samples = []
+    for sim in chunk_args(model, policy, 0.0, start_x, start_i, t_mid, vg.dt, seed, path_count):
+        chunk = dynamics._simulate_block(*sim, costing=True)
+        samples.append(chunk.running + vg.values_at(t_mid, chunk.x, chunk.regimes))
+    samples = np.concatenate(samples)
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / np.sqrt(path_count))
     v0 = vg.value_at(0.0, start_x, start_i)
@@ -401,7 +402,7 @@ def _model_1d(rates, rate_bound, drift, diffusion, running, terminal="0", horizo
     )
 
 
-def check_w1_metric(scale: float = 1.0) -> CheckReport:
+def check_w1_metric() -> CheckReport:
     """Metric axioms, Dirac distances, diameter bound, and LP agreement of the
     CDF ([0,1]) and small-pair ([0,1]^2) closed forms on 500 random measure
     pairs/triples.  Each space draws its triples, then its Dirac points, and
@@ -443,7 +444,7 @@ def check_w1_metric(scale: float = 1.0) -> CheckReport:
         ("cdf_vs_lp", cdf_lp_worst, 1e-9),
         ("trees_vs_lp", tree_lp_worst, 1e-9),
     ]
-    return _finish("w1_metric", t0, scale, triples)
+    return _finish("w1_metric", t0, triples)
 
 
 def transition_matrix(rates: RateSpec, x, nu, dt: float) -> np.ndarray:
@@ -455,7 +456,7 @@ def transition_matrix(rates: RateSpec, x, nu, dt: float) -> np.ndarray:
     return np.clip(expm(rates.generator(np.reshape(x, (1, -1)), nu)[0] * dt), 0.0, None)
 
 
-def check_intervals(scale: float = 1.0) -> CheckReport:
+def check_intervals() -> CheckReport:
     """The uniformized jump kernel on 200 random rate evaluations plus one
     with an exit rate at the bound: nonnegative, stochastic, and its series
     rows equal to expm at dt * M = DT_RATE_CAP; then the jump law of a fixed
@@ -519,7 +520,7 @@ def check_intervals(scale: float = 1.0) -> CheckReport:
         ("rows_match_expm", expm_worst, 1e-15),
         ("jump_law_within_3se", law_worst, 3.0),
     ]
-    return _finish("intervals", t0, scale, triples)
+    return _finish("intervals", t0, triples)
 
 
 def _two_state_chain():
@@ -533,7 +534,7 @@ def _two_state_chain():
 _LAW_PATHS = 10_000
 
 
-def check_switching_law(scale: float = 1.0) -> CheckReport:
+def check_switching_law() -> CheckReport:
     """Two-state constant-rate chain: occupation of regime 2 at T = 1 against
     the exact law 1 - e^{-1}."""
     t0 = time.perf_counter()
@@ -543,10 +544,10 @@ def check_switching_law(scale: float = 1.0) -> CheckReport:
     p_true = 1.0 - math.exp(-1.0)
     se = math.sqrt(p_true * (1 - p_true) / _LAW_PATHS)
     details = {"fraction": frac, "target": p_true, "stderr": se}
-    return _finish("switching_law", t0, scale, [("occupation_at_T", abs(frac - p_true), 3 * se)], details)
+    return _finish("switching_law", t0, [("occupation_at_T", abs(frac - p_true), 3 * se)], details)
 
 
-def check_diffusion_law(scale: float = 1.0) -> CheckReport:
+def check_diffusion_law() -> CheckReport:
     """Driftless unit diffusion, one regime: X_T has mean x0 and variance T."""
     t0 = time.perf_counter()
     model = _model_1d([[None]], 0.0, ["0"], ["1"], "0", box=8.0)
@@ -561,10 +562,10 @@ def check_diffusion_law(scale: float = 1.0) -> CheckReport:
         ("terminal_mean", abs(mean - 0.0), 3 * se_mean),
         ("terminal_variance_within_5pct", abs(var - 1.0), 0.05),
     ]
-    return _finish("diffusion_law", t0, scale, triples, details)
+    return _finish("diffusion_law", t0, triples, details)
 
 
-def check_cost_oracle(scale: float = 1.0) -> CheckReport:
+def check_cost_oracle() -> CheckReport:
     """Regime-occupation running cost against the closed form 1 + e^{-1}."""
     t0 = time.perf_counter()
     model, control = _two_state_chain()
@@ -573,7 +574,7 @@ def check_cost_oracle(scale: float = 1.0) -> CheckReport:
     target = 1.0 + math.exp(-1.0)
     tol = 3 * est.stderr + 2 * dt
     details = {"estimate": est.mean, "target": target, "stderr": est.stderr}
-    return _finish("cost_oracle", t0, scale, [("occupation_cost", abs(est.mean - target), tol)], details)
+    return _finish("cost_oracle", t0, [("occupation_cost", abs(est.mean - target), tol)], details)
 
 
 def _regime_cost_instance():
@@ -622,7 +623,7 @@ _LATTICE_INSTANCES = (
 )
 
 
-def check_solver_oracle(scale: float = 1.0) -> CheckReport:
+def check_solver_oracle() -> CheckReport:
     """Backward solver against the exhaustive lattice oracle on three
     instances, including the regime-cost instance with V(0, ., 1) = 1; plus
     a spot check of the solver's batched two-state transition rows against
@@ -649,10 +650,10 @@ def check_solver_oracle(scale: float = 1.0) -> CheckReport:
         q12 = 0.4 * nu.moment(1, 0)
         scalar = np.array([math.exp(-q12 * dt), 1.0 - math.exp(-q12 * dt)])
         triples.append((f"two_state_scalar_{label}", float(np.max(np.abs(row - scalar))), 1e-12))
-    return _finish("solver_oracle", t0, scale, triples)
+    return _finish("solver_oracle", t0, triples)
 
 
-def check_dpp_battery(scale: float = 1.0) -> CheckReport:
+def check_dpp_battery() -> CheckReport:
     """Criterion-style DPP check on three instances."""
     t0 = time.perf_counter()
     triples = []
@@ -662,7 +663,7 @@ def check_dpp_battery(scale: float = 1.0) -> CheckReport:
         x0, i0 = model.default_start()
         subs, details[label] = _dpp_subchecks(model, grid, mu_c, nu_c, grid.time_steps // 2, x0, i0, 4000, 606)
         triples += [(f"{label}:{sub}", observed, tol) for sub, observed, tol in subs]
-    return _finish("dpp", t0, scale, triples, details)
+    return _finish("dpp", t0, triples, details)
 
 
 def _moduli(vg: ValueGrid) -> tuple[float, float]:
@@ -673,7 +674,7 @@ def _moduli(vg: ValueGrid) -> tuple[float, float]:
     return lip_x, lip_t
 
 
-def check_continuity(scale: float = 1.0) -> CheckReport:
+def check_continuity() -> CheckReport:
     """Empirical space/time Lipschitz moduli of V stay within a factor 2
     under grid doubling, and refinement does not raise V at a fixed point by
     more than the discretization tolerance."""
@@ -708,10 +709,10 @@ def check_continuity(scale: float = 1.0) -> CheckReport:
         ("lip_t_stable_2x", ratio_t, 2.0),
         ("upward_within_tol", float(upward), tol),
     ]
-    return _finish("continuity", t0, scale, triples, details)
+    return _finish("continuity", t0, triples, details)
 
 
-def check_minimizing_sequence_battery(scale: float = 1.0) -> CheckReport:
+def check_minimizing_sequence_battery() -> CheckReport:
     """Ten mixtures of the regime-cost instance's two nu candidates,
     interpolating the switch rate downward, followed by the extracted policy."""
     t0 = time.perf_counter()
@@ -719,10 +720,10 @@ def check_minimizing_sequence_battery(scale: float = 1.0) -> CheckReport:
     weights = np.linspace(1.0, 0.1, 10)
     controls = [ConstantControl(mu_c[0], mixture(nu_c, [1.0 - w, w])) for w in weights]
     subchecks = _minimizing_sequence_subchecks(model, grid, mu_c, nu_c, controls, [0.0], 1, 2000, 707)
-    return _finish("minimizing_sequence", t0, scale, *subchecks)
+    return _finish("minimizing_sequence", t0, *subchecks)
 
 
-def check_moment_bound_battery(scale: float = 1.0) -> CheckReport:
+def check_moment_bound_battery() -> CheckReport:
     """Mean-reverting unit-noise instance, p = 2, against the Gronwall constant."""
     t0 = time.perf_counter()
     model = _model_1d([[None]], 0.0, ["-x1"], ["1"], "0", box=8.0)
@@ -734,10 +735,10 @@ def check_moment_bound_battery(scale: float = 1.0) -> CheckReport:
     )
     violation = max(marginal_sup - details["estimate"] - 3 * details["stderr"], 0.0)
     triples.append(("dominates_marginal_sup", violation, 0.0))
-    return _finish("moment_bound", t0, scale, triples, details)
+    return _finish("moment_bound", t0, triples, details)
 
 
-def check_determinism(scale: float = 1.0) -> CheckReport:
+def check_determinism() -> CheckReport:
     """CLI-level byte determinism: solve twice, simulate twice at workers 1
     and once at workers 8 over two path chunks."""
     import contextlib
@@ -782,7 +783,7 @@ def check_determinism(scale: float = 1.0) -> CheckReport:
         ("simulate_repeat_identical", 0.0 if sim_repeat else 1.0, 0.0),
         ("simulate_workers_1_vs_8", 0.0 if sim_workers else 1.0, 0.0),
     ]
-    return _finish("determinism", t0, scale, triples, details)
+    return _finish("determinism", t0, triples, details)
 
 
 #: The bundled demo suite, in acceptance order.
@@ -801,11 +802,11 @@ BATTERY = {
 }
 
 
-def run_battery(names=None, tolerance_scale: float = 1.0) -> list[CheckReport]:
+def run_battery(names=None) -> list[CheckReport]:
     """Run the named checks (all by default) and return their reports."""
     if names is None:
         names = list(BATTERY)
     unknown = [n for n in names if n not in BATTERY]
     if unknown:
         raise ValidationError(f"unknown checks: {unknown}; available: {list(BATTERY)}")
-    return [BATTERY[name](tolerance_scale) for name in names]
+    return [BATTERY[name]() for name in names]

@@ -437,7 +437,6 @@ def path_batches(draw):
     )))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return PathBatch(
-        0.1,
         gen.choice(values, n_steps + 1),
         gen.choice(values, (n_paths, n_steps + 1, d)),
         gen.integers(1, regime_count + 1, (n_paths, n_steps + 1)),
@@ -767,14 +766,23 @@ class TestVerify:
         code = cli.main(["verify", "--check", "solver_oracle", "intervals", "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
+        # the same top-level keys as the report of an empty check list
+        assert set(doc) == {"pass", "checks"}
         assert doc["pass"] is True
         assert {c["name"] for c in doc["checks"]} == {"solver_oracle", "intervals"}
         for c in doc["checks"]:
             assert set(c) >= {"name", "pass", "margin", "tolerance"}
 
-    def test_tampered_tolerance_fails(self):
-        code = cli.main(["verify", "--check", "solver_oracle", "--tolerance-scale", "0"])
-        assert code == 6
+    def test_tampered_tolerance_fails(self, monkeypatch, tmp_path):
+        from hybridopt import oracle_verify
+
+        # refinement lowers V at continuity's probe, so a negative tolerance fails it
+        monkeypatch.setattr(oracle_verify, "tol_disc", lambda model, vg: -1.0)
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--check", "continuity", "--out", str(out)]) == 6
+        doc = json.loads(out.read_text())
+        assert doc["pass"] is False
+        assert doc["checks"][0]["details"]["failed"] == ["upward_within_tol"]
 
     def test_empty_check_list_warns(self, capsys):
         assert cli.main(["verify", "--check"]) == 0

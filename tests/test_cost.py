@@ -10,6 +10,7 @@ from hybridopt import (
     GridSpec,
     HybridModel,
     MarkovControl,
+    MeasureBatch,
     NumericalError,
     PathDependentControl,
     RateSpec,
@@ -17,7 +18,6 @@ from hybridopt import (
     SimulationError,
     ValidationError,
     ValueGrid,
-    batch_costs,
     dirac,
     dynamics,
     monte_carlo_cost,
@@ -27,10 +27,22 @@ from hybridopt import (
 from tests.conftest import const_control, make_model
 
 
+def reference_costs(model, batch, dt):
+    """The pathwise costs of a recorded batch of step dt, summed one step slab
+    at a time: the left-point sum of f * dt from zero, then g(X_n)."""
+    totals = np.zeros(batch.states.shape[0])
+    mu_moments, nu_moments = {}, {}
+    for k in range(batch.states.shape[1] - 1):
+        mu_b = MeasureBatch(batch.mu_pool, batch.mu_idx[:, k], mu_moments)
+        nu_b = MeasureBatch(batch.nu_pool, batch.nu_idx[:, k], nu_moments)
+        totals += model.running_cost_at(float(batch.times[k]), batch.states[:, k, :], batch.regimes[:, k], mu_b, nu_b) * dt
+    return totals + model.terminal_cost_at(batch.states[:, -1, :])
+
+
 def single_cost(model, x0):
-    """batch_costs of a batch of one path on the 0.25 grid over [0, 1]."""
+    """The cost of a batch of one path on the 0.25 grid over [0, 1]."""
     batch = simulate_paths(model, const_control(model), 0.0, x0, 1, 1.0, 0.25, 0, 1)
-    costs = batch_costs(model, batch)
+    costs = reference_costs(model, batch, 0.25)
     assert costs.shape == (1,)
     return costs[0]
 
@@ -52,14 +64,14 @@ class TestPathwiseCost:
     def test_batch_matches_single(self, chain_model):
         control = const_control(chain_model)
         batch = simulate_paths(chain_model, control, 0.0, [0.0], 1, 1.0, 0.01, 3, 16)
-        vec = batch_costs(chain_model, batch)
+        vec = reference_costs(chain_model, batch, 0.01)
         # running cost i, terminal 0: the left-point sum of the regime path
         closed = 0.01 * batch.regimes[:, :-1].sum(axis=1)
         np.testing.assert_allclose(vec, closed, rtol=0, atol=1e-12)
         # path j costs the same as the last path of the batch 0..j
         for j in (0, 7, 15):
             prefix = simulate_paths(chain_model, control, 0.0, [0.0], 1, 1.0, 0.01, 3, j + 1)
-            assert batch_costs(chain_model, prefix)[j] == vec[j]
+            assert reference_costs(chain_model, prefix, 0.01)[j] == vec[j]
 
 
 class TestMonteCarloCost:
@@ -203,7 +215,11 @@ class TestStreamedCosts:
         sim = (model, control, 0.0, [0.1], 1, 1.0, 0.04, 11)
         recorded = simulate_paths(*sim, rng.BLOCK_PATHS + 8)
         costed = [dynamics._simulate_block(*a, costing=True) for a in dynamics.chunk_args(*sim, rng.BLOCK_PATHS + 8)]
-        assert np.array_equal(np.concatenate([c.costs for c in costed]), batch_costs(model, recorded))
+        running = np.concatenate([c.running for c in costed])
+        assert np.array_equal(running + model.terminal_cost_at(recorded.states[:, -1, :]),
+                              reference_costs(model, recorded, 0.04))
+        assert np.array_equal(np.concatenate([c.x for c in costed]), recorded.states[:, -1, :])
+        assert np.array_equal(np.concatenate([c.regimes for c in costed]), recorded.regimes[:, -1])
         assert sum(c.clamp_count for c in costed) == recorded.clamp_count
         assert (recorded.clamp_count > 0) == clamp
         if n > 1:

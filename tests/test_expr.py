@@ -11,7 +11,6 @@ from hybridopt import (
     NumericalError,
     UsageError,
     dirac,
-    evaluate,
     mixture,
     parse,
     to_source,
@@ -30,10 +29,10 @@ class TestGrammar:
         )
 
     def test_power_right_associative(self):
-        assert evaluate(parse("2^3^2"), {}) == 512.0
+        assert Compiled(parse("2^3^2"))({}) == 512.0
 
     def test_unary_binds_below_power(self):
-        assert evaluate(parse("-2^2"), {}) == -4.0
+        assert Compiled(parse("-2^2"))({}) == -4.0
 
     def test_syntax_error_position(self):
         with pytest.raises(ExprError) as err:
@@ -67,51 +66,51 @@ class TestGrammar:
 
 class TestEvaluate:
     def test_square(self):
-        assert evaluate(parse("x1*x1"), {"x": np.array([3.0])}) == 9.0
+        assert Compiled(parse("x1*x1"))({"x": np.array([3.0])}) == 9.0
 
     def test_moment(self, unit_interval):
         m = mixture([dirac(unit_interval, [0.0]), dirac(unit_interval, [1.0])], [0.5, 0.5])
-        assert evaluate(parse("mu_m(1,0)"), {"mu": m}) == 0.5
+        assert Compiled(parse("mu_m(1,0)"))({"mu": m}) == 0.5
 
     def test_exp(self):
-        assert evaluate(parse("exp(-t)"), {"t": 1.0}) == 0.36787944117144233
+        assert Compiled(parse("exp(-t)"))({"t": 1.0}) == 0.36787944117144233
 
     def test_min_max_abs_sqrt(self):
         env = {"x": np.array([-2.0, 3.0])}
-        assert evaluate(parse("min(x1, x2)"), env) == -2.0
-        assert evaluate(parse("max(abs(x1), sqrt(x2 + 1))"), env) == 2.0
+        assert Compiled(parse("min(x1, x2)"))(env) == -2.0
+        assert Compiled(parse("max(abs(x1), sqrt(x2 + 1))"))(env) == 2.0
 
     def test_vectorized(self):
-        out = evaluate(parse("x1 + i"), {"x": np.array([[1.0], [2.0]]), "i": np.array([1.0, 2.0])})
+        out = Compiled(parse("x1 + i"))({"x": np.array([[1.0], [2.0]]), "i": np.array([1.0, 2.0])})
         assert out.tolist() == [2.0, 4.0]
 
     def test_division_by_zero(self):
         with pytest.raises(NumericalError, match="division by zero"):
-            evaluate(parse("1/(x1 - 1)"), {"x": np.array([1.0])})
+            Compiled(parse("1/(x1 - 1)"))({"x": np.array([1.0])})
 
     def test_literal_divisor(self):
         # a nonzero literal divisor skips the zero check; a zero literal keeps it
-        assert evaluate(parse("x1/4"), {"x": np.array([2.0])}) == 0.5
+        assert Compiled(parse("x1/4"))({"x": np.array([2.0])}) == 0.5
         with pytest.raises(NumericalError, match="division by zero"):
-            evaluate(parse("x1/0"), {"x": np.array([2.0])})
+            Compiled(parse("x1/0"))({"x": np.array([2.0])})
 
     def test_log_domain(self):
         with pytest.raises(NumericalError, match="log"):
-            evaluate(parse("log(x1)"), {"x": np.array([-1.0])})
+            Compiled(parse("log(x1)"))({"x": np.array([-1.0])})
 
     def test_sqrt_domain(self):
         with pytest.raises(NumericalError, match="sqrt"):
-            evaluate(parse("sqrt(x1)"), {"x": np.array([-1.0])})
+            Compiled(parse("sqrt(x1)"))({"x": np.array([-1.0])})
 
     def test_missing_variable(self):
         with pytest.raises(UsageError, match="references 't'"):
-            evaluate(parse("t + 1"), {})
+            Compiled(parse("t + 1"))({})
 
     def test_moment_free_ignores_measures(self, unit_interval):
         node = parse("x1 + t")
         env = {"x": np.array([1.0]), "t": 2.0}
         with_measure = dict(env, mu=dirac(unit_interval, [0.3]))
-        assert evaluate(node, env) == evaluate(node, with_measure) == 3.0
+        assert Compiled(node)(env) == Compiled(node)(with_measure) == 3.0
 
 
 def _leaf():

@@ -36,17 +36,17 @@ from tests.conftest import const_control, make_model
 # for one instance.
 def fold_dpp(model, grid, mu_c, nu_c, intermediate_k, x0, i0, path_count, seed):
     subchecks = _dpp_subchecks(model, grid, mu_c, nu_c, intermediate_k, x0, i0, path_count, seed)
-    return _finish("dpp", time.perf_counter(), 1.0, *subchecks)
+    return _finish("dpp", time.perf_counter(), *subchecks)
 
 
 def fold_minimizing_sequence(model, grid, mu_c, nu_c, controls, x0, i0, path_count, seed):
     subchecks = _minimizing_sequence_subchecks(model, grid, mu_c, nu_c, controls, x0, i0, path_count, seed)
-    return _finish("minimizing_sequence", time.perf_counter(), 1.0, *subchecks)
+    return _finish("minimizing_sequence", time.perf_counter(), *subchecks)
 
 
 def fold_moment_bound(model, control, p, path_count, seed, x0, i0, t_end, dt):
     subchecks = _moment_bound_subchecks(model, control, p, path_count, seed, x0, i0, t_end, dt)
-    return _finish("moment_bound", time.perf_counter(), 1.0, *subchecks)
+    return _finish("moment_bound", time.perf_counter(), *subchecks)
 
 
 def tiny_instance(n_nodes=2, n_steps=2):
@@ -341,15 +341,15 @@ class TestContinuityGate:
 class TestFinish:
     @pytest.mark.parametrize("observed", [math.nan, math.inf, -math.inf])
     def test_non_finite_observed_value_fails(self, observed):
-        rep = _finish("x", time.perf_counter(), 1.0, [("a", observed, 0.0), ("b", 0.0, 1.0)])
+        rep = _finish("x", time.perf_counter(), [("a", observed, 0.0), ("b", 0.0, 1.0)])
         assert not rep.passed
         assert rep.details["failed"] == ["a"]
         assert rep.margin == -math.inf
 
     def test_finite_values_fold_as_before(self):
-        rep = _finish("x", time.perf_counter(), 2.0, [("a", 0.5, 1.0), ("b", 0.0, 0.0)])
+        rep = _finish("x", time.perf_counter(), [("a", 0.5, 1.0), ("b", 0.0, 0.0)])
         assert rep.passed and rep.margin == 0.0 and rep.tolerance == 0.0
-        rep = _finish("x", time.perf_counter(), 1.0, [("a", 1.5, 1.0)])
+        rep = _finish("x", time.perf_counter(), [("a", 1.5, 1.0)])
         assert not rep.passed and rep.margin == -0.5 and rep.details["failed"] == ["a"]
 
 
