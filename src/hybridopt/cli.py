@@ -230,7 +230,7 @@ def cmd_validate(args) -> int:
     model, payload = cfg.load_model(args.model)
     report = validate_model(model, args.samples, args.seed)
     doc = report.to_dict()
-    doc["config_hash"] = cfg.config_hash(payload)
+    doc["config_hash"] = cfg.config_hash({"model": payload, "samples": args.samples, "seed": args.seed})
     _print_artifact(args.out, doc)
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
 

@@ -100,6 +100,18 @@ class TestValidate:
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["validate", "--model", str(tmp_path / "nope.json")]) == 2
 
+    def test_hash_names_the_run(self, mean_reverting_model, capsys):
+        # the report's hash covers the model, the sample count and the seed
+        def run_hash(samples, seed):
+            argv = ["validate", "--model", str(mean_reverting_model), "--samples", samples, "--seed", seed]
+            assert cli.main(argv) == 0
+            return json.loads(capsys.readouterr().out)["config_hash"]
+
+        base = run_hash("100", "1")
+        assert run_hash("100", "1") == base
+        assert run_hash("100", "2") != base
+        assert run_hash("200", "1") != base
+
     def test_understated_growth_exits_3(self, mean_reverting_model, tmp_path, capsys):
         # |b| + |sigma| = |x| + 1 on the OU model: growth 1 holds, 0.9 does not
         payload = json.loads(mean_reverting_model.read_text())
