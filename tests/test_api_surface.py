@@ -1,11 +1,15 @@
-"""Every name the package exports is used by the package itself.
+"""Every name the package exports is used by the package itself, and every
+command-line option is read by the command that accepts it.
 
 A function that only tests call is API nobody runs; it should be deleted and
-its tests ported to the calls the program makes.  This scan keeps such
-exports from growing back.
+its tests ported to the calls the program makes.  An option no command reads
+is a knob that does nothing.  These scans keep both from growing back.
 """
+import argparse
 import ast
 from pathlib import Path
+
+from hybridopt import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hybridopt"
 
@@ -91,3 +95,44 @@ def unread_parameters() -> list:
 def test_every_parameter_is_read():
     unread = unread_parameters()
     assert not unread, f"parameters that no definition of the function reads: {unread}"
+
+
+# options a command accepts and does not read, with the reason
+IGNORED_OPTIONS = {
+    ("solve", "workers"): "perfbench's Solve2d job passes it; it goes together with that argv",
+    ("validate", "workers"): "perfbench's Validate2d job passes it; it goes together with that argv",
+}
+
+
+def _args_reads(func) -> set:
+    """The attributes ``func`` reads off ``args``."""
+    return {
+        n.attr for n in ast.walk(func)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"
+    }
+
+
+def unread_options() -> list:
+    """(command, dest) of each subcommand option that is read as ``args.<dest>``
+    neither by its ``cmd_<command>``, nor by a helper it hands ``args`` to, nor
+    by ``main``."""
+    funcs = {n.name: n for n in ast.parse((SRC / "cli.py").read_text()).body if isinstance(n, ast.FunctionDef)}
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for command, parser in subparsers.choices.items():
+        cmd = funcs[f"cmd_{command}"]
+        helpers = {
+            c.func.id for c in ast.walk(cmd)
+            if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+            and any(isinstance(a, ast.Name) and a.id == "args" for a in c.args)
+        }
+        reads = set().union(*(_args_reads(funcs[name]) for name in {cmd.name, "main"} | helpers))
+        unread += [
+            (command, a.dest) for a in parser._actions
+            if not isinstance(a, argparse._HelpAction) and a.dest not in reads
+        ]
+    return sorted(unread)
+
+
+def test_every_cli_option_is_read():
+    assert unread_options() == sorted(IGNORED_OPTIONS)
