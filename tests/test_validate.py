@@ -186,12 +186,13 @@ def test_seed_reaches_the_sampler(tmp_path):
     reports = [json.loads(_run_validate(["--model", str(path), "--samples", "200", "--seed", s])[1]) for s in "01"]
     observed = [[c["observed"] for c in r["checks"]] for r in reports]
     assert observed[0] != observed[1]
-    # the hash names the model, not the sampling run
-    assert reports[0]["config_hash"] == reports[1]["config_hash"]
+    # the hash names the sampling run, seed included
+    assert reports[0]["config_hash"] != reports[1]["config_hash"]
 
 
 def test_demo_report_bytes_pinned(tmp_path):
-    # SHA-256 of the demo validate JSON as the per-sample loop wrote it
+    # SHA-256 of the demo validate JSON as the per-sample loop wrote it, with
+    # the hash of the run (model, samples and seed) in place of the model's
     model, control = tmp_path / "model.json", tmp_path / "control.json"
     cli.write_demo_config(model, control)
     for extra in ([], ["--seed", "0"]):
@@ -199,7 +200,7 @@ def test_demo_report_bytes_pinned(tmp_path):
         code, _ = _run_validate(["--model", str(model), "--out", str(out), *extra])
         assert code == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "b2c4e4081ae359f0b4316f6a035763a486eed230fc62445b54dd2cc2f79168c4"
+        assert digest == "445554d534682da0f3f799c4ba99d03886a3fc265d7d1ca8ad3907303ee9029d"
 
 
 def test_undeclared_constant_is_reported():
