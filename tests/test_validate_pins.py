@@ -82,6 +82,7 @@ def three_d_action_model() -> dict:
         (42, "8959ebf4924176974a30113cf08088064c252073f5e5cee649aed2933c02f800"),
         (77, "458fa74e95fbc25a33f2b414df4065f2bf107d63341016f1ceea392d298b568a"),
     ],
+    ids=["42", "77"],
 )
 def test_validate_2d_report_pinned(tmp_path, generator_seed, digest):
     assert _digest(tmp_path, validate_2d_model(generator_seed), 3) == digest
