@@ -26,7 +26,7 @@ from . import oracle_verify, rng
 from .control import candidate_set
 from .cost import monte_carlo_cost
 from .dpp_solver import GridSpec, solve
-from .dynamics import grid_steps, simulate_chunks, simulate_paths, validate_model
+from .dynamics import simulate_chunks, validate_model
 from .errors import CapacityError, HybridOptError, ModelError, NumericalError, SimulationError, ValidationError
 
 EXIT_OK = 0
@@ -53,9 +53,17 @@ def _default_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _worker_count(raw: str) -> int:
+    """A ``--workers`` value, at least 1; argparse reports a bad one, naming the flag (exit 2)."""
+    count = int(raw)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {count}")
+    return count
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="model config JSON")
-    p.add_argument("--workers", type=int, default=None, help="worker processes (default: HYBRIDOPT_WORKERS or CPU count)")
+    p.add_argument("--workers", type=_worker_count, default=None, help="worker processes (default: HYBRIDOPT_WORKERS or CPU count)")
     p.add_argument("--out", default=None, help="output file path")
 
 
@@ -145,10 +153,6 @@ def _run_hash(args, model_payload, control_payload, x0, i0, t0, horizon, antithe
 
 # paths per block of rows handed to the file by the CSV writer
 CSV_BLOCK_PATHS = 64
-#: Cap on paths x (steps + 1) x (d + 3) for ``simulate --out *.json``, which
-#: builds every path as nested lists before writing; at the cap a 1-D run
-#: peaks at about 0.9 GB RSS (see the README, "Path CSV").
-JSON_PATH_CELLS = 12_000_000
 
 
 def _csv_cells(pool, end: str = "") -> np.ndarray:
@@ -197,25 +201,19 @@ def _paths_to_csv(batch, fh) -> None:
         fh.write("".join(parts))
 
 
-def _paths_to_json(batch, hash_line: str) -> dict:
-    mu_dicts = [m.to_dict() for m in batch.mu_pool]
-    nu_dicts = [m.to_dict() for m in batch.nu_pool]
-    return {
-        "config_hash": hash_line,
-        "times": batch.times.tolist(),
-        "mu_pool": mu_dicts,
-        "nu_pool": nu_dicts,
-        "paths": [
-            {
-                "path": int(p),
-                "states": batch.states[row].tolist(),
-                "regimes": batch.regimes[row].tolist(),
-                "mu_index": batch.mu_idx[row].tolist(),
-                "nu_index": batch.nu_idx[row].tolist(),
-            }
-            for row, p in enumerate(batch.path_indices)
-        ],
-    }
+def _paths_to_json(batch, fh) -> None:
+    """Write each path of ``batch`` to ``fh`` as an entry of a path JSON's
+    ``paths`` list, with the "," of every entry but path 0's; ``cmd_simulate``
+    writes the text around the list (byte contract in the README, "Path CSV")."""
+    for row, p in enumerate(batch.path_indices.tolist()):
+        path = {
+            "path": p,
+            "states": batch.states[row].tolist(),
+            "regimes": batch.regimes[row].tolist(),
+            "mu_index": batch.mu_idx[row].tolist(),
+            "nu_index": batch.nu_idx[row].tolist(),
+        }
+        fh.write(("," if p else "") + "\n  " + cfg.artifact_json(path, 2))
 
 
 def _print_artifact(out, doc) -> None:
@@ -244,21 +242,23 @@ def cmd_simulate(args) -> int:
     workers = args.workers if args.workers is not None else _default_workers()
     run_hash = _run_hash(args, payload, control_payload, x0, i0, args.t0, t_end)
     sim = (model, control, args.t0, x0, i0, t_end, args.dt, args.seed, args.paths, workers)
-    if str(args.out).endswith(".json"):
-        cells = args.paths * (grid_steps(args.t0, t_end, args.dt) + 1) * (model.state_dim + 3)
-        if cells > JSON_PATH_CELLS:
-            raise CapacityError(
-                f"JSON path export of {cells} cells exceeds the cap of {JSON_PATH_CELLS}; write CSV instead"
-            )
-        cfg.atomic_write_json(args.out, _paths_to_json(simulate_paths(*sim), run_hash))
-    else:
-        with cfg.atomic_open(args.out) as fh:
+    as_json = str(args.out).endswith(".json")
+    with cfg.atomic_open(args.out) as fh:
+        if as_json:
+            # the artifact text of the keys before "paths", left open after them
+            head = cfg.artifact_json({"config_hash": run_hash, "mu_pool": [m.to_dict() for m in control.mu_pool],
+                                      "nu_pool": [m.to_dict() for m in control.nu_pool]})
+            fh.write(head[:-len("\n}")] + ',\n "paths": [')
+        else:
             fh.write(_csv_header(run_hash, model.state_dim))
-            for batch in simulate_chunks(*sim):
-                _paths_to_csv(batch, fh)
-                # drop the chunk before the next one is simulated, so that one
-                # is held at a time (enumerate would hold it in its result tuple)
-                del batch
+        for batch in simulate_chunks(*sim):
+            times = batch.times
+            (_paths_to_json if as_json else _paths_to_csv)(batch, fh)
+            # drop the chunk before the next one is simulated, so that one
+            # is held at a time (enumerate would hold it in its result tuple)
+            del batch
+        if as_json:
+            fh.write('\n ],\n "times": ' + cfg.artifact_json(times.tolist(), 1) + "\n}\n")
     print(f"wrote {args.paths} paths to {args.out}")
     return EXIT_OK
 
@@ -289,9 +289,9 @@ def cmd_solve(args) -> int:
     vg = solve(model, grid, mu_c, nu_c)
 
     starts = model.starts or [(tuple(model.default_start()[0].tolist()), model.default_start()[1])]
+    values = vg.values_at(0.0, np.array([x0 for x0, _ in starts], dtype=float), [i0 for _, i0 in starts])
     start_values = []
-    for x0, i0 in starts:
-        value = vg.value_at(0.0, np.asarray(x0, dtype=float), i0)
+    for (x0, i0), value in zip(starts, values.tolist()):
         start_values.append({"x": list(x0), "i": i0, "value": value})
         print(f"V(0, {list(x0)}, {i0}) = {value!r}")
 

@@ -383,12 +383,6 @@ class ValueGrid:
     def time_index(self, t: float) -> int:
         return int(np.clip(round((t - self.times[0]) / self.dt), 0, len(self.times) - 1))
 
-    def value_at(self, t: float, x, regime: int) -> float:
-        """V at grid time nearest t, multilinear in x, exact in the regime."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        out = self.values_at(t, pts, np.full(pts.shape[0], regime))
-        return float(out[0]) if pts.shape[0] == 1 else out
-
     def values_at(self, t: float, x: np.ndarray, regimes: np.ndarray) -> np.ndarray:
         """V at grid time nearest t for each point and its regime: one
         clamped interpolation matrix applied to the slice's (n_nodes, N) table."""

@@ -18,7 +18,9 @@ implied by the declared linear-growth constant (Doob/BDG plus Gronwall).
 
 ``run_battery`` executes the bundled demo suite; every check returns a
 machine-readable report {name, pass, margin, tolerance} and owns its random
-streams, so checks are independent and can run in any order.
+streams, so checks are independent and can run in any order.  It times
+each check once into the report's ``elapsed``, which ``verify`` prints and
+``to_dict`` leaves out, so ``verify --out`` repeats byte for byte.
 
 scipy's ``expm`` is imported only by ``transition_matrix``, the rows' reference.
 """
@@ -66,17 +68,19 @@ class CheckReport:
 
     ``margin`` is the binding slack: min over sub-checks of
     tolerance - observed deviation (nonnegative iff the check passed).
+    ``elapsed`` is the check's wall time in seconds, set by ``run_battery``;
+    ``to_dict`` leaves it out, so a report's dict repeats byte for byte.
     """
 
     __slots__ = ("name", "passed", "margin", "tolerance", "details", "elapsed")
 
-    def __init__(self, name, passed, margin, tolerance, details=None, elapsed=0.0):
+    def __init__(self, name, passed, margin, tolerance, details=None):
         self.name = name
         self.passed = bool(passed)
         self.margin = float(margin)
         self.tolerance = float(tolerance)
         self.details = details or {}
-        self.elapsed = float(elapsed)
+        self.elapsed = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -84,14 +88,14 @@ class CheckReport:
             "pass": self.passed,
             "margin": self.margin,
             "tolerance": self.tolerance,
-            "elapsed_seconds": self.elapsed,
             "details": self.details,
         }
 
 
-def _finish(name, t0, triples, details=None) -> CheckReport:
+def _finish(name, triples, details=None) -> CheckReport:
     """Fold (label, observed, tolerance) sub-checks into one report.  A
-    non-finite observed value fails its subcheck with slack -inf."""
+    non-finite observed value fails its subcheck with slack -inf.  The
+    report's ``elapsed`` stays 0.0 until ``run_battery`` times the check."""
     details = {} if details is None else details
     margin = math.inf
     binding_tol = 0.0
@@ -107,7 +111,7 @@ def _finish(name, t0, triples, details=None) -> CheckReport:
     details["subchecks"] = [
         {"label": lbl, "observed": obs, "tolerance": tol} for lbl, obs, tol in triples
     ]
-    return CheckReport(name, passed, margin, binding_tol, details, time.perf_counter() - t0)
+    return CheckReport(name, passed, margin, binding_tol, details)
 
 
 def tol_disc(model: HybridModel, value_grid: ValueGrid) -> float:
@@ -287,7 +291,7 @@ def _dpp_subchecks(model, grid, mu_candidates, nu_candidates, intermediate_k, x0
     samples = np.concatenate(samples)
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / np.sqrt(path_count))
-    v0 = vg.value_at(0.0, start_x, start_i)
+    v0 = float(vg.values_at(0.0, start_x, [start_i])[0])
     tol = tol_disc(model, vg)
     details = {
         "value": v0,
@@ -313,7 +317,7 @@ def _minimizing_sequence_subchecks(model, grid, mu_candidates, nu_candidates, co
     allowance for noise is 3 standard errors."""
     vg = solve(model, grid, mu_candidates, nu_candidates)
     policy = TableControl(vg)
-    v0 = vg.value_at(0.0, np.atleast_1d(x0), int(i0))
+    v0 = float(vg.values_at(0.0, np.atleast_1d(x0), [int(i0)])[0])
     tol = tol_disc(model, vg)
     t_end = float(vg.times[-1])
 
@@ -407,7 +411,6 @@ def check_w1_metric() -> CheckReport:
     CDF ([0,1]) and small-pair ([0,1]^2) closed forms on 500 random measure
     pairs/triples.  Each space draws its triples, then its Dirac points, and
     takes all its distances in one batched W1 call."""
-    t0 = time.perf_counter()
     gen = rng.stream(101, 0, rng.ROLE_VALIDATE)
     sym_worst = tri_worst = neg_worst = ident_worst = diam_worst = dirac_worst = cdf_lp_worst = tree_lp_worst = 0.0
 
@@ -444,7 +447,7 @@ def check_w1_metric() -> CheckReport:
         ("cdf_vs_lp", cdf_lp_worst, 1e-9),
         ("trees_vs_lp", tree_lp_worst, 1e-9),
     ]
-    return _finish("w1_metric", t0, triples)
+    return _finish("w1_metric", triples)
 
 
 def transition_matrix(rates: RateSpec, x, nu, dt: float) -> np.ndarray:
@@ -461,7 +464,6 @@ def check_intervals() -> CheckReport:
     with an exit rate at the bound: nonnegative, stochastic, and its series
     rows equal to expm at dt * M = DT_RATE_CAP; then the jump law of a fixed
     kernel under 1e5 uniform draws per row."""
-    t0 = time.perf_counter()
     gen = rng.stream(202, 0, rng.ROLE_VALIDATE)
     u_set = ActionSet([0.0], [1.0])
     neg_worst = sum_worst = expm_worst = 0.0
@@ -520,7 +522,7 @@ def check_intervals() -> CheckReport:
         ("rows_match_expm", expm_worst, 1e-15),
         ("jump_law_within_3se", law_worst, 3.0),
     ]
-    return _finish("intervals", t0, triples)
+    return _finish("intervals", triples)
 
 
 def _two_state_chain():
@@ -537,19 +539,17 @@ _LAW_PATHS = 10_000
 def check_switching_law() -> CheckReport:
     """Two-state constant-rate chain: occupation of regime 2 at T = 1 against
     the exact law 1 - e^{-1}."""
-    t0 = time.perf_counter()
     model, control = _two_state_chain()
     batch = simulate_paths(model, control, 0.0, [0.0], 1, 1.0, 0.01, 303, _LAW_PATHS)
     frac = float(np.mean(batch.regimes[:, -1] == 2))
     p_true = 1.0 - math.exp(-1.0)
     se = math.sqrt(p_true * (1 - p_true) / _LAW_PATHS)
     details = {"fraction": frac, "target": p_true, "stderr": se}
-    return _finish("switching_law", t0, [("occupation_at_T", abs(frac - p_true), 3 * se)], details)
+    return _finish("switching_law", [("occupation_at_T", abs(frac - p_true), 3 * se)], details)
 
 
 def check_diffusion_law() -> CheckReport:
     """Driftless unit diffusion, one regime: X_T has mean x0 and variance T."""
-    t0 = time.perf_counter()
     model = _model_1d([[None]], 0.0, ["0"], ["1"], "0", box=8.0)
     control = ConstantControl(dirac(model.action_set, [0.5]), dirac(model.action_set, [0.5]))
     batch = simulate_paths(model, control, 0.0, [0.0], 1, 1.0, 0.01, 404, _LAW_PATHS)
@@ -562,19 +562,18 @@ def check_diffusion_law() -> CheckReport:
         ("terminal_mean", abs(mean - 0.0), 3 * se_mean),
         ("terminal_variance_within_5pct", abs(var - 1.0), 0.05),
     ]
-    return _finish("diffusion_law", t0, triples, details)
+    return _finish("diffusion_law", triples, details)
 
 
 def check_cost_oracle() -> CheckReport:
     """Regime-occupation running cost against the closed form 1 + e^{-1}."""
-    t0 = time.perf_counter()
     model, control = _two_state_chain()
     dt = 0.01
     est = monte_carlo_cost(model, control, 0.0, [0.0], 1, 1.0, dt, _LAW_PATHS, 505)
     target = 1.0 + math.exp(-1.0)
     tol = 3 * est.stderr + 2 * dt
     details = {"estimate": est.mean, "target": target, "stderr": est.stderr}
-    return _finish("cost_oracle", t0, [("occupation_cost", abs(est.mean - target), tol)], details)
+    return _finish("cost_oracle", [("occupation_cost", abs(est.mean - target), tol)], details)
 
 
 def _regime_cost_instance():
@@ -628,7 +627,6 @@ def check_solver_oracle() -> CheckReport:
     instances, including the regime-cost instance with V(0, ., 1) = 1; plus
     a spot check of the solver's batched two-state transition rows against
     the scalar exponential."""
-    t0 = time.perf_counter()
     triples = []
     instances = {}
     for label, builder in _LATTICE_INSTANCES:
@@ -650,12 +648,11 @@ def check_solver_oracle() -> CheckReport:
         q12 = 0.4 * nu.moment(1, 0)
         scalar = np.array([math.exp(-q12 * dt), 1.0 - math.exp(-q12 * dt)])
         triples.append((f"two_state_scalar_{label}", float(np.max(np.abs(row - scalar))), 1e-12))
-    return _finish("solver_oracle", t0, triples)
+    return _finish("solver_oracle", triples)
 
 
 def check_dpp_battery() -> CheckReport:
     """Criterion-style DPP check on three instances."""
-    t0 = time.perf_counter()
     triples = []
     details = {}
     for label, builder in _LATTICE_INSTANCES:
@@ -663,7 +660,7 @@ def check_dpp_battery() -> CheckReport:
         x0, i0 = model.default_start()
         subs, details[label] = _dpp_subchecks(model, grid, mu_c, nu_c, grid.time_steps // 2, x0, i0, 4000, 606)
         triples += [(f"{label}:{sub}", observed, tol) for sub, observed, tol in subs]
-    return _finish("dpp", t0, triples, details)
+    return _finish("dpp", triples, details)
 
 
 def _moduli(vg: ValueGrid) -> tuple[float, float]:
@@ -678,7 +675,6 @@ def check_continuity() -> CheckReport:
     """Empirical space/time Lipschitz moduli of V stay within a factor 2
     under grid doubling, and refinement does not raise V at a fixed point by
     more than the discretization tolerance."""
-    t0 = time.perf_counter()
     model = _model_1d(
         [[None, "0.5"], ["0.5", None]], 0.5, ["-x1", "-0.5*x1"], ["0.4", "0.3"], "x1*x1 + 0.1*i",
         "x1*x1", horizon=0.5, box=2.0, lipschitz_drift_diffusion=2.0, growth_bound=1.4,
@@ -694,38 +690,36 @@ def check_continuity() -> CheckReport:
     # soft lower-semicontinuity direction: refinement should not push V up
     # beyond the discretization tolerance at a fixed physical point
     tol = tol_disc(model, coarse)
-    probe_x, probe_i = np.array([0.5]), 1
-    upward = fine.value_at(0.0, probe_x, probe_i) - coarse.value_at(0.0, probe_x, probe_i)
+    probe_x, probe_i = np.array([[0.5]]), [1]
+    upward = float(fine.values_at(0.0, probe_x, probe_i)[0] - coarse.values_at(0.0, probe_x, probe_i)[0])
     details = {
         "lip_x_coarse": lx_c,
         "lip_x_fine": lx_f,
         "lip_t_coarse": lt_c,
         "lip_t_fine": lt_f,
-        "upward_oscillation": float(upward),
+        "upward_oscillation": upward,
         "tol_disc": tol,
     }
     triples = [
         ("lip_x_stable_2x", ratio_x, 2.0),
         ("lip_t_stable_2x", ratio_t, 2.0),
-        ("upward_within_tol", float(upward), tol),
+        ("upward_within_tol", upward, tol),
     ]
-    return _finish("continuity", t0, triples, details)
+    return _finish("continuity", triples, details)
 
 
 def check_minimizing_sequence_battery() -> CheckReport:
     """Ten mixtures of the regime-cost instance's two nu candidates,
     interpolating the switch rate downward, followed by the extracted policy."""
-    t0 = time.perf_counter()
     model, grid, mu_c, nu_c = _regime_cost_instance()
     weights = np.linspace(1.0, 0.1, 10)
     controls = [ConstantControl(mu_c[0], mixture(nu_c, [1.0 - w, w])) for w in weights]
     subchecks = _minimizing_sequence_subchecks(model, grid, mu_c, nu_c, controls, [0.0], 1, 2000, 707)
-    return _finish("minimizing_sequence", t0, *subchecks)
+    return _finish("minimizing_sequence", *subchecks)
 
 
 def check_moment_bound_battery() -> CheckReport:
     """Mean-reverting unit-noise instance, p = 2, against the Gronwall constant."""
-    t0 = time.perf_counter()
     model = _model_1d([[None]], 0.0, ["-x1"], ["1"], "0", box=8.0)
     control = ConstantControl(dirac(model.action_set, [0.5]), dirac(model.action_set, [0.5]))
     triples, details = _moment_bound_subchecks(model, control, 2, 10_000, 808, [1.0], 1, 1.0, 0.01)
@@ -735,7 +729,7 @@ def check_moment_bound_battery() -> CheckReport:
     )
     violation = max(marginal_sup - details["estimate"] - 3 * details["stderr"], 0.0)
     triples.append(("dominates_marginal_sup", violation, 0.0))
-    return _finish("moment_bound", t0, triples, details)
+    return _finish("moment_bound", triples, details)
 
 
 def check_determinism() -> CheckReport:
@@ -754,7 +748,6 @@ def check_determinism() -> CheckReport:
             raise ValidationError(f"{argv[0]} exited with {code}")
         return out.read_bytes()
 
-    t0 = time.perf_counter()
     quiet = contextlib.redirect_stdout(io.StringIO())
     with tempfile.TemporaryDirectory() as tmp, quiet:
         root = Path(tmp)
@@ -783,7 +776,7 @@ def check_determinism() -> CheckReport:
         ("simulate_repeat_identical", 0.0 if sim_repeat else 1.0, 0.0),
         ("simulate_workers_1_vs_8", 0.0 if sim_workers else 1.0, 0.0),
     ]
-    return _finish("determinism", t0, triples, details)
+    return _finish("determinism", triples, details)
 
 
 #: The bundled demo suite, in acceptance order.
@@ -803,10 +796,16 @@ BATTERY = {
 
 
 def run_battery(names=None) -> list[CheckReport]:
-    """Run the named checks (all by default) and return their reports."""
+    """Run the named checks (all by default) and return their reports, each
+    with its check's wall time as ``elapsed``."""
     if names is None:
         names = list(BATTERY)
     unknown = [n for n in names if n not in BATTERY]
     if unknown:
         raise ValidationError(f"unknown checks: {unknown}; available: {list(BATTERY)}")
-    return [BATTERY[name]() for name in names]
+    reports = []
+    for name in names:
+        start = time.perf_counter()
+        reports.append(BATTERY[name]())
+        reports[-1].elapsed = time.perf_counter() - start
+    return reports

@@ -8,7 +8,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import pytest
 
-from hybridopt.oracle_verify import BATTERY
+from hybridopt.oracle_verify import run_battery
 
 CRITERIA = [
     # (number, check name, runtime limit in seconds, subcheck labels in report order)
@@ -45,7 +45,8 @@ CRITERIA = [
     "number,name,limit,labels", CRITERIA, ids=[f"criterion_{n:02d}_{c}" for n, c, _, _ in CRITERIA]
 )
 def test_acceptance_criterion(number, name, limit, labels):
-    report = BATTERY[name]()
+    # run_battery sets the check's wall time, which the limit is checked against
+    report = run_battery([name])[0]
     flag = "PASS" if report.passed else "FAIL"
     print(
         f"[{flag}] criterion {number:2d} {name}: margin={report.margin:.4g} "

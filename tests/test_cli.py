@@ -552,33 +552,13 @@ class TestOutputTargets:
             fh.write("\u03bc\nb\n")
         assert out.read_bytes() == "\u03bc\nb\n".encode("utf-8")
 
-    def test_json_export_cap_counts_cells(self, demo_files, tmp_path, monkeypatch):
-        # paths x (steps + 1) x (d + 3): 2 steps of the 1-D demo are 12 cells a path
-        model, control = demo_files
-        out = tmp_path / "paths.json"
-        argv = ["simulate", "--model", str(model), "--control", str(control), "--out", str(out),
-                "--dt", "0.125", "--horizon", "0.25", "--seed", "1", "--workers", "1", "--paths"]
-        monkeypatch.setattr(cli, "JSON_PATH_CELLS", 2 * 12)
-        assert cli.main(argv + ["2"]) == 0
-        out.unlink()
-        assert cli.main(argv + ["3"]) == 5
-        assert not out.exists()
 
-    def test_json_export_cap_exits_5(self, demo_files, tmp_path, monkeypatch):
-        model, control = demo_files
-        monkeypatch.setattr(dynamics, "_simulate_block", never_simulate)
-        out = tmp_path / "paths.json"
-        assert cli.main(
-            ["simulate", "--model", str(model), "--control", str(control), "--out", str(out),
-             "--paths", str(cli.JSON_PATH_CELLS // (101 * 4) + 1), "--dt", "0.01", "--seed", "1"]
-        ) == 5
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["control.json", "model.json"]
-
-
-def test_simulate_memory_does_not_grow_with_paths(demo_files, tmp_path):
-    # chunks are written and dropped one by one: 8 blocks of paths peak at
-    # about what 2 do, where holding every chunk would take 4 times as much,
-    # and 2 blocks at about what 1 does, where holding two chunks would not
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_simulate_memory_does_not_grow_with_paths(demo_files, tmp_path, suffix):
+    # chunks are written and dropped one by one, in either format: 8 blocks
+    # of paths peak at about what 2 do, where holding every chunk would take
+    # 4 times as much, and 2 blocks at about what 1 does, where holding two
+    # chunks would not
     model, control = demo_files
     peaks = {}
     for blocks in (1, 2, 8):
@@ -586,7 +566,7 @@ def test_simulate_memory_does_not_grow_with_paths(demo_files, tmp_path):
         try:
             assert cli.main(
                 ["simulate", "--model", str(model), "--control", str(control),
-                 "--out", str(tmp_path / "p.csv"), "--paths", str(blocks * rng.BLOCK_PATHS),
+                 "--out", str(tmp_path / f"p{suffix}"), "--paths", str(blocks * rng.BLOCK_PATHS),
                  "--dt", "0.05", "--horizon", "0.25", "--seed", "1", "--workers", "1"]
             ) == 0
             peaks[blocks] = tracemalloc.get_traced_memory()[1]
@@ -800,10 +780,14 @@ class TestSolve:
 
 class TestVerify:
     def test_subset_passes(self, tmp_path):
-        out = tmp_path / "report.json"
-        code = cli.main(["verify", "--check", "solver_oracle", "intervals", "--out", str(out)])
-        assert code == 0
-        doc = json.loads(out.read_text())
+        outs = [tmp_path / "report.json", tmp_path / "again.json"]
+        for out in outs:
+            assert cli.main(["verify", "--check", "solver_oracle", "intervals", "--out", str(out)]) == 0
+        # the report holds no timing, so a rerun repeats it byte for byte
+        text = outs[0].read_text()
+        assert outs[1].read_text() == text
+        assert "elapsed_seconds" not in text
+        doc = json.loads(text)
         # the same top-level keys as the report of an empty check list
         assert set(doc) == {"pass", "checks"}
         assert doc["pass"] is True
@@ -841,6 +825,15 @@ class TestWorkersEnv:
         assert cli._default_workers() == 3
         monkeypatch.setenv("HYBRIDOPT_WORKERS", "junk")
         assert cli._default_workers() >= 1
+
+    @pytest.mark.parametrize("workers", ["0", "-2", "two"])
+    def test_bad_count_exits_2(self, workers, demo_files, monkeypatch, capsys):
+        # a count below 1, or not an int, is refused at parse time, naming the
+        # flag, before any work
+        monkeypatch.setattr(dynamics, "_simulate_block", never_simulate)
+        model, control = demo_files
+        assert cli.main(["estimate", "--model", str(model), "--control", str(control), "--workers", workers]) == 2
+        assert "argument --workers: " in capsys.readouterr().err
 
 
 class TestPathDependentControlConfig:

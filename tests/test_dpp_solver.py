@@ -468,8 +468,9 @@ class TestMovementOperator:
             per_regime = [interpolation_matrix(vg.axes, pts)[0] @ vg.values[k][:, j] for j in range(2)]
             expected = np.where(regimes == 1, per_regime[0], per_regime[1])
             assert np.array_equal(vg.values_at(t, pts, regimes), expected)
-            assert np.array_equal(vg.value_at(t, pts, 2), per_regime[1])
-            assert [vg.value_at(t, p, r) for p, r in zip(pts, regimes)] == expected.tolist()
+            assert np.array_equal(vg.values_at(t, pts, np.full(41, 2)), per_regime[1])
+            # a point read alone, as a batch of one, has the bits of the batched read
+            assert [float(vg.values_at(t, p, [r])[0]) for p, r in zip(pts, regimes)] == expected.tolist()
 
 
 class TestMoveEntryBudget:
@@ -619,7 +620,7 @@ class TestExtractPolicy:
         vg = solve(model, grid, mu_c, nu_c)
         policy = TableControl(vg)
         tol = tol_disc(model, vg)
-        v0 = vg.value_at(0.0, [0.0], 1)
+        v0 = float(vg.values_at(0.0, [0.0], [1])[0])
         est = monte_carlo_cost(model, policy, 0.0, [0.0], 1, 1.0, vg.dt, 4000, 19)
         assert v0 - 3 * est.stderr - tol <= est.mean <= v0 + 3 * est.stderr + tol
 
@@ -657,8 +658,7 @@ class TestQuadratureAndSerialization:
         model = make_model(regimes=1, drift="0", diffusion="0", running="0", terminal="x1", box=2.0)
         u = model.action_set
         vg = solve(model, GridSpec(4, [9], 3), [dirac(u, [0.5])], [dirac(u, [0.5])])
-        assert vg.value_at(0.0, [0.3], 1) == pytest.approx(0.3, abs=1e-12)
-        assert vg.value_at(0.0, [5.0], 1) == pytest.approx(2.0, abs=1e-12)  # clamped
+        assert vg.values_at(0.0, [[0.3], [5.0]], [1, 1]) == pytest.approx([0.3, 2.0], abs=1e-12)  # 5.0 is clamped
 
 
 class TestTwoDimensional:
@@ -682,7 +682,7 @@ class TestTwoDimensional:
         for k in range(5):
             assert np.max(np.abs(vg.values[k][:, 0] - expected)) <= 1e-12
         # bilinear interpolation reproduces planes exactly
-        assert vg.value_at(0.0, [0.3, -0.45], 1) == pytest.approx(0.3 - 0.9, abs=1e-12)
+        assert vg.values_at(0.0, [0.3, -0.45], [1]) == pytest.approx([0.3 - 0.9], abs=1e-12)
 
     def test_isotropic_diffusion_quadratic_value(self):
         u = ActionSet([0.0], [1.0])
@@ -701,4 +701,4 @@ class TestTwoDimensional:
         vg = solve(model, GridSpec(5, [17, 17], 5), [dirac(u, [0.5])], [dirac(u, [0.5])])
         # E|x + sigma W_T|^2 = |x|^2 + sigma^2 d T, up to interpolation bias
         exact = 0.0 + 0.3**2 * 2 * 0.5
-        assert vg.value_at(0.0, [0.0, 0.0], 1) == pytest.approx(exact, abs=0.05)
+        assert vg.values_at(0.0, [0.0, 0.0], [1]) == pytest.approx([exact], abs=0.05)
