@@ -212,6 +212,32 @@ class TestSimulate:
         assert len(doc["paths"]) == 2
         assert "config_hash" in doc
 
+    @pytest.mark.parametrize(
+        "case, paths, dt, workers, digest",
+        [
+            ("demo", 3, "0.25", 1, "f9755fa2a1e3b207221c8291a5f51d899c0a4cd622c9f2ee5243626ea1c06509"),
+            ("demo", rng.BLOCK_PATHS + 5, "0.25", 1, "168e37cde1cc6bc7467886a187f377ed5b4a0b78fc861671bfa4b69a8ce63809"),
+            ("demo", rng.BLOCK_PATHS + 5, "0.25", 2, "168e37cde1cc6bc7467886a187f377ed5b4a0b78fc861671bfa4b69a8ce63809"),
+            ("multi_atom", 50, "0.05", 1, "79b12ab3a5c4dc7169e75c68d408b551054d16d0128dd2105896bab4f423f296"),
+        ],
+        ids=["demo-3", "demo-2chunks-w1", "demo-2chunks-w2", "multi-atom-50"],
+    )
+    def test_json_bytes_pinned(self, demo_files, tmp_path, case, paths, dt, workers, digest):
+        # SHA-256 of simulate --out *.json: the demo over one and two chunks
+        # (a process pool at --workers 2), and a two-regime model with drift
+        # and diffusion under a Markov control with a two-atom mu candidate
+        if case == "demo":
+            model, control = demo_files
+        else:
+            model = write_json(tmp_path / "m.json", MULTI_ATOM_MODEL)
+            control = write_json(tmp_path / "c.json", MULTI_ATOM_CONTROL)
+        out = tmp_path / "paths.json"
+        assert cli.main(
+            ["simulate", "--model", str(model), "--control", str(control), "--out", str(out),
+             "--paths", str(paths), "--dt", dt, "--seed", "5", "--workers", str(workers)]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 def reference_csv(batch, hash_line: str) -> str:
     """The per-row csv.writer loop the block writer replaced, kept as its byte reference."""
@@ -396,32 +422,6 @@ class TestCsvWriter:
         assert len(written) == 1 and written[0] > 0
         assert list(out_dir.iterdir()) == [out]
         assert out.read_text() == "earlier run\n"
-
-    @pytest.mark.parametrize(
-        "case, paths, dt, workers, digest",
-        [
-            ("demo", 3, "0.25", 1, "f9755fa2a1e3b207221c8291a5f51d899c0a4cd622c9f2ee5243626ea1c06509"),
-            ("demo", rng.BLOCK_PATHS + 5, "0.25", 1, "168e37cde1cc6bc7467886a187f377ed5b4a0b78fc861671bfa4b69a8ce63809"),
-            ("demo", rng.BLOCK_PATHS + 5, "0.25", 2, "168e37cde1cc6bc7467886a187f377ed5b4a0b78fc861671bfa4b69a8ce63809"),
-            ("multi_atom", 50, "0.05", 1, "79b12ab3a5c4dc7169e75c68d408b551054d16d0128dd2105896bab4f423f296"),
-        ],
-        ids=["demo-3", "demo-2chunks-w1", "demo-2chunks-w2", "multi-atom-50"],
-    )
-    def test_json_bytes_pinned(self, demo_files, tmp_path, case, paths, dt, workers, digest):
-        # SHA-256 of simulate --out *.json: the demo over one and two chunks
-        # (a process pool at --workers 2), and a two-regime model with drift
-        # and diffusion under a Markov control whose mu candidates have two atoms
-        if case == "demo":
-            model, control = demo_files
-        else:
-            model = write_json(tmp_path / "m.json", MULTI_ATOM_MODEL)
-            control = write_json(tmp_path / "c.json", MULTI_ATOM_CONTROL)
-        out = tmp_path / "paths.json"
-        assert cli.main(
-            ["simulate", "--model", str(model), "--control", str(control), "--out", str(out),
-             "--paths", str(paths), "--dt", dt, "--seed", "5", "--workers", str(workers)]
-        ) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "paths, workers",
