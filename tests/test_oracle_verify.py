@@ -431,6 +431,28 @@ class TestSwitchingLawLayout:
         assert rep.details["failed"] == ["occupation_at_T"]
 
 
+class TestLawChecksPinned:
+    # the details of the battery's simulated law checks, bit for bit: each
+    # reads 10 000 paths, three chunks, so a chunk dropped or reordered on
+    # the way out of the engine changes a pin
+    PINNED = {
+        "switching_law": {"fraction": "0x1.4219652bd3c36p-1"},
+        "diffusion_law": {"mean": "0x1.b020f2c83054ep-6", "variance": "0x1.fb45220785833p-1",
+                          "stderr_mean": "0x1.4629b41768d8ap-7"},
+        "moment_bound": {"estimate": "0x1.f52a6fa8d2b24p+0", "stderr": "0x1.3e46eb76551d4p-7",
+                         "bound": "0x1.40bc943438a34p+48"},
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_details_pinned(self, name):
+        from hybridopt import oracle_verify
+
+        check = {"switching_law": oracle_verify.check_switching_law, "diffusion_law": oracle_verify.check_diffusion_law,
+                 "moment_bound": oracle_verify.check_moment_bound_battery}[name]
+        details = check().details
+        assert {k: float(details[k]).hex() for k in self.PINNED[name]} == self.PINNED[name]
+
+
 class TestDeterminismWorkers:
     def test_workers_subcheck_sees_a_reordered_pool(self, monkeypatch):
         from hybridopt import dynamics, oracle_verify
