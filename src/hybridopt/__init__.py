@@ -43,7 +43,7 @@ from .control import (
 from .dynamics import (
     HybridModel,
     PathBatch,
-    simulate_paths,
+    simulate_chunks,
     validate_model,
 )
 from .cost import CostEstimate, monte_carlo_cost

@@ -7,20 +7,19 @@ terminal cost,
 
 evaluated at step-start values so the integrand is adapted, matching the
 Euler scheme's filtration.  The engine adds up the running sum while it
-steps one stream block of paths at a time (``dynamics._simulate_block`` in
-its costing mode, over the chunks of ``dynamics.path_chunks``) and records
-no path (only the states a history-reading control needs); ``_chunk_costs``
-adds g at each path's end state, and the estimator averages the (paths,)
-cost vector.  The paths read block-keyed counter streams, so with a fixed
-seed the estimate is deterministic and independent of the worker count.
+steps one chunk of paths at a time (``dynamics.simulate_chunks`` in its
+costing mode) and records no path (only the states a history-reading
+control needs); the estimator adds g at each path's end state and averages
+the (paths,) cost vector.  The paths read block-keyed counter streams, so
+with a fixed seed the estimate is deterministic and independent of the
+worker count.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import dynamics
 from .control import FeedbackControl
-from .dynamics import HybridModel, chunk_args, fan_out
+from .dynamics import HybridModel, simulate_chunks
 from .errors import NumericalError, ValidationError
 
 
@@ -42,23 +41,6 @@ class CostEstimate:
 
     def __repr__(self):
         return f"CostEstimate(mean={self.mean:.6g}, stderr={self.stderr:.3g}, paths={self.path_count})"
-
-
-def _chunk_costs(args) -> np.ndarray:
-    """Pathwise costs of one chunk: the engine's running sums plus g at each
-    path's end state; an antithetic chunk averages a plain and a
-    Brownian-mirrored pass over the same paths."""
-    sim, antithetic = args
-    model = sim[0]
-    passes = []
-    for flip in (False, True) if antithetic else (False,):
-        # looked up on the module, where the benchmark tracer wraps the engine
-        chunk = dynamics._simulate_block(*sim, flip_brownian=flip, costing=True)
-        costs = chunk.running + model.terminal_cost_at(chunk.x)
-        if not np.all(np.isfinite(costs)):
-            raise NumericalError("a pathwise cost is not finite")
-        passes.append(costs)
-    return passes[0] if len(passes) == 1 else 0.5 * (passes[0] + passes[1])
 
 
 def monte_carlo_cost(
@@ -87,8 +69,14 @@ def monte_carlo_cost(
     if antithetic and path_count % 2:
         raise ValidationError("antithetic estimation needs an even path_count")
     n = path_count // 2 if antithetic else path_count
-    args = [(sim, antithetic) for sim in chunk_args(model, control, s, x0, i0, t_end, dt, seed, n)]
-    samples = np.concatenate(list(fan_out(_chunk_costs, args, workers)))
+    costs = []
+    for chunk in simulate_chunks(model, control, s, x0, i0, t_end, dt, seed, n, workers, costing=True, antithetic=antithetic):
+        pathwise = chunk.running + model.terminal_cost_at(chunk.x)
+        if not np.all(np.isfinite(pathwise)):
+            raise NumericalError("a pathwise cost is not finite")
+        costs.append(pathwise)
+    # an antithetic run yields each chunk's plain pass, then its mirrored one
+    samples = 0.5 * (np.concatenate(costs[::2]) + np.concatenate(costs[1::2])) if antithetic else np.concatenate(costs)
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / np.sqrt(len(samples))) if len(samples) > 1 else 0.0
     return CostEstimate(mean, stderr, path_count, seed)

@@ -17,20 +17,20 @@ increments are drawn before the switch sample within a step; the switch
 uses the step-start (x, nu).  All randomness comes from counter-based
 streams keyed by (seed, block, role): path p reads row p % BLOCK_PATHS of
 block p // BLOCK_PATHS (see ``rng``), so a path's trajectory is independent
-of batch composition and worker scheduling.  A chunk of a batch is one
-stream block, or the first paths of the last one (``path_chunks``); chunks
-are fanned out over one process pool per call (``fan_out``) and handed on in
-path order.
+of batch composition and worker scheduling.
 
-``simulate_chunks`` is the simulation engine, with ``_simulate_block`` the
-work on one chunk: it yields one ``PathBatch`` per chunk, so a caller that
-consumes each chunk holds one at a time.  ``simulate_paths`` only
-concatenates them; a single path is a batch of one.  A ``PathBatch`` keeps
-states, regimes and per-step control pool indices, not the Brownian draws.
-In its costing mode the same step loop sums each path's running cost as it
-goes, keeps only the states a history-reading control needs, and returns the
-sums with each path's end state and regime: ``cost`` adds the terminal cost
-there, and the ``dpp`` check the value grid's next slice.
+``simulate_chunks`` is the one way into the engine.  It splits a batch into
+chunks, each one stream block or the first paths of the last one
+(``chunk_args``), fans them out over one process pool per call (``fan_out``)
+and yields them in path order, so a caller that consumes each chunk holds
+one at a time; ``_simulate_block`` is the work on one chunk.  A
+``PathBatch`` keeps states, regimes and per-step control pool indices, not
+the Brownian draws; a single path is a batch of one.  In its costing mode
+the same step loop sums each path's running cost as it goes, keeps only the
+states a history-reading control needs, and yields the sums with each path's
+end state and regime: ``cost`` adds the terminal cost there, and the ``dpp``
+check the value grid's next slice.  An antithetic run follows each chunk
+with its Brownian-mirrored twin, made in the same job.
 """
 from __future__ import annotations
 
@@ -276,23 +276,6 @@ class PathBatch:
         self.path_indices = path_indices
         self.clamp_count = clamp_count
 
-    @staticmethod
-    def concatenate(blocks: list["PathBatch"]) -> "PathBatch":
-        head = blocks[0]
-        if len(blocks) == 1:
-            return head
-        return PathBatch(
-            head.times,
-            np.concatenate([b.states for b in blocks]),
-            np.concatenate([b.regimes for b in blocks]),
-            head.mu_pool,
-            head.nu_pool,
-            np.concatenate([b.mu_idx for b in blocks]),
-            np.concatenate([b.nu_idx for b in blocks]),
-            np.concatenate([b.path_indices for b in blocks]),
-            sum(b.clamp_count for b in blocks),
-        )
-
 
 # a chunk costed by ``_simulate_block``: each path's running-cost sum, the
 # clamp count, and each path's end state (n, d) and regime (n,)
@@ -323,7 +306,7 @@ def _simulate_block(
     costing: bool = False,
 ):
     """The first n_paths paths of stream block ``block`` (one chunk of
-    ``path_chunks``) as a ``PathBatch``; ``flip_brownian`` mirrors their
+    ``chunk_args``) as a ``PathBatch``; ``flip_brownian`` mirrors their
     increments.  Regimes come from ``interval_draw``, and only its straddlers
     (1.6e-5 of the draws at dt * M = 0.004, N = 2) get full rows, computed per
     path: the same bits.  With ``costing`` no path is recorded: each step adds
@@ -416,30 +399,36 @@ def _simulate_block(
     return PathBatch(times, states, regimes, mu_pool, nu_pool, mu_idx, nu_idx, paths, clamp_count)
 
 
-def _block_args(args):
-    return _simulate_block(*args)
-
-
-def path_chunks(count: int):
-    """(block, path count) of each chunk of the paths 0..count-1: a stream
-    block, or the first paths of the last one; the unit of work of the fan-out."""
-    for block, first in enumerate(range(0, count, rng.BLOCK_PATHS)):
-        yield block, min(count - first, rng.BLOCK_PATHS)
-
-
 #: Cap on a chunk's memory at a recorded chunk's 16 d + 32 bytes per path-step
 #: (draws, states, regimes, pool indices): 4 096 paths x 10 922 steps at d = 1.
 CHUNK_BYTES = 2**31
 
 
 def chunk_args(model, control, s, x0, i0, t_end, dt, seed, path_count) -> list[tuple]:
-    """The ``_simulate_block`` arguments of each chunk of path_count paths, in order."""
+    """The ``_simulate_block`` arguments of each chunk of path_count paths, in
+    order: a stream block, or the first paths of the last one."""
     if path_count < 1:
         raise ValidationError("path_count must be >= 1")
     paths, steps = min(path_count, rng.BLOCK_PATHS), grid_steps(s, t_end, dt)
     if paths * steps * (16 * model.state_dim + 32) > CHUNK_BYTES:
         raise CapacityError(f"a chunk of {paths} paths x {steps} steps would hold over {CHUNK_BYTES} bytes; use a larger dt")
-    return [(model, control, s, x0, i0, t_end, dt, seed, block, n) for block, n in path_chunks(path_count)]
+    return [(model, control, s, x0, i0, t_end, dt, seed, block, min(path_count - first, rng.BLOCK_PATHS))
+            for block, first in enumerate(range(0, path_count, rng.BLOCK_PATHS))]
+
+
+def _chunk_passes(job) -> list:
+    """One chunk's pass, or its plain and Brownian-mirrored passes: one job."""
+    sim, costing, antithetic = job
+    # looked up on the module, where the benchmark tracer wraps the engine
+    return [_simulate_block(*sim, flip_brownian=flip, costing=costing) for flip in ((False, True) if antithetic else (False,))]
+
+
+def _each_pass(results):
+    """The passes of each job's result, in order.  Each is popped as it is
+    yielded, so none is held here while the next job runs."""
+    for passes in results:
+        while passes:
+            yield passes.pop(0)
 
 
 def fan_out(job, args: list, workers: int):
@@ -477,31 +466,18 @@ def simulate_chunks(
     seed: int,
     path_count: int,
     workers: int = 1,
+    costing: bool = False,
+    antithetic: bool = False,
 ):
-    """The batch of ``simulate_paths`` as an iterator of one ``PathBatch`` per
-    chunk of ``path_chunks``, in path order, made as ``fan_out`` makes them."""
-    args = chunk_args(model, control, s, x0, i0, t_end, dt, seed, path_count)
-    return fan_out(_block_args, args, workers)
-
-
-def simulate_paths(
-    model: HybridModel,
-    control: FeedbackControl,
-    s: float,
-    x0,
-    i0: int,
-    t_end: float,
-    dt: float,
-    seed: int,
-    path_count: int,
-    workers: int = 1,
-) -> PathBatch:
-    """Simulate a batch, optionally fanned out over worker processes: the
-    chunks of ``simulate_chunks``, concatenated.  The block-keyed streams
-    make the result independent of the worker count, and each path
-    independent of the path count."""
-    chunks = simulate_chunks(model, control, s, x0, i0, t_end, dt, seed, path_count, workers)
-    return PathBatch.concatenate(list(chunks))
+    """The simulation engine: an iterator over the chunks of path_count paths,
+    in path order, each made as ``fan_out`` makes it.  A chunk is a
+    ``PathBatch``, or with ``costing`` a ``CostedChunk``; with ``antithetic``
+    each chunk is followed by its Brownian-mirrored twin, made in the same job.
+    The block-keyed streams make every chunk independent of the worker count,
+    and each path independent of the path count.  The chunks are checked
+    against ``CHUNK_BYTES`` before this returns."""
+    jobs = [(sim, costing, antithetic) for sim in chunk_args(model, control, s, x0, i0, t_end, dt, seed, path_count)]
+    return _each_pass(fan_out(_chunk_passes, jobs, workers))
 
 
 class HypothesisCheck:

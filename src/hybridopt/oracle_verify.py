@@ -34,11 +34,11 @@ import numpy as np
 
 from . import config as cfg
 from . import expr as ex
-from . import dynamics, rng
+from . import rng
 from .control import ConstantControl, MeasureBatch, TableControl
 from .cost import monte_carlo_cost
 from .dpp_solver import GridSpec, SolverKernels, ValueGrid, dpp_residual, solve
-from .dynamics import HybridModel, chunk_args, growth_ratio, simulate_paths
+from .dynamics import HybridModel, growth_ratio, simulate_chunks
 from .errors import CapacityError, NumericalError, ValidationError
 from .measure_space import (
     ActionSet,
@@ -284,11 +284,8 @@ def _dpp_subchecks(model, grid, mu_candidates, nu_candidates, intermediate_k, x0
     t_mid = float(vg.times[intermediate_k])
     start_x, start_i = np.atleast_1d(np.asarray(x0, dtype=float)), int(i0)
     # the engine's running sums, costed as ``cost`` costs them, with V(t_mid) in place of g
-    samples = []
-    for sim in chunk_args(model, policy, 0.0, start_x, start_i, t_mid, vg.dt, seed, path_count):
-        chunk = dynamics._simulate_block(*sim, costing=True)
-        samples.append(chunk.running + vg.values_at(t_mid, chunk.x, chunk.regimes))
-    samples = np.concatenate(samples)
+    chunks = simulate_chunks(model, policy, 0.0, start_x, start_i, t_mid, vg.dt, seed, path_count, costing=True)
+    samples = np.concatenate([chunk.running + vg.values_at(t_mid, chunk.x, chunk.regimes) for chunk in chunks])
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / np.sqrt(path_count))
     v0 = float(vg.values_at(0.0, start_x, [start_i])[0])
@@ -348,8 +345,8 @@ def _minimizing_sequence_subchecks(model, grid, mu_candidates, nu_candidates, co
 def _moment_bound_subchecks(model, control, p, path_count, seed, x0, i0, t_end, dt):
     """(triples, details) of the empirical E[sup_t |X_t|^p] against twice the
     Gronwall constant, plus a scan of the declared growth constant."""
-    batch = simulate_paths(model, control, 0.0, x0, i0, t_end, dt, seed, path_count)
-    sup_norm = np.max(np.linalg.norm(batch.states, axis=2), axis=1)
+    chunks = simulate_chunks(model, control, 0.0, x0, i0, t_end, dt, seed, path_count)
+    sup_norm = np.concatenate([np.max(np.linalg.norm(batch.states, axis=2), axis=1) for batch in chunks])
     estimate = float(np.mean(sup_norm**p))
     stderr = float(np.std(sup_norm**p, ddof=1) / np.sqrt(path_count))
     bound = gronwall_sup_moment_bound(model.growth_bound, x0, t_end, p, model.state_dim)
@@ -540,8 +537,8 @@ def check_switching_law() -> CheckReport:
     """Two-state constant-rate chain: occupation of regime 2 at T = 1 against
     the exact law 1 - e^{-1}."""
     model, control = _two_state_chain()
-    batch = simulate_paths(model, control, 0.0, [0.0], 1, 1.0, 0.01, 303, _LAW_PATHS)
-    frac = float(np.mean(batch.regimes[:, -1] == 2))
+    chunks = simulate_chunks(model, control, 0.0, [0.0], 1, 1.0, 0.01, 303, _LAW_PATHS)
+    frac = float(np.mean(np.concatenate([batch.regimes[:, -1] for batch in chunks]) == 2))
     p_true = 1.0 - math.exp(-1.0)
     se = math.sqrt(p_true * (1 - p_true) / _LAW_PATHS)
     details = {"fraction": frac, "target": p_true, "stderr": se}
@@ -552,8 +549,8 @@ def check_diffusion_law() -> CheckReport:
     """Driftless unit diffusion, one regime: X_T has mean x0 and variance T."""
     model = _model_1d([[None]], 0.0, ["0"], ["1"], "0", box=8.0)
     control = ConstantControl(dirac(model.action_set, [0.5]), dirac(model.action_set, [0.5]))
-    batch = simulate_paths(model, control, 0.0, [0.0], 1, 1.0, 0.01, 404, _LAW_PATHS)
-    x_t = batch.states[:, -1, 0]
+    chunks = simulate_chunks(model, control, 0.0, [0.0], 1, 1.0, 0.01, 404, _LAW_PATHS)
+    x_t = np.concatenate([batch.states[:, -1, 0] for batch in chunks])
     mean = float(np.mean(x_t))
     var = float(np.var(x_t, ddof=1))
     se_mean = float(np.std(x_t, ddof=1) / math.sqrt(_LAW_PATHS))

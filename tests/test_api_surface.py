@@ -7,6 +7,7 @@ is a knob that does nothing.  These scans keep both from growing back.
 """
 import argparse
 import ast
+import re
 from pathlib import Path
 
 from hybridopt import cli
@@ -71,6 +72,25 @@ def test_every_export_is_used_by_the_package():
 def test_allowlist_is_not_stale():
     assert set(ALLOWED_UNUSED) <= exported_names()
     assert not set(ALLOWED_UNUSED) & referenced_names()
+
+
+# the engine's internals: every other module enters through simulate_chunks
+ENGINE_INTERNALS = ("_simulate_block", "chunk_args", "fan_out")
+
+
+def engine_internals_named_outside() -> list:
+    """(module, name) of each engine internal that a module other than
+    ``dynamics`` names, in code, a comment or a docstring."""
+    pattern = re.compile(r"\b(%s)\b" % "|".join(ENGINE_INTERNALS))
+    return sorted(
+        (path.name, name)
+        for path in SRC.glob("*.py") if path.name != "dynamics.py"
+        for name in set(pattern.findall(path.read_text()))
+    )
+
+
+def test_only_dynamics_names_the_engine_internals():
+    assert engine_internals_named_outside() == []
 
 
 def unread_parameters() -> list:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridopt import GridSpec, cli, config, dirac, dynamics, errors, rng, solve
-from hybridopt.dynamics import PathBatch, simulate_paths
+from hybridopt.dynamics import PathBatch, simulate_chunks
 from hybridopt.measure_space import ActionSet, DiscreteMeasure
 
 
@@ -429,8 +429,8 @@ class TestCsvWriter:
         ids=["1chunk", "2chunks", "3chunks", "3chunks-w2"],
     )
     def test_streamed_chunks_match_one_batch(self, tmp_path, paths, workers):
-        # the CSV written chunk by chunk equals the per-row reference over the
-        # whole batch, at any chunk and worker count
+        # the CSV written chunk by chunk equals the per-row reference of each
+        # chunk in turn, under one header, at any chunk and worker count
         model_path = write_json(tmp_path / "m.json", MULTI_ATOM_MODEL)
         control_path = write_json(tmp_path / "c.json", MULTI_ATOM_CONTROL)
         out = tmp_path / "paths.csv"
@@ -441,9 +441,13 @@ class TestCsvWriter:
         ) == 0
         model, _ = config.load_model(MULTI_ATOM_MODEL)
         control, _ = config.load_control(MULTI_ATOM_CONTROL, model)
-        batch = simulate_paths(model, control, 0.0, [0.0, 0.0], 1, 0.1, 0.05, 11, paths)
         text = out.read_text()
-        assert text == reference_csv(batch, text[len("# config_hash="):].split("\n", 1)[0])
+        hash_line = text[len("# config_hash="):].split("\n", 1)[0]
+        # (comment, column names, rows) of each chunk's reference
+        pieces = [reference_csv(batch, hash_line).split("\n", 2)
+                  for batch in simulate_chunks(model, control, 0.0, [0.0, 0.0], 1, 0.1, 0.05, 11, paths)]
+        assert len(pieces) == -(-paths // rng.BLOCK_PATHS)
+        assert text == "\n".join(pieces[0][:2]) + "\n" + "".join(rows for _, _, rows in pieces)
 
 
 # floats whose repr is easy to get wrong, and clamp bounds of the models above

@@ -15,14 +15,15 @@ from hybridopt import (
     candidate_set,
     dirac,
     mixture,
-    simulate_paths,
+    simulate_chunks,
     w1_distance,
 )
 from tests.conftest import const_control, make_model
 
 
 def short_history(model, control, t_end=1.0, dt=0.25):
-    return simulate_paths(model, control, 0.0, [0.0], 1, t_end, dt, 1, 1)
+    [path] = simulate_chunks(model, control, 0.0, [0.0], 1, t_end, dt, 1, 1)
+    return path
 
 
 def measures_at(control, batch, k, states=None):
@@ -52,7 +53,7 @@ class TestEvaluate:
             CandidateMap([d0, d1], index_expr="i - 1"),
             CandidateMap([d0], per_regime=[0, 0]),
         )
-        path = simulate_paths(model, control, 0.0, [0.0], 1, 2.0, 0.025, 3, 1)
+        [path] = simulate_chunks(model, control, 0.0, [0.0], 1, 2.0, 0.025, 3, 1)
         assert path.regimes[0, -1] == 2  # rate 4 over two units of time: switched almost surely
         mu, _ = measures_at(control, path, len(path.times) - 1)
         assert mu == d1
@@ -85,7 +86,7 @@ class TestEvaluate:
             nu_candidates=[d0],
             nu_map=[0, 0],
         )
-        path = simulate_paths(model, control, 0.0, [0.0], 1, 1.0, 0.25, 2, 1)
+        [path] = simulate_chunks(model, control, 0.0, [0.0], 1, 1.0, 0.25, 2, 1)
         # running max crosses 0.5 at t = 0.75 (x = 0.75)
         assert measures_at(control, path, 1)[0] == d0
         assert measures_at(control, path, 3)[0] == d1

@@ -19,10 +19,9 @@ from hybridopt import (
     ValidationError,
     ValueGrid,
     dirac,
-    dynamics,
     monte_carlo_cost,
     rng,
-    simulate_paths,
+    simulate_chunks,
 )
 from tests.conftest import const_control, make_model
 
@@ -41,7 +40,7 @@ def reference_costs(model, batch, dt):
 
 def single_cost(model, x0):
     """The cost of a batch of one path on the 0.25 grid over [0, 1]."""
-    batch = simulate_paths(model, const_control(model), 0.0, x0, 1, 1.0, 0.25, 0, 1)
+    [batch] = simulate_chunks(model, const_control(model), 0.0, x0, 1, 1.0, 0.25, 0, 1)
     costs = reference_costs(model, batch, 0.25)
     assert costs.shape == (1,)
     return costs[0]
@@ -63,14 +62,14 @@ class TestPathwiseCost:
 
     def test_batch_matches_single(self, chain_model):
         control = const_control(chain_model)
-        batch = simulate_paths(chain_model, control, 0.0, [0.0], 1, 1.0, 0.01, 3, 16)
+        [batch] = simulate_chunks(chain_model, control, 0.0, [0.0], 1, 1.0, 0.01, 3, 16)
         vec = reference_costs(chain_model, batch, 0.01)
         # running cost i, terminal 0: the left-point sum of the regime path
         closed = 0.01 * batch.regimes[:, :-1].sum(axis=1)
         np.testing.assert_allclose(vec, closed, rtol=0, atol=1e-12)
         # path j costs the same as the last path of the batch 0..j
         for j in (0, 7, 15):
-            prefix = simulate_paths(chain_model, control, 0.0, [0.0], 1, 1.0, 0.01, 3, j + 1)
+            [prefix] = simulate_chunks(chain_model, control, 0.0, [0.0], 1, 1.0, 0.01, 3, j + 1)
             assert reference_costs(chain_model, prefix, 0.01)[j] == vec[j]
 
 
@@ -147,6 +146,23 @@ class TestMonteCarloCost:
 
         assert peak(8 * rng.BLOCK_PATHS) < 2 * peak(2 * rng.BLOCK_PATHS)
 
+    def test_antithetic_passes_share_a_job(self, monkeypatch):
+        # a chunk's plain and mirrored passes are one job, so one chunk
+        # starts no process pool and two chunks are two jobs
+        from hybridopt import dynamics
+
+        fan_out, jobs = dynamics.fan_out, []
+
+        def counting(job, args, workers):
+            jobs.append(len(args))
+            return fan_out(job, args, workers)
+
+        monkeypatch.setattr(dynamics, "fan_out", counting)
+        model = make_model(regimes=1, drift="0", diffusion="1", running="0", terminal="x1*x1", box=8.0)
+        for n in (2 * rng.BLOCK_PATHS, 2 * (rng.BLOCK_PATHS + 8)):
+            monte_carlo_cost(model, const_control(model), 0.0, [0.0], 1, 0.1, 0.05, n, 0, 2, True)
+        assert jobs == [1, 2]
+
     def test_antithetic_option(self, brownian_model):
         model = make_model(regimes=1, drift="0", diffusion="1", running="0", terminal="x1*x1", box=8.0)
         est = monte_carlo_cost(
@@ -212,18 +228,18 @@ class TestStreamedCosts:
         # BLOCK_PATHS + 8 paths are two chunks
         model = regime_model(n, clamp)
         control = control_of(kind, n, model.truncation_upper[0])
-        sim = (model, control, 0.0, [0.1], 1, 1.0, 0.04, 11)
-        recorded = simulate_paths(*sim, rng.BLOCK_PATHS + 8)
-        costed = [dynamics._simulate_block(*a, costing=True) for a in dynamics.chunk_args(*sim, rng.BLOCK_PATHS + 8)]
-        running = np.concatenate([c.running for c in costed])
-        assert np.array_equal(running + model.terminal_cost_at(recorded.states[:, -1, :]),
-                              reference_costs(model, recorded, 0.04))
-        assert np.array_equal(np.concatenate([c.x for c in costed]), recorded.states[:, -1, :])
-        assert np.array_equal(np.concatenate([c.regimes for c in costed]), recorded.regimes[:, -1])
-        assert sum(c.clamp_count for c in costed) == recorded.clamp_count
-        assert (recorded.clamp_count > 0) == clamp
+        sim = (model, control, 0.0, [0.1], 1, 1.0, 0.04, 11, rng.BLOCK_PATHS + 8)
+        pairs = list(zip(simulate_chunks(*sim), simulate_chunks(*sim, costing=True), strict=True))
+        assert len(pairs) == 2
+        for recorded, costed in pairs:
+            assert np.array_equal(costed.running + model.terminal_cost_at(recorded.states[:, -1, :]),
+                                  reference_costs(model, recorded, 0.04))
+            assert np.array_equal(costed.x, recorded.states[:, -1, :])
+            assert np.array_equal(costed.regimes, recorded.regimes[:, -1])
+            assert costed.clamp_count == recorded.clamp_count
+        assert (sum(recorded.clamp_count for recorded, _ in pairs) > 0) == clamp
         if n > 1:
-            assert np.any(recorded.regimes > 1)
+            assert any(np.any(recorded.regimes > 1) for recorded, _ in pairs)
 
     def test_chunk_memory_per_path_step(self):
         # the draws alone take 16 B a path-step at d = 1; a recorded path
@@ -232,10 +248,10 @@ class TestStreamedCosts:
         control = control_of("markov", 2, 0.5)
 
         def peak(steps):
-            (sim,) = dynamics.chunk_args(model, control, 0.0, [0.1], 1, 1.0, 1.0 / steps, 3, rng.BLOCK_PATHS)
+            chunks = simulate_chunks(model, control, 0.0, [0.1], 1, 1.0, 1.0 / steps, 3, rng.BLOCK_PATHS, costing=True)
             tracemalloc.start()
             try:
-                dynamics._simulate_block(*sim, costing=True)
+                [_] = chunks
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -249,4 +265,4 @@ class TestStreamedCosts:
         with pytest.raises(NumericalError, match="sqrt of a negative value"):
             monte_carlo_cost(model, const_control(model), 0.0, [0.0], 1, 1.0, 0.1, 4, 0)
         with pytest.raises(SimulationError, match="at step 5"):
-            simulate_paths(model, const_control(model), 0.0, [0.0], 1, 1.0, 0.1, 0, 4)
+            list(simulate_chunks(model, const_control(model), 0.0, [0.0], 1, 1.0, 0.1, 0, 4))

@@ -15,7 +15,7 @@ from hybridopt import (
     dirac,
     gronwall_sup_moment_bound,
     rng,
-    simulate_paths,
+    simulate_chunks,
     transition_matrix,
     validate_model,
 )
@@ -27,7 +27,8 @@ from tests.conftest import const_control, make_model
 def one_step(model, x0, dt, point=0.5):
     """One Euler step of a batch of one path (seed 4) under Dirac controls."""
     control = ConstantControl(dirac(model.action_set, [point]), dirac(model.action_set, [point]))
-    return simulate_paths(model, control, 0.0, x0, 1, dt, dt, 4, 1)
+    [batch] = simulate_chunks(model, control, 0.0, x0, 1, dt, dt, 4, 1)
+    return batch
 
 
 class TestBlockStreams:
@@ -90,41 +91,42 @@ class TestEmStep:
         # the drift pushes every path 2 units per step past the upper face
         model = make_model(regimes=1, drift="20", diffusion="0", box=1.0)
         control = const_control(model)
-        batch = simulate_paths(model, control, 0.0, [0.9], 1, 0.2, 0.1, 4, 3)
+        [batch] = simulate_chunks(model, control, 0.0, [0.9], 1, 0.2, 0.1, 4, 3)
         assert np.all(batch.states[:, 1:, 0] == 1.0)
         assert batch.clamp_count == 3 * 2
         inside = make_model(regimes=1, drift="1", diffusion="0", box=1.0)
-        assert simulate_paths(inside, control, 0.0, [0.0], 1, 0.2, 0.1, 4, 3).clamp_count == 0
+        [batch] = simulate_chunks(inside, control, 0.0, [0.0], 1, 0.2, 0.1, 4, 3)
+        assert batch.clamp_count == 0
 
 
 class TestSimulate:
     def test_frozen_path(self):
         model = make_model(regimes=1, drift="0", diffusion="0", box=2.0)
-        path = simulate_paths(model, const_control(model), 0.0, [0.7], 1, 1.0, 0.1, 5, 1)
+        [path] = simulate_chunks(model, const_control(model), 0.0, [0.7], 1, 1.0, 0.1, 5, 1)
         assert np.all(path.states == 0.7)
         assert np.all(path.regimes == 1)
 
     def test_brownian_law(self, brownian_model):
-        batch = simulate_paths(
+        chunks = simulate_chunks(
             brownian_model, const_control(brownian_model), 0.0, [0.0], 1, 1.0, 0.01, 42, 10_000
         )
-        x_t = batch.states[:, -1, 0]
+        x_t = np.concatenate([batch.states[:, -1, 0] for batch in chunks])
         se = float(np.std(x_t, ddof=1)) / math.sqrt(len(x_t))
         assert abs(float(np.mean(x_t))) <= 3 * se
         assert abs(float(np.var(x_t, ddof=1)) - 1.0) <= 0.05
 
     def test_two_state_chain_law(self, chain_model):
-        batch = simulate_paths(
+        chunks = simulate_chunks(
             chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.01, 7, 10_000
         )
-        frac = float(np.mean(batch.regimes[:, -1] == 2))
+        frac = float(np.mean(np.concatenate([batch.regimes[:, -1] for batch in chunks]) == 2))
         p = 1.0 - math.exp(-1.0)
         se = math.sqrt(p * (1 - p) / 10_000)
         assert abs(frac - p) <= 3 * se
 
     def test_bit_reproducibility(self, chain_model):
-        a = simulate_paths(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.01, 9, 1)
-        b = simulate_paths(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.01, 9, 1)
+        [a] = simulate_chunks(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.01, 9, 1)
+        [b] = simulate_chunks(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.01, 9, 1)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.regimes, b.regimes)
         assert np.array_equal(a.mu_idx, b.mu_idx) and np.array_equal(a.nu_idx, b.nu_idx)
@@ -133,33 +135,34 @@ class TestSimulate:
     def test_increments_come_from_the_path_stream(self, brownian_model):
         # path p reads row p % BLOCK_PATHS of the stream of block p // BLOCK_PATHS
         c = const_control(brownian_model)
-        batch = simulate_paths(brownian_model, c, 0.0, [0.0], 1, 0.5, 0.05, 3, rng.BLOCK_PATHS + 6)
-        for p in (5, rng.BLOCK_PATHS + 5):
-            block, row = divmod(p, rng.BLOCK_PATHS)
-            dw = rng.stream(3, block, rng.ROLE_BROWNIAN).standard_normal((row + 1, 10, 1))[row] * np.sqrt(0.05)
-            np.testing.assert_allclose(batch.states[p, 1:, 0], np.cumsum(dw[:, 0]), rtol=0, atol=1e-12)
+        chunks = simulate_chunks(brownian_model, c, 0.0, [0.0], 1, 0.5, 0.05, 3, rng.BLOCK_PATHS + 6)
+        for block, batch in enumerate(chunks):
+            assert batch.path_indices[5] == block * rng.BLOCK_PATHS + 5
+            dw = rng.stream(3, block, rng.ROLE_BROWNIAN).standard_normal((6, 10, 1))[5] * np.sqrt(0.05)
+            np.testing.assert_allclose(batch.states[5, 1:, 0], np.cumsum(dw[:, 0]), rtol=0, atol=1e-12)
+        assert block == 1
 
     def test_batch_across_a_block_boundary(self):
-        # paths BLOCK_PATHS-2 .. BLOCK_PATHS+1 span two blocks; each path must
-        # equal its row in a larger batch, and the second block's paths
-        # must also equal the second chunk
+        # b + 2 paths span two blocks; each chunk must equal the first rows
+        # of the same chunk of a larger batch, whose second chunk holds the
+        # second block's paths
         model = make_model(rate12="1", rate21="0.5", drift="0", diffusion="1", box=8.0)
         c = const_control(model)
         b = rng.BLOCK_PATHS
-        rows = slice(b - 2, b + 2)
-        small = simulate_paths(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, b + 2)
-        large = simulate_paths(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, b + 8)
-        for field in ("path_indices", "states", "regimes"):
-            assert np.array_equal(getattr(small, field)[rows], getattr(large, field)[rows])
-        second = list(dynamics.simulate_chunks(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, b + 8))[1]
-        assert second.path_indices.tolist() == list(range(b, b + 8))
-        assert np.array_equal(second.states, large.states[b:])
-        assert len(np.unique(small.states[rows, -1, 0])) == 4
+        small = list(simulate_chunks(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, b + 2))
+        large = list(simulate_chunks(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, b + 8))
+        assert [len(chunk.path_indices) for chunk in small] == [b, 2]
+        for head, whole in zip(small, large, strict=True):
+            for field in ("path_indices", "states", "regimes"):
+                assert np.array_equal(getattr(head, field), getattr(whole, field)[: len(head.path_indices)])
+        assert large[1].path_indices.tolist() == list(range(b, b + 8))
+        # the four paths next to the block boundary are distinct
+        assert len(np.unique(np.concatenate([small[0].states[-2:, -1, 0], small[1].states[:, -1, 0]]))) == 4
 
     def test_path_independent_of_batch(self, brownian_model):
         c = const_control(brownian_model)
-        small = simulate_paths(brownian_model, c, 0.0, [0.0], 1, 0.5, 0.05, 3, 4)
-        large = simulate_paths(brownian_model, c, 0.0, [0.0], 1, 0.5, 0.05, 3, 64)
+        [small] = simulate_chunks(brownian_model, c, 0.0, [0.0], 1, 0.5, 0.05, 3, 4)
+        [large] = simulate_chunks(brownian_model, c, 0.0, [0.0], 1, 0.5, 0.05, 3, 64)
         assert np.array_equal(small.states, large.states[:4])
         assert np.array_equal(small.regimes, large.regimes[:4])
 
@@ -167,31 +170,34 @@ class TestSimulate:
         # two chunks on a two-step horizon, so the pool starts and stays cheap
         c = const_control(brownian_model)
         n = rng.BLOCK_PATHS + 64
-        assert len(list(dynamics.path_chunks(n))) >= 2
-        serial = simulate_paths(brownian_model, c, 0.0, [0.0], 1, 0.1, 0.05, 3, n, workers=1)
-        fanned = simulate_paths(brownian_model, c, 0.0, [0.0], 1, 0.1, 0.05, 3, n, workers=8)
-        assert np.array_equal(serial.states, fanned.states)
-        assert np.array_equal(serial.regimes, fanned.regimes)
+        serial = list(simulate_chunks(brownian_model, c, 0.0, [0.0], 1, 0.1, 0.05, 3, n, workers=1))
+        fanned = simulate_chunks(brownian_model, c, 0.0, [0.0], 1, 0.1, 0.05, 3, n, workers=8)
+        assert len(serial) == 2
+        for one, pooled in zip(serial, fanned, strict=True):
+            assert np.array_equal(one.states, pooled.states)
+            assert np.array_equal(one.regimes, pooled.regimes)
 
     def test_workers_split_on_blocks(self):
         # BLOCK_PATHS + 8 paths are two chunks, so two workers share them
         model = make_model(rate12="1", rate21="0.5", drift="-x1", diffusion="1", box=8.0)
         c = const_control(model)
         n = rng.BLOCK_PATHS + 8
-        serial = simulate_paths(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, n, workers=1)
-        fanned = simulate_paths(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, n, workers=2)
-        for field in ("states", "regimes", "mu_idx", "nu_idx", "path_indices"):
-            assert np.array_equal(getattr(serial, field), getattr(fanned, field))
-        assert serial.clamp_count == fanned.clamp_count
+        serial = list(simulate_chunks(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, n, workers=1))
+        fanned = simulate_chunks(model, c, 0.0, [0.0], 1, 0.25, 0.05, 3, n, workers=2)
+        assert len(serial) == 2
+        for one, pooled in zip(serial, fanned, strict=True):
+            for field in ("states", "regimes", "mu_idx", "nu_idx", "path_indices"):
+                assert np.array_equal(getattr(one, field), getattr(pooled, field))
+            assert one.clamp_count == pooled.clamp_count
 
     def test_non_integral_grid_rejected(self, brownian_model):
         with pytest.raises(ValidationError):
-            simulate_paths(brownian_model, const_control(brownian_model), 0.0, [0.0], 1, 1.0, 0.3, 0, 1)
+            simulate_chunks(brownian_model, const_control(brownian_model), 0.0, [0.0], 1, 1.0, 0.3, 0, 1)
 
     def test_blowup_without_clamping(self):
         model = make_model(regimes=1, drift="10*x1", diffusion="0", box=2.0, clamp=False)
         with pytest.raises(SimulationError):
-            simulate_paths(model, const_control(model), 0.0, [1.0], 1, 1.0, 0.1, 0, 1)
+            list(simulate_chunks(model, const_control(model), 0.0, [1.0], 1, 1.0, 0.1, 0, 1))
 
     def test_regime_marginals_match_chained_products(self, unit_interval):
         model = make_model(
@@ -199,7 +205,8 @@ class TestSimulate:
         )
         dt = 0.05
         nu = dirac(unit_interval, [0.5])
-        batch = simulate_paths(model, const_control(model), 0.0, [0.0], 1, 1.0, dt, 13, 10_000)
+        chunks = simulate_chunks(model, const_control(model), 0.0, [0.0], 1, 1.0, dt, 13, 10_000)
+        regimes = np.concatenate([batch.regimes for batch in chunks])
         p_step = np.vstack(
             [transition_matrix(model.rates, np.zeros(1), nu, dt)[i - 1] for i in (1, 2)]
         )
@@ -208,7 +215,7 @@ class TestSimulate:
             marginal = marginal @ p_step
             if k % 4 == 0:  # 5 checkpoints
                 frac = np.array(
-                    [float(np.mean(batch.regimes[:, k] == 1)), float(np.mean(batch.regimes[:, k] == 2))]
+                    [float(np.mean(regimes[:, k] == 1)), float(np.mean(regimes[:, k] == 2))]
                 )
                 tv = 0.5 * float(np.sum(np.abs(frac - marginal)))
                 se = math.sqrt(float(marginal[0] * marginal[1]) / 10_000)
@@ -228,15 +235,15 @@ class TestSimulate:
             window=3, statistic="max", coordinate=0, bucket_edges=[0.0],
             mu_candidates=[d3], mu_map=[0, 0], nu_candidates=[d7], nu_map=[0, 0],
         )
-        ref = simulate_paths(model, constant, 0.0, [0.0], 1, 1.0, 0.25, 21, 1)
+        [ref] = simulate_chunks(model, constant, 0.0, [0.0], 1, 1.0, 0.25, 21, 1)
         for other in (markov, pathdep):
-            path = simulate_paths(model, other, 0.0, [0.0], 1, 1.0, 0.25, 21, 1)
+            [path] = simulate_chunks(model, other, 0.0, [0.0], 1, 1.0, 0.25, 21, 1)
             assert np.array_equal(path.states, ref.states)
             assert np.array_equal(path.regimes, ref.regimes)
 
     def test_moment_bound_holds(self):
         model = make_model(regimes=1, drift="-x1", diffusion="1", box=8.0, growth_bound=1.0)
-        batch = simulate_paths(model, const_control(model), 0.0, [1.0], 1, 1.0, 0.01, 3, 4000)
+        [batch] = simulate_chunks(model, const_control(model), 0.0, [1.0], 1, 1.0, 0.01, 3, 4000)
         sup2 = np.max(np.abs(batch.states[:, :, 0]), axis=1) ** 2
         bound = gronwall_sup_moment_bound(1.0, [1.0], 1.0, 2, 1)
         assert float(np.mean(sup2)) <= 2.0 * bound
@@ -319,14 +326,14 @@ class TestValidateModel:
 
 class TestGridInvariants:
     def test_path_grid_tiles_horizon(self, brownian_model):
-        path = simulate_paths(brownian_model, const_control(brownian_model), 0.0, [0.0], 1, 1.0, 0.01, 2, 1)
+        [path] = simulate_chunks(brownian_model, const_control(brownian_model), 0.0, [0.0], 1, 1.0, 0.01, 2, 1)
         n_steps = path.states.shape[1] - 1
         assert n_steps == 100 and len(path.times) == 101
         assert np.max(np.abs(np.diff(path.times) - 0.01)) <= 1e-12
         assert abs(path.times[-1] - 1.0) <= 1e-12
 
     def test_single_switch_per_step(self, chain_model):
-        batch = simulate_paths(
+        [batch] = simulate_chunks(
             chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.01, 11, 500
         )
         jumps = np.abs(np.diff(batch.regimes, axis=1))
@@ -351,7 +358,7 @@ class TestTwoDimensionalSimulation:
             truncation_upper=[8.0, 8.0],
         )
         control = ConstantControl(dirac(u, [0.5]), dirac(u, [0.5]))
-        batch = simulate_paths(model, control, 0.0, [0.0, 0.0], 1, 1.0, 0.02, 3, 4000)
+        [batch] = simulate_chunks(model, control, 0.0, [0.0, 0.0], 1, 1.0, 0.02, 3, 4000)
         x_t = batch.states[:, -1, :]
         cov = np.cov(x_t.T)
         assert abs(cov[0, 0] - 1.0) <= 0.1
@@ -375,7 +382,7 @@ class TestTwoDimensionalSimulation:
             truncation_upper=[8.0, 8.0],
         )
         control = ConstantControl(dirac(u, [0.5]), dirac(u, [0.5]))
-        path = simulate_paths(model, control, 0.0, [0.0, 0.0], 1, 0.5, 0.05, 4, 1)
+        [path] = simulate_chunks(model, control, 0.0, [0.0, 0.0], 1, 0.5, 0.05, 4, 1)
         assert np.array_equal(path.states[0, :, 0], path.states[0, :, 1])
 
 
@@ -394,11 +401,12 @@ class TestWorkerPickling:
             CandidateMap([d0, d1], index_expr="i - 1"),
         )
         n = rng.BLOCK_PATHS + 48
-        assert len(list(dynamics.path_chunks(n))) >= 2
-        serial = simulate_paths(model, control, 0.0, [0.5], 1, 0.1, 0.05, 17, n, workers=1)
-        fanned = simulate_paths(model, control, 0.0, [0.5], 1, 0.1, 0.05, 17, n, workers=6)
-        assert np.array_equal(serial.states, fanned.states)
-        assert np.array_equal(serial.mu_idx, fanned.mu_idx)
+        serial = list(simulate_chunks(model, control, 0.0, [0.5], 1, 0.1, 0.05, 17, n, workers=1))
+        fanned = simulate_chunks(model, control, 0.0, [0.5], 1, 0.1, 0.05, 17, n, workers=6)
+        assert len(serial) == 2
+        for one, pooled in zip(serial, fanned, strict=True):
+            assert np.array_equal(one.states, pooled.states)
+            assert np.array_equal(one.mu_idx, pooled.mu_idx)
 
     def test_table_control_across_processes(self):
         from hybridopt import GridSpec, TableControl, dirac, solve
@@ -411,17 +419,18 @@ class TestWorkerPickling:
         vg = solve(model, GridSpec(10, [11], 3), [dirac(u, [0.5])], [dirac(u, [0.0]), dirac(u, [1.0])])
         policy = TableControl(vg)
         n = rng.BLOCK_PATHS + 40
-        assert len(list(dynamics.path_chunks(n))) >= 2
-        serial = simulate_paths(model, policy, 0.0, [0.0], 1, 0.2, 0.1, 23, n, workers=1)
-        fanned = simulate_paths(model, policy, 0.0, [0.0], 1, 0.2, 0.1, 23, n, workers=5)
-        assert np.array_equal(serial.states, fanned.states)
-        assert np.array_equal(serial.regimes, fanned.regimes)
+        serial = list(simulate_chunks(model, policy, 0.0, [0.0], 1, 0.2, 0.1, 23, n, workers=1))
+        fanned = simulate_chunks(model, policy, 0.0, [0.0], 1, 0.2, 0.1, 23, n, workers=5)
+        assert len(serial) == 2
+        for one, pooled in zip(serial, fanned, strict=True):
+            assert np.array_equal(one.states, pooled.states)
+            assert np.array_equal(one.regimes, pooled.regimes)
 
 
 class TestPartialHorizonAndOffGrid:
     def test_simulate_from_interior_start_time(self):
         model = make_model(regimes=1, drift="1", diffusion="0", box=8.0)
-        path = simulate_paths(model, const_control(model), 0.25, [0.0], 1, 0.75, 0.25, 2, 1)
+        [path] = simulate_chunks(model, const_control(model), 0.25, [0.0], 1, 0.75, 0.25, 2, 1)
         assert path.times.tolist() == [0.25, 0.5, 0.75]
         assert path.states[0, -1, 0] == pytest.approx(0.5, abs=1e-15)
 
@@ -429,15 +438,15 @@ class TestPartialHorizonAndOffGrid:
         # b dt = exp(700) * 1e300 overflows on the first engine step
         model = make_model(regimes=1, drift="exp(x1)", diffusion="0", box=800.0, clamp=False)
         with pytest.raises(SimulationError):
-            simulate_paths(model, const_control(model), 0.0, [700.0], 1, 1e300, 1e300, 0, 1)
+            list(simulate_chunks(model, const_control(model), 0.0, [700.0], 1, 1e300, 1e300, 0, 1))
 
 
 class TestStepSizeCap:
     def test_engine_rejects_dt_rate_above_cap(self, chain_model):
         # rate bound 1: dt = 0.1 sits at the cap, dt = 0.125 is above it
-        simulate_paths(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.1, 0, 1)
+        list(simulate_chunks(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.1, 0, 1))
         with pytest.raises(StepSizeError):
-            simulate_paths(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.125, 0, 1)
+            list(simulate_chunks(chain_model, const_control(chain_model), 0.0, [0.0], 1, 1.0, 0.125, 0, 1))
 
 
 class RecordingPool:

@@ -178,7 +178,7 @@ def _rows_computed(monkeypatch, model, control, dt, seed, paths):
     monkeypatch.setattr(dynamics, "transition_rows_batch", counting)
     model, _ = cfg.load_model(model)
     control, _ = cfg.load_control(control, model)
-    dynamics.simulate_paths(model, control, 0.0, model.default_start()[0], 1, model.horizon, dt, seed, paths)
+    list(dynamics.simulate_chunks(model, control, 0.0, model.default_start()[0], 1, model.horizon, dt, seed, paths))
     return sum(counted)
 
 

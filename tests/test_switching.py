@@ -20,7 +20,7 @@ from hybridopt import (
     w1_distance,
 )
 from hybridopt.dpp_solver import GridSpec, SolverKernels
-from hybridopt.dynamics import simulate_paths
+from hybridopt.dynamics import simulate_chunks
 from hybridopt.switching import (
     _RATE_TOL,
     DT_RATE_CAP,
@@ -467,9 +467,9 @@ class TestNanRateRejected:
         with pytest.raises(ModelError, match="NaN"):
             interval_draw(model.rates, np.array([1]), np.array([[2.0]]), dirac(model.action_set, [0.5]), 0.01, np.array([0.5]))
 
-    def test_simulate_paths(self, model):
+    def test_simulate_chunks(self, model):
         with pytest.raises(ModelError, match="NaN"):
-            simulate_paths(model, const_control(model), 0.0, [2.0], 1, 1.0, 0.01, 0, 4)
+            list(simulate_chunks(model, const_control(model), 0.0, [2.0], 1, 1.0, 0.01, 0, 4))
 
     def test_solver_kernels(self, model):
         nu_m = dirac(model.action_set, [0.5])
