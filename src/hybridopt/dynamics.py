@@ -131,8 +131,8 @@ class HybridModel:
         self.running_cost = _compiled(running_cost, {"t", "i", "mu", "nu"}, "running_cost")
         self.terminal_cost = _compiled(terminal_cost, set(), "terminal_cost")
 
-        if horizon <= 0:
-            raise ValidationError("horizon must be positive")
+        if not (np.isfinite(horizon) and horizon > 0):
+            raise ValidationError(f"horizon must be positive and finite, got {horizon!r}")
         self.horizon = float(horizon)
 
         lo = np.atleast_1d(np.asarray(truncation_lower, dtype=float))
@@ -283,6 +283,9 @@ CostedChunk = namedtuple("CostedChunk", "running clamp_count x regimes")
 
 
 def grid_steps(s: float, t_end: float, dt: float) -> int:
+    bad = [f"{name} = {value!r}" for name, value in (("s", s), ("t_end", t_end), ("dt", dt)) if not np.isfinite(value)]
+    if bad:
+        raise ValidationError(f"times must be finite, got {', '.join(bad)}")
     if dt <= 0 or t_end <= s:
         raise ValidationError("need dt > 0 and t_end > s")
     n = int(round((t_end - s) / dt))

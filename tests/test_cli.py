@@ -840,6 +840,37 @@ class TestWorkersEnv:
         assert "argument --workers: " in capsys.readouterr().err
 
 
+class TestNonFiniteTimes:
+    # a NaN passes every "<= 0" test and an inf overflows the step count: both
+    # are config errors (exit 2) that name the value, raised before any work
+    @pytest.mark.parametrize(
+        "command, flag, value, named",
+        [("estimate", "--dt", "nan", "dt = nan"), ("simulate", "--dt", "inf", "dt = inf"),
+         ("simulate", "--t0", "nan", "s = nan"), ("simulate", "--horizon", "nan", "t_end = nan"),
+         ("simulate", "--horizon", "inf", "t_end = inf")],
+        ids=["estimate-dt-nan", "simulate-dt-inf", "simulate-t0-nan", "simulate-horizon-nan", "simulate-horizon-inf"],
+    )
+    def test_flag_exits_2(self, command, flag, value, named, demo_files, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(dynamics, "_simulate_block", never_simulate)
+        model, control = demo_files
+        out = tmp_path / "out"
+        assert cli.main([command, "--model", str(model), "--control", str(control), "--out", str(out),
+                         "--workers", "1", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: times must be finite, got {named}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("command", ["estimate", "solve"])
+    def test_model_horizon_exits_2(self, command, horizon, demo_files, tmp_path, capsys):
+        model, control = demo_files
+        payload = json.loads(model.read_text())
+        payload["horizon"] = horizon
+        write_json(model, payload)
+        argv = [command, "--model", str(model), "--out", str(tmp_path / "out"), "--workers", "1"]
+        assert cli.main(argv + (["--control", str(control)] if command == "estimate" else [])) == 2
+        assert capsys.readouterr().err == f"error: horizon must be positive and finite, got {horizon!r}\n"
+
+
 class TestPathDependentControlConfig:
     def test_load_and_simulate(self, tmp_path):
         model_path = write_json(
