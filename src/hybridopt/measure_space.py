@@ -263,8 +263,9 @@ def mixture(measures, coefficients) -> DiscreteMeasure:
 
 
 def draw_measure(gen: np.random.Generator, action_set: ActionSet, max_atoms: int = 3):
-    """The draws of one ``random_measure``: the atom count m in 1..max_atoms,
-    then m uniform points of the unit cube, then m uniforms for the weights."""
+    """The draws of one measure of ``random_measures``: the atom count m in
+    1..max_atoms, then m uniform points of the unit cube, then m uniforms for
+    the weights."""
     m = int(gen.integers(1, max_atoms + 1))
     return gen.random((m, action_set.dim)), gen.random(m)
 
@@ -280,11 +281,6 @@ def random_measures(action_set: ActionSet, draws) -> list[DiscreteMeasure]:
     ends = np.cumsum(sizes).tolist()
     bounds = list(zip([0] + ends[:-1], ends))
     return DiscreteMeasure.batch(action_set, [atoms[s:e] for s, e in bounds], [weights[s:e] for s, e in bounds])
-
-
-def random_measure(gen: np.random.Generator, action_set: ActionSet, max_atoms: int = 3) -> DiscreteMeasure:
-    """Uniform atoms in the box with random positive weights."""
-    return random_measures(action_set, [draw_measure(gen, action_set, max_atoms)])[0]
 
 
 def euclidean(diff: np.ndarray) -> np.ndarray:
@@ -321,28 +317,25 @@ def w1_sorted_cdf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return float(np.sum(np.abs(fmu - fnu)[:-1] * np.diff(grid)))
 
 
-def _pairs(mu, nu):
-    """Two measures, or two equal-length sequences of them, as a list of pairs
-    plus whether a single pair was given."""
-    if isinstance(mu, DiscreteMeasure):
-        return [(mu, nu)], True
+def _pairs(mu, nu) -> list:
+    """The pairs of two equal-length sequences of measures."""
     if len(mu) != len(nu):
         raise ValidationError("W1 of two sequences needs them of equal length")
-    return list(zip(mu, nu)), False
+    return list(zip(mu, nu))
 
 
 def w1_transport_lp(mu, nu):
     """Exact W1 via the transport linear program over all couplings (HiGHS).
 
-    Takes two measures (returns a float) or two equal-length sequences
-    (returns an ndarray).  All pairs of one call are one block-diagonal LP:
+    Takes two equal-length sequences of measures and returns the W1 of each
+    pair as an ndarray.  All pairs of one call are one block-diagonal LP:
     the objective is separable, so each block's optimum is that pair's own,
     and its value is c_b . x_b clamped at 0.  Pairs with the same ordered
     canonical keys share one block, so w1(a, b) == w1(b, a) exactly."""
     from scipy import sparse
     from scipy.optimize import linprog
 
-    pairs, single = _pairs(mu, nu)
+    pairs = _pairs(mu, nu)
     blocks: dict = {}
     block_of = []
     for p in pairs:
@@ -366,7 +359,7 @@ def w1_transport_lp(mu, nu):
     if not res.success:
         raise NumericalError(f"transport LP failed: {res.message}")
     values = np.maximum(np.add.reduceat(cost * res.x, starts[:-1]), 0.0)[block_of]
-    return float(values[0]) if single else values
+    return values
 
 
 def within_tree_cap(m: int, n: int) -> bool:
@@ -416,22 +409,18 @@ def _stacked(measures):
 
 
 def w1_distance(mu, nu):
-    """Exact 1-Wasserstein distance between two discrete measures on the same
-    box (a float), or between the pairs of two equal-length sequences (an
-    ndarray).  Equal pairs and pairs with a one-atom side are found, and their
-    closed forms computed, over all pairs at once; 1-D pairs take the
-    sorted-CDF formula, pairs within ``W1_TREE_CAP`` their basic solutions, the rest one LP."""
-    pairs, single = _pairs(mu, nu)
+    """Exact 1-Wasserstein distance of each pair of two equal-length sequences
+    of discrete measures, all of one dimension, as an ndarray.  Equal pairs
+    and pairs with a one-atom side are found, and their closed forms
+    computed, over all pairs at once; 1-D pairs take the sorted-CDF formula,
+    pairs within ``W1_TREE_CAP`` their basic solutions, the rest one LP."""
+    pairs = _pairs(mu, nu)
     for p in pairs:
         _checked(*p)
     out = np.zeros(len(pairs))
-    dims = [p[0].action_set.dim for p in pairs]
-    if len(set(dims)) > 1:
-        # the stacked rows need one dimension: one call per dimension
-        for d in set(dims):
-            sel = [k for k, dim in enumerate(dims) if dim == d]
-            out[sel] = w1_distance([pairs[k][0] for k in sel], [pairs[k][1] for k in sel])
-        return out
+    dims = {p[0].action_set.dim for p in pairs}
+    if len(dims) > 1:
+        raise ValidationError(f"W1 of one call needs one action-set dimension, got {sorted(dims)}")
     if not pairs:
         return out
     (sa, fa, ra), (sb, fb, rb) = _stacked([p[0] for p in pairs]), _stacked([p[1] for p in pairs])
@@ -457,7 +446,7 @@ def w1_distance(mu, nu):
         point = np.repeat(rp[fp[sel], :-1], ss[sel], axis=0)
         out[sel] = segment_sums(spread[:, -1] * euclidean(spread[:, :-1] - point), ss[sel])
     rest = np.flatnonzero(~equal & ~one)
-    if dims[0] == 1:
+    if dims == {1}:
         for k in rest:
             out[k] = w1_sorted_cdf(*pairs[k])
     elif len(rest):
@@ -468,4 +457,4 @@ def w1_distance(mu, nu):
             for part in np.split(sel, range(256, len(sel), 256)) if shape else [sel]:  # <= 9 MB of products
                 group = [ordered[s] for s in part]
                 out[rest[part]] = _w1_trees(group, *shape) if shape else w1_transport_lp(*zip(*group))
-    return float(out[0]) if single else out
+    return out

@@ -43,9 +43,10 @@ from .errors import CapacityError, NumericalError, ValidationError
 from .measure_space import (
     ActionSet,
     dirac,
+    draw_measure,
     euclidean,
     mixture,
-    random_measure,
+    random_measures,
     w1_distance,
     w1_sorted_cdf,
     w1_transport_lp,
@@ -414,7 +415,8 @@ def check_w1_metric() -> CheckReport:
     for action_set in (ActionSet([0.0], [1.0]), ActionSet([0.0, 0.0], [1.0, 1.0])):
         span = action_set.upper - action_set.lower
         # 175 triples per space -> 350 triples, 500+ pairs
-        a, b, c = zip(*[[random_measure(gen, action_set, max_atoms=6) for _ in range(3)] for _ in range(175)])
+        measures = random_measures(action_set, [draw_measure(gen, action_set, max_atoms=6) for _ in range(3 * 175)])
+        a, b, c = (tuple(measures[k::3]) for k in range(3))
         points = np.array([[action_set.lower + gen.random(action_set.dim) * span for _ in range(2)] for _ in range(75)])
         x, y = ([dirac(action_set, p) for p in points[:, k]] for k in (0, 1))
         dab, dba, dbc, dac, daa, dbb, dxy = np.split(
@@ -477,6 +479,7 @@ def check_intervals() -> CheckReport:
         rows = transition_rows_batch(rates, np.arange(1, n + 1), np.tile(x, (n, 1)), nu, dt)
         expm_worst = max(expm_worst, float(np.max(np.abs(rows - transition_matrix(rates, x, nu, dt)))))
 
+    probes, draws = [], []
     for _ in range(200):
         n = int(gen.integers(2, 5))
         exprs = []
@@ -490,7 +493,10 @@ def check_intervals() -> CheckReport:
                     d = ex.Num(gen.random() * 0.05)
                     row.append(ex.Binary("+", ex.Binary("*", c, scaled), ex.Binary("*", d, square)))
             exprs.append(row)
-        probe(RateSpec(n, exprs, 1.0), gen.random(1) * 2 - 1, random_measure(gen, u_set))
+        probes.append((RateSpec(n, exprs, 1.0), gen.random(1) * 2 - 1))
+        draws.append(draw_measure(gen, u_set))
+    for (spec, x), nu in zip(probes, random_measures(u_set, draws)):
+        probe(spec, x, nu)
     # an exit rate above M = 1 but inside the rate tolerance, which the generator accepts
     probe(RateSpec(2, [[None, "1.0000000000005"], ["0.5", None]], 1.0), np.zeros(1), dirac(u_set, [0.5]))
 

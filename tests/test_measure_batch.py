@@ -13,7 +13,7 @@ import pytest
 
 from hybridopt import ActionSet, DiscreteMeasure, DomainError, ValidationError, w1_distance
 from hybridopt.control import MeasureBatch
-from hybridopt.measure_space import MERGE_DECIMALS, WEIGHT_TOL, euclidean, random_measure, segment_sums
+from hybridopt.measure_space import MERGE_DECIMALS, WEIGHT_TOL, draw_measure, euclidean, random_measures, segment_sums
 
 
 def reference_measure(action_set, atoms, weights):
@@ -160,7 +160,7 @@ class TestRejections:
         action_set, atoms, weights = MALFORMED[case]
         kind, message = reference_error(action_set, atoms, weights)
         gen = np.random.default_rng(position)
-        good = [random_measure(gen, action_set) for _ in range(4)]
+        good = random_measures(action_set, [draw_measure(gen, action_set) for _ in range(4)])
         atoms_seq = [m.atoms for m in good]
         weights_seq = [m.weights for m in good]
         atoms_seq.insert(position, atoms)
@@ -287,7 +287,11 @@ class TestBatchedClosedForms:
         assert np.array_equal(w1_distance([a, a], [b, a]), [0.0, 0.0])
 
     def test_mixed_dimensions_in_one_call(self):
+        # one call takes one dimension; each dimension's batch equals its pairs one at a time
         gen = np.random.default_rng(14)
-        pairs = [(random_measure(gen, s), random_measure(gen, s)) for s in (UNIT, SQUARE, UNIT, SQUARE)]
-        batch = w1_distance([p for p, _ in pairs], [q for _, q in pairs])
-        assert batch.tolist() == [w1_distance(p, q) for p, q in pairs]
+        pairs = [tuple(random_measures(s, [draw_measure(gen, s) for _ in range(2)])) for s in (UNIT, SQUARE, UNIT, SQUARE)]
+        with pytest.raises(ValidationError, match="one action-set dimension"):
+            w1_distance([p for p, _ in pairs], [q for _, q in pairs])
+        for same in (pairs[0::2], pairs[1::2]):
+            batch = w1_distance([p for p, _ in same], [q for _, q in same])
+            assert batch.tolist() == [w1_distance([p], [q])[0] for p, q in same]

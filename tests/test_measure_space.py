@@ -125,21 +125,21 @@ class TestMoment:
 class TestW1:
     def test_dirac_pair(self):
         u = ActionSet([0.0], [5.0])
-        assert w1_distance(dirac(u, [1.0]), dirac(u, [4.0])) == 3.0
+        assert w1_distance([dirac(u, [1.0])], [dirac(u, [4.0])]).tolist() == [3.0]
 
     def test_identity_zero(self, unit_square):
         gen = np.random.default_rng(3)
         m = random_measure(gen, unit_square)
-        assert w1_distance(m, m) == 0.0
+        assert w1_distance([m], [m]).tolist() == [0.0]
 
     def test_half_mass_move(self, unit_interval):
         m = mixture([dirac(unit_interval, [0.0]), dirac(unit_interval, [1.0])], [0.5, 0.5])
-        assert w1_distance(m, dirac(unit_interval, [0.0])) == pytest.approx(0.5, abs=1e-12)
+        assert w1_distance([m], [dirac(unit_interval, [0.0])])[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_mismatched_action_sets(self, unit_interval, unit_square):
         gen = np.random.default_rng(0)
         with pytest.raises(ValidationError):
-            w1_distance(random_measure(gen, unit_interval), random_measure(gen, unit_square))
+            w1_distance([random_measure(gen, unit_interval)], [random_measure(gen, unit_square)])
 
     def test_support_cap(self, unit_interval):
         atoms = np.linspace(0, 1, 3000).reshape(-1, 1)
@@ -147,7 +147,7 @@ class TestW1:
         atoms2 = np.linspace(0, 1, 2000).reshape(-1, 1)
         big2 = DiscreteMeasure(unit_interval, atoms2, np.full(2000, 1 / 2000))
         with pytest.raises(CapacityError):
-            w1_distance(big, big2)
+            w1_distance([big], [big2])
 
     def test_lp_matches_vertex_oracle_on_shrunk_supports(self, unit_square):
         # random 10-atom measures, shrunk to their first 3 atoms (weights
@@ -162,14 +162,14 @@ class TestW1:
             b = DiscreteMeasure(
                 unit_square, big_b.atoms[:3], big_b.weights[:3] / big_b.weights[:3].sum()
             )
-            assert w1_distance(a, b) == pytest.approx(transport_vertex_oracle(a, b), abs=1e-9)
+            assert w1_distance([a], [b])[0] == pytest.approx(transport_vertex_oracle(a, b), abs=1e-9)
 
     def test_cdf_matches_lp_in_1d(self, unit_interval):
         gen = np.random.default_rng(7)
         for _ in range(25):
             a = random_measure(gen, unit_interval)
             b = random_measure(gen, unit_interval)
-            assert w1_sorted_cdf(a, b) == pytest.approx(w1_transport_lp(a, b), abs=1e-9)
+            assert w1_sorted_cdf(a, b) == pytest.approx(w1_transport_lp([a], [b])[0], abs=1e-9)
 
     def test_translation_invariance_1d(self):
         gen = np.random.default_rng(11)
@@ -180,7 +180,7 @@ class TestW1:
             b = random_measure(gen, u)
             a2 = DiscreteMeasure(shifted, a.atoms + 2.5, a.weights)
             b2 = DiscreteMeasure(shifted, b.atoms + 2.5, b.weights)
-            assert w1_distance(a, b) == pytest.approx(w1_distance(a2, b2), abs=1e-12)
+            assert w1_distance([a], [b])[0] == pytest.approx(w1_distance([a2], [b2])[0], abs=1e-12)
 
 
 class TestBatchedW1:
@@ -204,10 +204,10 @@ class TestBatchedW1:
         for k in range(0, 18, 3):
             assert values[k] == values[k + 1] == values[k + 2]
         assert values[-1] == 0.0
-        # a single pair is a batch of one and returns a float
-        single = w1_transport_lp(*pairs[0])
-        assert isinstance(single, float)
-        assert single == pytest.approx(values[0], abs=1e-12)
+        # a single pair is a batch of one
+        single = w1_transport_lp([pairs[0][0]], [pairs[0][1]])
+        assert single.shape == (1,)
+        assert single[0] == pytest.approx(values[0], abs=1e-12)
 
     def test_lp_batch_of_one_dimensional_pairs_matches_cdf(self, unit_interval):
         gen = np.random.default_rng(8)
@@ -224,6 +224,10 @@ class TestBatchedW1:
             w1_distance([a, b], [b])
         with pytest.raises(ValidationError):
             w1_distance([a, b], [b, random_measure(gen, unit_interval)])
+        # pairs of two dimensions in one call
+        c, d = random_measure(gen, unit_interval), random_measure(gen, unit_interval)
+        with pytest.raises(ValidationError, match=r"one action-set dimension, got \[1, 2\]"):
+            w1_distance([a, c], [b, d])
         big = DiscreteMeasure(unit_interval, np.linspace(0, 1, 4096).reshape(-1, 1), np.full(4096, 1 / 4096))
         with pytest.raises(CapacityError):
             w1_transport_lp([dirac(unit_interval, [0.5]), big], [dirac(unit_interval, [0.1]), big])
@@ -270,7 +274,7 @@ class TestTreeW1:
         flows = np.sum(table * np.concatenate([first.weights, second.weights]), axis=-1)
         feasible = np.all(flows >= 0.0, axis=1)
         assert np.any(feasible & np.any((flows == 0.0) & np.any(table != 0, axis=-1), axis=1))
-        assert w1_distance(a, b) == pytest.approx(transport_vertex_oracle(a, b), abs=1e-12)
+        assert w1_distance([a], [b])[0] == pytest.approx(transport_vertex_oracle(a, b), abs=1e-12)
 
     def test_two_by_three_pairs_are_bit_symmetric(self, unit_square):
         gen = np.random.default_rng(9)
@@ -278,7 +282,7 @@ class TestTreeW1:
         threes = [self.measure(gen, unit_square, 3) for _ in range(20)]
         forward, backward = w1_distance(twos, threes), w1_distance(threes, twos)
         assert np.array_equal(forward, backward)
-        assert all(w1_distance(p, q) == v for p, q, v in zip(threes, twos, forward))
+        assert all(w1_distance([p], [q])[0] == v for p, q, v in zip(threes, twos, forward))
 
     def test_value_alone_equals_value_in_a_mixed_batch(self):
         u = ActionSet([0.0] * 3, [1.0] * 3)
@@ -288,7 +292,7 @@ class TestTreeW1:
         b = [self.measure(gen, u, n) for _, n in sizes]
         batch = w1_distance(a + a[:3], b + a[:3])
         assert np.array_equal(batch[-3:], np.zeros(3))
-        assert [w1_distance(p, q) for p, q in zip(a, b)] == batch[: len(a)].tolist()
+        assert [w1_distance([p], [q])[0] for p, q in zip(a, b)] == batch[: len(a)].tolist()
         assert np.allclose(batch[: len(a)], w1_transport_lp(a, b), rtol=0.0, atol=1e-12)
 
     def test_pairs_over_the_cap_reach_the_lp(self, monkeypatch, unit_square):
@@ -305,7 +309,7 @@ class TestTreeW1:
         big = [self.measure(gen, unit_square, n) for n in (3, 4, 2, 70)]
         w1_distance([small[0], big[0], big[2]], [small[1], big[1], big[3]])
         assert calls == [2]
-        w1_distance(small[0], small[1])
+        w1_distance([small[0]], [small[1]])
         assert calls == [2]
 
     def test_no_feasible_basic_solution_raises(self, monkeypatch, unit_square):
@@ -313,13 +317,13 @@ class TestTreeW1:
         monkeypatch.setattr(measure_space, "_tree_table", lambda m, n: -table(m, n))
         gen = np.random.default_rng(5)
         with pytest.raises(NumericalError, match="no feasible basic solution"):
-            w1_distance(self.measure(gen, unit_square, 2), self.measure(gen, unit_square, 2))
+            w1_distance([self.measure(gen, unit_square, 2)], [self.measure(gen, unit_square, 2)])
 
     def test_errors_as_before(self, unit_square):
         gen = np.random.default_rng(6)
         u3 = ActionSet([0.0] * 3, [1.0] * 3)
         with pytest.raises(ValidationError):
-            w1_distance(self.measure(gen, unit_square, 2), self.measure(gen, u3, 3))
+            w1_distance([self.measure(gen, unit_square, 2)], [self.measure(gen, u3, 3)])
         with pytest.raises(ValidationError):
             w1_distance([self.measure(gen, unit_square, 2)], [])
         big = DiscreteMeasure(unit_square, gen.random((4095, 2)), np.full(4095, 1 / 4095))
@@ -334,20 +338,20 @@ class TestMetricAxioms:
         action_set = ActionSet([0.0] * dim, [1.0] * dim)
         gen = np.random.default_rng(seed)
         a, b, c = (random_measure(gen, action_set, max_atoms=4) for _ in range(3))
-        dab, dba = w1_distance(a, b), w1_distance(b, a)
+        dab, dba, daa, dac, dbc = w1_distance([a, b, a, a, b], [b, a, a, c, c])
         assert dab == dba  # exact symmetry by canonical argument ordering
         assert dab >= 0.0
-        assert w1_distance(a, a) == 0.0
-        assert w1_distance(a, c) <= dab + w1_distance(b, c) + 1e-9
+        assert daa == 0.0
+        assert dac <= dab + dbc + 1e-9
         assert dab <= action_set.diameter + 1e-9
 
     def test_zero_iff_equal_after_merge(self, unit_interval):
         a = DiscreteMeasure(unit_interval, [[0.25], [0.25], [0.75]], [0.25, 0.25, 0.5])
         b = DiscreteMeasure(unit_interval, [[0.75], [0.25]], [0.5, 0.5])
         assert a == b
-        assert w1_distance(a, b) == 0.0
+        assert w1_distance([a], [b]).tolist() == [0.0]
         c = DiscreteMeasure(unit_interval, [[0.75], [0.25]], [0.51, 0.49])
-        assert w1_distance(a, c) > 0.0
+        assert w1_distance([a], [c])[0] > 0.0
 
 
 class TestCanonicalization:

@@ -538,4 +538,4 @@ class TestRateSpecValidation:
             gap = abs(
                 rates.off_diagonal(x[None], a)[0, 0, 1] - rates.off_diagonal(y[None], b)[0, 0, 1]
             )
-            assert gap <= declared_c2 * (abs(float(x[0] - y[0])) + w1_distance(a, b)) + 1e-12
+            assert gap <= declared_c2 * (abs(float(x[0] - y[0])) + w1_distance([a], [b])[0]) + 1e-12

@@ -17,7 +17,7 @@ from hybridopt import cli, rng, validate_model
 from hybridopt.config import load_model
 from hybridopt.control import MeasureBatch
 from hybridopt.dynamics import VALIDATE_CHUNK, growth_ratio
-from hybridopt.measure_space import random_measure, w1_distance
+from hybridopt.measure_space import draw_measure, random_measures, w1_distance
 from tests.conftest import make_model
 
 
@@ -32,23 +32,26 @@ def reference_validate(model, sample_count, seed=0):
     def draw_x():
         return lo + gen.random(d) * span
 
+    def draw_mu():
+        return random_measures(model.action_set, [draw_measure(gen, model.action_set)])[0]
+
     worst_c1 = worst_growth = worst_c2 = worst_exit = 0.0
     worst_rate_min = f_min = g_min = np.inf
     off = ~np.eye(model.regime_count, dtype=bool)
     for trial in range(sample_count):
         variant = trial % 3
         x = draw_x()
-        mu_a = random_measure(gen, model.action_set)
+        mu_a = draw_mu()
         if variant == 0:
             y = draw_x() if trial % 6 == 0 else model.clip_state(x + gen.standard_normal(d) * 1e-3 * scale)
             mu_b = mu_a
         elif variant == 1:
             y = x
-            mu_b = random_measure(gen, model.action_set)
+            mu_b = draw_mu()
         else:
             y = draw_x()
-            mu_b = random_measure(gen, model.action_set)
-        w1 = w1_distance(mu_a, mu_b)
+            mu_b = draw_mu()
+        w1 = w1_distance([mu_a], [mu_b])[0]
         dist2 = float(np.sum((x - y) ** 2)) + w1**2
         dist1 = float(np.linalg.norm(x - y)) + w1
 
