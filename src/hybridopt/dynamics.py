@@ -283,9 +283,8 @@ CostedChunk = namedtuple("CostedChunk", "running clamp_count x regimes")
 
 
 def grid_steps(s: float, t_end: float, dt: float) -> int:
-    bad = [f"{name} = {value!r}" for name, value in (("s", s), ("t_end", t_end), ("dt", dt)) if not np.isfinite(value)]
-    if bad:
-        raise ValidationError(f"times must be finite, got {', '.join(bad)}")
+    if not np.all(np.isfinite([s, t_end, dt])):
+        raise ValidationError(f"times must be finite, got s = {s!r}, t_end = {t_end!r}, dt = {dt!r}")
     if dt <= 0 or t_end <= s:
         raise ValidationError("need dt > 0 and t_end > s")
     n = int(round((t_end - s) / dt))
@@ -427,8 +426,7 @@ def _chunk_passes(job) -> list:
 
 
 def _each_pass(results):
-    """The passes of each job's result, in order.  Each is popped as it is
-    yielded, so none is held here while the next job runs."""
+    """Each job's passes in order, popped so that none is held here while the next job runs."""
     for passes in results:
         while passes:
             yield passes.pop(0)

@@ -3,13 +3,15 @@
 Two kinds of cross-checks live here.  The lattice oracle fully discretizes a
 tiny instance (one space dimension, at most 31 nodes, 3 regimes, 5 steps and
 4 candidate pairs) into explicit per-step transition kernels and computes the
-value table by per-cell exhaustive minimization -- and, when the number of
-Markov policies is small enough, by brute-force policy enumeration, whose
-agreement with the backward pass is the finite-problem dynamic programming
-identity itself.  The kernels are deliberately built from the solver's own
-kernel objects so the solver-vs-oracle comparison isolates wiring; the math
-is covered separately by checking the batched two-state transition rows the
-solver and simulator use against the scalar exponential formula.
+value table by per-cell exhaustive backward minimization.  An instance of at
+most ``_ENUMERATION_LIMIT`` Markov policies is also solved by brute-force
+policy enumeration, whose agreement with the backward pass is the
+finite-problem dynamic programming identity itself; the battery's instances
+hold 2^72 to 2^210 policies, so ``verify`` never enumerates.  The kernels are
+deliberately built from the solver's own kernel objects so the
+solver-vs-oracle comparison isolates wiring; the math is covered separately
+by checking the batched two-state transition rows the solver and simulator
+use against the scalar exponential formula.
 
 The remaining checks tie the solver to the simulator: the dynamic
 programming residual and its Monte Carlo counterpart, minimizing-sequence
@@ -626,10 +628,10 @@ _LATTICE_INSTANCES = (
 
 
 def check_solver_oracle() -> CheckReport:
-    """Backward solver against the exhaustive lattice oracle on three
-    instances, including the regime-cost instance with V(0, ., 1) = 1; plus
-    a spot check of the solver's batched two-state transition rows against
-    the scalar exponential."""
+    """Backward solver against the lattice oracle's per-cell backward
+    minimization on three instances, including the regime-cost instance with
+    V(0, ., 1) = 1; plus a spot check of the solver's batched two-state
+    transition rows against the scalar exponential."""
     triples = []
     instances = {}
     for label, builder in _LATTICE_INSTANCES:

@@ -845,9 +845,11 @@ class TestNonFiniteTimes:
     # are config errors (exit 2) that name the value, raised before any work
     @pytest.mark.parametrize(
         "command, flag, value, named",
-        [("estimate", "--dt", "nan", "dt = nan"), ("simulate", "--dt", "inf", "dt = inf"),
-         ("simulate", "--t0", "nan", "s = nan"), ("simulate", "--horizon", "nan", "t_end = nan"),
-         ("simulate", "--horizon", "inf", "t_end = inf")],
+        [("estimate", "--dt", "nan", "s = 0.0, t_end = 1.0, dt = nan"),
+         ("simulate", "--dt", "inf", "s = 0.0, t_end = 1.0, dt = inf"),
+         ("simulate", "--t0", "nan", "s = nan, t_end = 1.0, dt = 0.01"),
+         ("simulate", "--horizon", "nan", "s = 0.0, t_end = nan, dt = 0.01"),
+         ("simulate", "--horizon", "inf", "s = 0.0, t_end = inf, dt = 0.01")],
         ids=["estimate-dt-nan", "simulate-dt-inf", "simulate-t0-nan", "simulate-horizon-nan", "simulate-horizon-inf"],
     )
     def test_flag_exits_2(self, command, flag, value, named, demo_files, tmp_path, monkeypatch, capsys):
