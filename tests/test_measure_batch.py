@@ -290,7 +290,7 @@ class TestBatchedClosedForms:
         # one call takes one dimension; each dimension's batch equals its pairs one at a time
         gen = np.random.default_rng(14)
         pairs = [tuple(random_measures(s, [draw_measure(gen, s) for _ in range(2)])) for s in (UNIT, SQUARE, UNIT, SQUARE)]
-        with pytest.raises(ValidationError, match="one action-set dimension"):
+        with pytest.raises(ValidationError, match=r"one action-set dimension, got \[1, 2\]"):
             w1_distance([p for p, _ in pairs], [q for _, q in pairs])
         for same in (pairs[0::2], pairs[1::2]):
             batch = w1_distance([p for p, _ in same], [q for _, q in same])

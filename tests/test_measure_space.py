@@ -224,10 +224,6 @@ class TestBatchedW1:
             w1_distance([a, b], [b])
         with pytest.raises(ValidationError):
             w1_distance([a, b], [b, random_measure(gen, unit_interval)])
-        # pairs of two dimensions in one call
-        c, d = random_measure(gen, unit_interval), random_measure(gen, unit_interval)
-        with pytest.raises(ValidationError, match=r"one action-set dimension, got \[1, 2\]"):
-            w1_distance([a, c], [b, d])
         big = DiscreteMeasure(unit_interval, np.linspace(0, 1, 4096).reshape(-1, 1), np.full(4096, 1 / 4096))
         with pytest.raises(CapacityError):
             w1_transport_lp([dirac(unit_interval, [0.5]), big], [dirac(unit_interval, [0.1]), big])
