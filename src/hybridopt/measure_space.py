@@ -358,8 +358,7 @@ def w1_transport_lp(mu, nu):
     res = linprog(cost, A_eq=a_eq, b_eq=np.concatenate(rhs), bounds=(0, None), method="highs")
     if not res.success:
         raise NumericalError(f"transport LP failed: {res.message}")
-    values = np.maximum(np.add.reduceat(cost * res.x, starts[:-1]), 0.0)[block_of]
-    return values
+    return np.maximum(np.add.reduceat(cost * res.x, starts[:-1]), 0.0)[block_of]
 
 
 def within_tree_cap(m: int, n: int) -> bool:
